@@ -119,15 +119,13 @@ def _load_inputs(args, mode: str):
     return query, registry, policy
 
 
-def _run_mode(args, mode: str, source, query, registry, policy):
+def _traverse(args, source, query, registry, mode: str, semantics: str, policy):
+    """Traverse from the run's seeds in one mode and return (pool, trace)."""
     if mode == GUIDED:
         return traverse_guided(
             args.seed, registry, policy, query, source, max_documents=args.max_docs
         )
-    config = TraversalConfig(
-        mode=UNGUIDED, semantics=args.semantics, seeds=args.seed,
-        max_documents=args.max_docs,
-    )
+    config = TraversalConfig(semantics, args.seed, args.max_docs)
     return traverse_unguided(config, source, query)
 
 
@@ -135,7 +133,7 @@ def _cmd_run(args, out) -> int:
     query, registry, policy = _load_inputs(args, args.mode)
     source = _make_source(args)
     started = time.monotonic()
-    pool, trace = _run_mode(args, args.mode, source, query, registry, policy)
+    pool, trace = _traverse(args, source, query, registry, args.mode, args.semantics, policy)
     rows = evaluate(query, pool.graph())
     elapsed = time.monotonic() - started
     fetched = sorted(trace.ledger.ok_documents)
@@ -179,18 +177,12 @@ def _cmd_compare(args, out) -> int:
     query, registry, policy = _load_inputs(args, GUIDED)
     source = _make_source(args)
 
-    config = TraversalConfig(
-        mode=UNGUIDED, semantics=args.semantics, seeds=args.seed,
-        max_documents=args.max_docs,
-    )
-    unguided_pool, unguided_trace = traverse_unguided(config, source, query)
-    unguided_rows = evaluate(query, unguided_pool.graph())
+    def solve(mode, semantics, run_policy):
+        pool, trace = _traverse(args, source, query, registry, mode, semantics, run_policy)
+        return evaluate(query, pool.graph()), trace
 
-    source2 = _make_source(args)
-    guided_pool, guided_trace = traverse_guided(
-        args.seed, registry, policy, query, source2, max_documents=args.max_docs
-    )
-    guided_rows = evaluate(query, guided_pool.graph())
+    unguided_rows, unguided_trace = solve(UNGUIDED, args.semantics, None)
+    guided_rows, guided_trace = solve(GUIDED, None, policy)
 
     unguided_set = set(_row_fingerprints(unguided_rows, query.projection))
     guided_set = set(_row_fingerprints(guided_rows, query.projection))
@@ -223,18 +215,8 @@ def _cmd_compare(args, out) -> int:
 
     # Structure pruning is meant to be performance-only; report whether the
     # registry alone (policy fully permissive) changed results versus c-all.
-    source3 = _make_source(args)
-    all_config = TraversalConfig(
-        mode=UNGUIDED, semantics=C_ALL, seeds=args.seed, max_documents=args.max_docs
-    )
-    all_pool, _ = traverse_unguided(all_config, source3, query)
-    all_rows = evaluate(query, all_pool.graph())
-    source4 = _make_source(args)
-    structure_pool, _ = traverse_guided(
-        args.seed, registry, PERMISSIVE_POLICY, query, source4,
-        max_documents=args.max_docs,
-    )
-    structure_rows = evaluate(query, structure_pool.graph())
+    all_rows, _ = solve(UNGUIDED, C_ALL, None)
+    structure_rows, _ = solve(GUIDED, None, PERMISSIVE_POLICY)
     changed = set(_row_fingerprints(all_rows, query.projection)) != set(
         _row_fingerprints(structure_rows, query.projection)
     )
@@ -283,19 +265,18 @@ def _explain_doc(args, out, query, registry, policy, trace, pool) -> int:
             if args.mode == GUIDED:
                 relevant, rule = relevance_decision(policy, t, doc.doc_iri)
                 if not relevant:
-                    ordered = policy.ordered_rules()
                     if rule is None:
                         # Denied by default.  If some rule's pattern covers the
                         # triple but its source constraint rejected this
                         # document, cite that rule: it is the one whose
                         # restriction blocked the link.
                         rule = next(
-                            (r for r in ordered
+                            (r for r in policy.ordered_rules()
                              if match_triple(t, r.pattern) is not None),
                             None,
                         )
                     label = (
-                        "policy rule #%d" % (ordered.index(rule) + 1)
+                        "policy rule #%d" % (rule.entry + 1)
                         if rule is not None
                         else "the policy default"
                     )
@@ -344,7 +325,6 @@ def _explain_row(args, out, query, policy, rows, pool) -> int:
     )
     mapping = {v: t for v, t in row.items() if t is not None}
     graph = pool.graph()
-    ordered = policy.ordered_rules() if policy is not None else []
     for pattern in query.all_patterns():
         concrete = _substitute(pattern, mapping)
         if any(term.is_variable for term in (concrete.subject, concrete.predicate, concrete.object)):
@@ -354,7 +334,7 @@ def _explain_row(args, out, query, policy, rows, pool) -> int:
                 if policy is not None:
                     _, rule = relevance_decision(policy, triple, src)
                     label = (
-                        " (policy rule #%d)" % (ordered.index(rule) + 1)
+                        " (policy rule #%d)" % (rule.entry + 1)
                         if rule is not None
                         else ""
                     )
@@ -369,7 +349,7 @@ def _cmd_explain(args, out) -> int:
         raise _UsageError("explain requires exactly one of --row and --doc")
     query, registry, policy = _load_inputs(args, args.mode)
     source = _make_source(args)
-    pool, trace = _run_mode(args, args.mode, source, query, registry, policy)
+    pool, trace = _traverse(args, source, query, registry, args.mode, args.semantics, policy)
     if args.doc is not None:
         return _explain_doc(args, out, query, registry, policy, trace, pool)
     rows = evaluate(query, pool.graph())

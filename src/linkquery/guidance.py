@@ -176,7 +176,8 @@ class PolicyRule:
     source: str  # IRI prefix, SAME_ORIGIN, or WILDCARD
     priority: int
     exclusive_key: Optional[str] = None  # only SUBJECT_PREDICATE
-    index: int = 0  # declaration position, used for tie-breaks and explain
+    index: int = 0  # declaration position after list expansion, for tie-breaks
+    entry: int = 0  # position of the rule's entry in the policy file, from 0
 
     def matches(self, triple: Triple, source_doc_iri: str) -> bool:
         if match_triple(triple, self.pattern) is None:
@@ -269,7 +270,7 @@ def parse_policy(text: str) -> ContentPolicy:
                 )
             except GuidanceParseError as exc:
                 raise GuidanceParseError("%s: %s" % (where, exc)) from exc
-            rules.append(PolicyRule(action, pattern, source, priority, exclusive, len(rules)))
+            rules.append(PolicyRule(action, pattern, source, priority, exclusive, len(rules), i))
     return ContentPolicy(rules, default)
 
 

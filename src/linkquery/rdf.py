@@ -38,7 +38,10 @@ def resolve_iri(base: str, reference: str) -> str:
         return reference
     if not is_absolute_iri(base):
         raise IriError("base IRI %r has no scheme" % (base,))
-    return urljoin(base, reference)
+    resolved = urljoin(base, reference)
+    if reference.endswith("#") and not resolved.endswith("#"):
+        resolved += "#"  # urljoin drops an empty fragment
+    return resolved
 
 
 def strip_fragment(iri: str) -> str:

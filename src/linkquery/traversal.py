@@ -1,28 +1,29 @@
 """
 Reachability fixed points over a web of documents.
 
-Unguided traversal expands a frontier from the seed documents under one of
-three link-following semantics (seeds-only, follow-all, query-match). Guided
-traversal replaces the semantics with user guidance: a content policy filters
-each document's triples before links are discovered, and linking-structure
-rules decide which of the discovered links are worth dereferencing for the
-query's patterns. Both produce a provenance-carrying triple pool and a trace
-that records why every document was admitted or pruned.
+One semi-naive fixed point serves all four modes. Each wave hands the newly
+fetched documents to a link strategy: c-none follows no links, c-all every
+subject/object IRI, c-match the IRIs of query-matching triples and of triples
+about their entities, and guided the links that the linking structure allows
+for the query's patterns. The pool keeps the triples the content policy finds
+relevant, and a trace records why every document was admitted or pruned.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .guidance import (
+    PERMISSIVE_POLICY,
     ContentPolicy,
     EffectiveStructure,
     LinkingStructureRegistry,
     apply_overrides,
     get_linking_structure,
     lambda_allows,
-    relevance_decision,
     triple_relevant,
 )
 from .query import Query, evaluate, triple_patterns
@@ -51,7 +52,6 @@ ANN_SUBTREE = frozenset(
 
 @dataclass
 class TraversalConfig:
-    mode: str = UNGUIDED
     semantics: str = C_MATCH
     seeds: Sequence[str] = ()
     max_documents: int = DEFAULT_MAX_DOCUMENTS
@@ -84,9 +84,6 @@ class TriplePool:
 
     def __init__(self, entries=()):
         self.entries: Set[Tuple[Triple, str]] = set(entries)
-
-    def add(self, triple: Triple, source_doc_iri: str) -> None:
-        self.entries.add((triple, source_doc_iri))
 
     def graph(self) -> Graph:
         return Graph(t for t, _ in self.entries)
@@ -171,73 +168,60 @@ def _seed_iris(seeds: Sequence[str]) -> List[str]:
     return sorted({strip_fragment(s) for s in seeds})
 
 
-def traverse_unguided(config: TraversalConfig, source, query: Query, *,
-                      rng: Optional[random.Random] = None,
-                      workers: int = 4) -> Tuple[TriplePool, TraversalTrace]:
-    """Breadth-first reachability fixed point under classical semantics.
+# A link strategy gets each fetched document once, in admission order, with a
+# test for IRIs not yet fetched or admitted, and yields link or "pruned"
+# admissions. A link not followed from a document is never followed from it
+# later, so no strategy needs to see a document twice.
+LinkStrategy = Callable[[List[Document], Callable[[str], bool]], Iterable[Admission]]
 
-    c-none never follows links; c-all follows every subject/object IRI of
-    every parsed triple; c-match follows IRIs from triples that match a query
-    pattern, plus links asserted about entities already known to occur in
-    such matching triples. Predicate-position IRIs are never followed.
+
+def _no_links(docs, unseen):
+    return ()
+
+
+def _all_links(docs, unseen):
+    for doc in docs:
+        for t in doc.triples:
+            for iri in _iri_positions(t):
+                if unseen(iri):
+                    yield Admission(iri, "link", doc.doc_iri, t)
+
+
+def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
+    """c-match: links of pattern-matching triples and of triples about their entities.
+
+    A non-matching triple whose subject is not yet such an entity waits,
+    keyed by that subject, until a matching triple names the subject.
     """
-    if config.semantics not in (C_NONE, C_ALL, C_MATCH):
-        raise ValueError("unknown semantics %r" % config.semantics)
-    patterns = triple_patterns(query)
-    deref = Dereferencer(source)
-    trace = TraversalTrace(ledger=deref.ledger)
-    pool = TriplePool()
-    docs: Dict[str, Document] = {}
-    visited: Set[str] = set()
+    entities: Set[str] = set()
+    waiting: Dict[str, list] = {}
+    ranks = itertools.count()
 
-    def fetch(iris: List[str], reasons: Dict[str, Admission]) -> None:
-        if len(visited) + len(iris) > config.max_documents:
-            raise CappedTraversalError(config.max_documents, trace)
-        visited.update(iris)
-        for iri, doc in deref.fetch_wave(iris, workers=workers).items():
-            docs[iri] = doc
-            trace.admissions.append(reasons[iri])
-            for t in doc.triples:
-                pool.add(t, doc.doc_iri)
+    def follow(docs, unseen):
+        qualifying = []
+        for doc in docs:
+            rank = next(ranks)
+            for i, t in enumerate(doc.triples):
+                tp = _matching_pattern(t, patterns)
+                if tp is None and t.subject.value not in entities:
+                    waiting.setdefault(t.subject.value, []).append((rank, i, doc, t, tp))
+                    continue
+                qualifying.append((rank, i, doc, t, tp))
+                if tp is None:
+                    continue
+                for term in (t.subject, t.object):
+                    if term.kind == "iri" and term.value not in entities:
+                        entities.add(term.value)
+                        qualifying.extend(waiting.pop(term.value, ()))
+        # Admission order, then triple order: the witnesses a rescan of every
+        # fetched document would pick.
+        qualifying.sort(key=lambda e: e[:2])
+        for _, _, doc, t, tp in qualifying:
+            for iri in _iri_positions(t):
+                if unseen(iri):
+                    yield Admission(iri, "link", doc.doc_iri, t, tp)
 
-    seeds = _seed_iris(config.seeds)
-    fetch(list(seeds), {s: Admission(s, "seed") for s in seeds})
-
-    if config.semantics != C_NONE:
-        while True:
-            reasons: Dict[str, Admission] = {}
-            if config.semantics == C_ALL:
-                for doc in docs.values():
-                    for t in doc.triples:
-                        for iri in _iri_positions(t):
-                            if iri not in visited and iri not in reasons:
-                                reasons[iri] = Admission(iri, "link", doc.doc_iri, t)
-            else:  # C_MATCH
-                entities: Set[str] = set()
-                for doc in docs.values():
-                    for t in doc.triples:
-                        if _matching_pattern(t, patterns) is not None:
-                            entities.add(t.subject.value)
-                            if t.object.kind == "iri":
-                                entities.add(t.object.value)
-                for doc in docs.values():
-                    for t in doc.triples:
-                        tp = _matching_pattern(t, patterns)
-                        if tp is None and t.subject.value not in entities:
-                            continue
-                        for iri in _iri_positions(t):
-                            if iri not in visited and iri not in reasons:
-                                reasons[iri] = Admission(iri, "link", doc.doc_iri, t, tp)
-            if not reasons:
-                break
-            fetch(_order(set(reasons), rng), reasons)
-    trace.pool = pool
-    trace.documents = docs
-    return pool, trace
-
-
-def _relevant_triples(doc: Document, policy: ContentPolicy) -> List[Triple]:
-    return [t for t in doc.triples if triple_relevant(policy, t, doc.doc_iri)]
+    return follow
 
 
 def _guided_candidates(doc: Document, structure: EffectiveStructure,
@@ -254,7 +238,7 @@ def _guided_candidates(doc: Document, structure: EffectiveStructure,
         for rule in structure:
             follow_predicates.update(rule.follow_predicates())
     out: Dict[str, Triple] = {}
-    for t in sorted(doc.triples, key=Triple.sort_key):
+    for t in doc.triples:
         via_relevance = triple_relevant(policy, t, doc.doc_iri)
         via_structure = (
             t.predicate.value in follow_predicates and t.object.kind == "iri"
@@ -267,11 +251,86 @@ def _guided_candidates(doc: Document, structure: EffectiveStructure,
     return out
 
 
+def _guided_links(registry: LinkingStructureRegistry, policy: ContentPolicy,
+                  patterns: Sequence[TriplePattern], docs, unseen):
+    """Guided: candidates the referring document's linking structure allows (λ)."""
+    for doc in docs:
+        structure = get_linking_structure(registry, doc.doc_iri)
+        for candidate, witness in _guided_candidates(doc, structure, policy).items():
+            if not unseen(candidate):
+                continue
+            admitting_tp = next(
+                (tp for tp in patterns if lambda_allows(structure, doc, candidate, tp)),
+                None,
+            )
+            if admitting_tp is not None:
+                yield Admission(candidate, "link", doc.doc_iri, witness, admitting_tp)
+            else:
+                yield Admission(candidate, "pruned", doc.doc_iri, witness,
+                                cause="no structure rule permits following this link")
+
+
+def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
+                 policy: ContentPolicy, max_documents: int,
+                 rng: Optional[random.Random]) -> Tuple[TriplePool, TraversalTrace]:
+    """Semi-naive reachability: each wave hands only the new documents to follow.
+
+    The pool is every fetched triple the policy finds relevant, after its
+    exclusive rules are enforced.
+    """
+    deref = Dereferencer(source)
+    trace = TraversalTrace(ledger=deref.ledger)
+    docs: Dict[str, Document] = {}
+    pruned: Set[str] = set()
+    order = _seed_iris(seeds)
+    reasons = {s: Admission(s, "seed") for s in order}
+
+    def unseen(iri: str) -> bool:
+        return iri not in docs and iri not in reasons
+
+    while reasons:
+        if len(docs) + len(order) > max_documents:
+            raise CappedTraversalError(max_documents, trace)
+        wave = deref.fetch_wave(order)
+        docs.update(wave)
+        trace.admissions.extend(reasons[iri] for iri in wave)
+        reasons = {}
+        for admission in follow(list(wave.values()), unseen):
+            if admission.reason != "pruned":
+                reasons[admission.doc_iri] = admission
+            elif admission.doc_iri not in pruned:
+                pruned.add(admission.doc_iri)
+                trace.admissions.append(admission)
+        order = _order(set(reasons), rng)
+
+    relevant = {(t, doc.doc_iri) for doc in docs.values() for t in doc.triples
+                if triple_relevant(policy, t, doc.doc_iri)}
+    trace.pool = TriplePool(apply_overrides(relevant, policy))
+    trace.documents = docs
+    return trace.pool, trace
+
+
+def traverse_unguided(config: TraversalConfig, source, query: Query, *,
+                      rng: Optional[random.Random] = None) -> Tuple[TriplePool, TraversalTrace]:
+    """Breadth-first reachability fixed point under classical semantics.
+
+    c-none never follows links; c-all follows every subject/object IRI of
+    every parsed triple; c-match follows IRIs from triples that match a query
+    pattern, plus links asserted about entities already known to occur in
+    such matching triples. Predicate-position IRIs are never followed.
+    """
+    strategies = {C_NONE: _no_links, C_ALL: _all_links,
+                  C_MATCH: _match_links(triple_patterns(query))}
+    if config.semantics not in strategies:
+        raise ValueError("unknown semantics %r" % config.semantics)
+    return _fixed_point(config.seeds, source, strategies[config.semantics],
+                        PERMISSIVE_POLICY, config.max_documents, rng)
+
+
 def traverse_guided(seeds: Sequence[str], registry: LinkingStructureRegistry,
                     policy: ContentPolicy, query: Query, source, *,
                     max_documents: int = DEFAULT_MAX_DOCUMENTS,
-                    rng: Optional[random.Random] = None,
-                    workers: int = 4) -> Tuple[TriplePool, TraversalTrace]:
+                    rng: Optional[random.Random] = None) -> Tuple[TriplePool, TraversalTrace]:
     """Guided reachability fixed point.
 
     Each admitted document's triples are filtered by the content policy; only
@@ -280,75 +339,18 @@ def traverse_guided(seeds: Sequence[str], registry: LinkingStructureRegistry,
     for some query pattern. After the fixed point, exclusive policy rules are
     enforced over the whole pool.
     """
-    patterns = triple_patterns(query)
-    deref = Dereferencer(source)
-    trace = TraversalTrace(ledger=deref.ledger)
-    docs: Dict[str, Document] = {}
-    visited: Set[str] = set()
-    pruned_logged: Set[str] = set()
-
-    def fetch(iris: List[str], reasons: Dict[str, Admission]) -> None:
-        if len(visited) + len(iris) > max_documents:
-            raise CappedTraversalError(max_documents, trace)
-        visited.update(iris)
-        for iri, doc in deref.fetch_wave(iris, workers=workers).items():
-            docs[iri] = doc
-            trace.admissions.append(reasons[iri])
-
-    seeds = _seed_iris(seeds)
-    fetch(list(seeds), {s: Admission(s, "seed") for s in seeds})
-
-    while True:
-        reasons: Dict[str, Admission] = {}
-        for doc_iri in sorted(docs):
-            doc = docs[doc_iri]
-            structure = get_linking_structure(registry, doc.doc_iri)
-            for candidate, witness in _guided_candidates(doc, structure, policy).items():
-                if candidate in visited or candidate in reasons:
-                    continue
-                admitting_tp = None
-                for tp in patterns:
-                    if lambda_allows(structure, doc, candidate, tp):
-                        admitting_tp = tp
-                        break
-                if admitting_tp is not None:
-                    reasons[candidate] = Admission(
-                        candidate, "link", doc.doc_iri, witness, admitting_tp
-                    )
-                elif candidate not in pruned_logged:
-                    pruned_logged.add(candidate)
-                    trace.admissions.append(
-                        Admission(
-                            candidate,
-                            "pruned",
-                            doc.doc_iri,
-                            witness,
-                            cause="no structure rule permits following this link",
-                        )
-                    )
-        if not reasons:
-            break
-        fetch(_order(set(reasons), rng), reasons)
-
-    raw_pool = set()
-    for doc in docs.values():
-        for t in _relevant_triples(doc, policy):
-            raw_pool.add((t, doc.doc_iri))
-    pool = TriplePool(apply_overrides(raw_pool, policy))
-    trace.pool = pool
-    trace.documents = docs
-    return pool, trace
+    follow = functools.partial(_guided_links, registry, policy, triple_patterns(query))
+    return _fixed_point(seeds, source, follow, policy, max_documents, rng)
 
 
 def evaluate_augmented(query: Query, registry: LinkingStructureRegistry,
                        policy: ContentPolicy, seeds: Sequence[str], source, *,
                        max_documents: int = DEFAULT_MAX_DOCUMENTS,
-                       rng: Optional[random.Random] = None,
-                       workers: int = 4):
+                       rng: Optional[random.Random] = None):
     """Guided traversal followed by query evaluation over the pool's graph."""
     pool, trace = traverse_guided(
         seeds, registry, policy, query, source,
-        max_documents=max_documents, rng=rng, workers=workers,
+        max_documents=max_documents, rng=rng,
     )
     return evaluate(query, pool.graph()), trace
 

@@ -172,11 +172,9 @@ class Dereferencer:
     differing only in fragment) hit the cache and do not add to distinct_ok.
     """
 
-    def __init__(self, source, prefixes: Optional[Dict[str, str]] = None,
-                 ledger: Optional[FetchLedger] = None):
+    def __init__(self, source):
         self.source = source
-        self.prefixes = prefixes
-        self.ledger = ledger if ledger is not None else FetchLedger()
+        self.ledger = FetchLedger()
         self._cache: Dict[str, Document] = {}
         self._outcomes: Dict[str, str] = {}
         self._lock = threading.Lock()
@@ -201,7 +199,7 @@ class Dereferencer:
             return Document(doc_iri, doc_iri, Graph()), result.outcome
         final_iri = result.final_iri or doc_iri
         try:
-            graph = parse_turtle(result.body, final_iri, self.prefixes)
+            graph = parse_turtle(result.body, final_iri)
         except TurtleParseError:
             return Document(final_iri, final_iri, Graph()), PARSE_ERROR
         return Document(final_iri, final_iri, graph), OK

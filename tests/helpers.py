@@ -108,6 +108,39 @@ def closure_c_all(bodies: Dict[str, str], seeds: Sequence[str]) -> Set[str]:
         reached |= frontier
 
 
+def closure_c_match(bodies: Dict[str, str], seeds: Sequence[str],
+                    query: Query) -> Set[str]:
+    """Closure of query-match link traversal over mapped documents.
+
+    Rescans every reached document until nothing changes. A triple's subject
+    and object IRIs are followed when the triple matches a query pattern, or
+    when its subject occurs in some matching triple of a reached document.
+    """
+    graphs = parse_web(bodies)
+    patterns = query.all_patterns()
+    reached = {strip_fragment(s) for s in seeds if strip_fragment(s) in graphs}
+    while True:
+        triples = [t for iri in reached for t in graphs[iri]]
+        matching = {
+            t for t in triples
+            if any(match_triple(t, tp) is not None for tp in patterns)
+        }
+        entities = {t.subject.value for t in matching}
+        entities |= {t.object.value for t in matching if t.object.kind == "iri"}
+        frontier = set()
+        for t in triples:
+            if t not in matching and t.subject.value not in entities:
+                continue
+            for term in (t.subject, t.object):
+                if term.kind == "iri":
+                    target = strip_fragment(term.value)
+                    if target in graphs and target not in reached:
+                        frontier.add(target)
+        if not frontier:
+            return reached
+        reached |= frontier
+
+
 def union_graph(bodies: Dict[str, str], docs: Set[str]) -> Graph:
     graphs = parse_web(bodies)
     out = Graph()

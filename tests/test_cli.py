@@ -175,6 +175,17 @@ class TestExplain:
         assert "?name=\"Ann\"" in out
         assert out.count("from https://ann.ex/about/") == 3
 
+    def test_row_support_cites_policy_file_entries(self, capsys):
+        # Name and mbox are admitted by the third entry of the policy file, a
+        # list-valued predicate that expands to two rules; Ann's picture by
+        # the fourth entry.
+        code, out, _ = run_cli(capsys, ["explain", "--row", "1"] + guided_flags())
+        assert code == 0
+        cited = [line.rsplit(" ", 1)[1] for line in out.splitlines()[1:]]
+        assert cited == ["#1)", "#3)", "#3)", "#4)"]
+        code, out, _ = run_cli(capsys, ["explain", "--row", "2"] + guided_flags())
+        assert "<mailto:me@bob.ex>. from https://bob.ex/ (policy rule #3)" in out
+
     def test_unknown_doc(self, capsys):
         code, _, err = run_cli(
             capsys, ["explain", "--doc", "https://stranger.ex/"] + guided_flags()

@@ -1,10 +1,12 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import (
     closure_c_all,
+    closure_c_match,
     doc_iri,
     entity_iri,
     random_bgp_query,
@@ -96,6 +98,22 @@ class TestUnguided:
             elif adm.reason == "link":
                 assert adm.from_doc in admitted
                 admitted.append(adm.doc_iri)
+
+    def test_c_match_follows_triples_about_entities_found_later(self):
+        # The seed's triple about d.ex qualifies only once b.ex names d.ex in a
+        # matching triple; c.ex is then linked from the seed, not from b.ex.
+        bodies = {
+            "https://a.ex/": "<https://a.ex/#a> <https://p.ex/p1> <https://b.ex/#b>.\n"
+                             "<https://d.ex/#d> <https://p.ex/p2> <https://c.ex/#c>.",
+            "https://b.ex/": "<https://b.ex/#b> <https://p.ex/p1> <https://d.ex/#d>.",
+            "https://c.ex/": '<https://c.ex/#c> <https://p.ex/p2> "leaf".',
+        }
+        query = parse_query("SELECT ?x WHERE { ?x <https://p.ex/p1> ?y }")
+        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=("https://a.ex/",))
+        admission = trace.admission_of("https://c.ex/")
+        assert admission.from_doc == "https://a.ex/"
+        assert admission.via_triple.subject.value == "https://d.ex/#d"
+        assert admission.via_pattern is None
 
     def test_predicate_iris_never_followed(self):
         bodies = {
@@ -222,6 +240,19 @@ class TestRandomWebs:
             assert trace.ledger.ok_documents == expected_docs
             assert pool.graph() == union_graph(bodies, expected_docs)
 
+    def test_c_match_matches_closure_oracle(self):
+        rng = random.Random(211)
+        for _ in range(120):
+            bodies = random_web(rng)
+            seeds = [doc_iri(0)]
+            query = random_bgp_query(rng, len(bodies))
+            pool, trace = unguided(
+                web_source(bodies), query, C_MATCH, seeds=seeds, max_documents=1000
+            )
+            expected_docs = closure_c_match(bodies, seeds, query)
+            assert trace.ledger.ok_documents == expected_docs
+            assert pool.graph() == union_graph(bodies, expected_docs)
+
     def test_order_independence_under_random_scheduling(self):
         rng = random.Random(131)
         for _ in range(10):
@@ -243,7 +274,28 @@ class TestRandomWebs:
             assert len(results) == 1
 
 
+GOLDEN_DEMO_TRACES = Path(__file__).parent / "demo_traces.json"
+
+
+def demo_traces(query, registry, policy):
+    """The demo web's trace under every link mode, as written to the golden file."""
+    traces = {}
+    for semantics in (C_NONE, C_ALL, C_MATCH):
+        _, trace = unguided(web_source_from_demo(), query, semantics)
+        traces[semantics] = trace.to_json_dict()
+    _, trace = traverse_guided([SEED], registry, policy, query, web_source_from_demo())
+    traces["guided"] = trace.to_json_dict()
+    return json.dumps(traces, indent=1) + "\n"
+
+
 class TestTraceSerialization:
+    def test_demo_traces_match_golden_file(self, demo_query_obj, demo_registry, uma_policy):
+        # Pins admission order, witness triples and patterns, pruned entries,
+        # ledger order and the pool. Regenerate the file from demo_traces()
+        # only for an intended change of traversal order.
+        expected = GOLDEN_DEMO_TRACES.read_text(encoding="utf-8")
+        assert demo_traces(demo_query_obj, demo_registry, uma_policy) == expected
+
     def test_trace_json_is_stable(self, demo_source, demo_query_obj):
         _, trace = unguided(demo_source, demo_query_obj, C_MATCH)
         first = json.dumps(trace.to_json_dict(), sort_keys=True)

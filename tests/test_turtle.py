@@ -96,6 +96,15 @@ class TestParser:
         [triple] = list(g)
         assert triple.predicate.value == "https://vocab.ex/p"
 
+    def test_prefix_with_empty_fragment_keeps_hash(self):
+        g = parse_turtle(
+            "@prefix p: <people#> .\np:x p:knows <#y>.", "https://a.ex/dir/doc"
+        )
+        [triple] = list(g)
+        assert triple.subject.value == "https://a.ex/dir/people#x"
+        assert triple.predicate.value == "https://a.ex/dir/people#knows"
+        assert triple.object.value == "https://a.ex/dir/doc#y"
+
     def test_a_keyword_expands_to_rdf_type(self):
         g = parse_turtle("<https://x.ex/> a <https://vocab.ex/Thing>.", "https://x.ex/")
         [triple] = list(g)
