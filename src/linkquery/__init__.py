@@ -52,7 +52,6 @@ from .traversal import (
     TraversalConfig,
     TraversalTrace,
     TriplePool,
-    ann_subtree_request_count,
     evaluate_augmented,
     traverse_guided,
     traverse_unguided,

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from .fixtures import ann_subtree_request_count
 from .guidance import (
     GuidanceParseError,
     PERMISSIVE,
@@ -40,7 +41,6 @@ from .traversal import (
     UNGUIDED,
     CappedTraversalError,
     TraversalConfig,
-    ann_subtree_request_count,
     traverse_guided,
     traverse_unguided,
 )

@@ -4,6 +4,9 @@ Parsing and evaluation of the SELECT query subset.
 Grammar: optional PREFIX declarations, SELECT with an explicit variable list,
 a WHERE block of triple patterns (`.`-separated, `;` predicate-object lists
 allowed) and zero or more non-nested OPTIONAL groups of triple patterns.
+Terms are written as in Turtle, plus `?variables`; `#` comments run to the end
+of the line and may appear anywhere whitespace may, including before a
+variable or a brace.
 
 Evaluation is the standard algebra: natural join of the required patterns,
 then each OPTIONAL group left-joins the result all-or-nothing (a group either
@@ -13,7 +16,6 @@ deduplicated and sorted by projected values, NULL last.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +27,14 @@ from .rdf import (
     graph_match,
     resolve_iri,
 )
-from .turtle import DEFAULT_PREFIXES, RDF_TYPE, TurtleParseError, _Tokenizer, _Token
+from .turtle import (
+    DEFAULT_PREFIXES,
+    QUERY_GRAMMAR,
+    RDF_TYPE,
+    Token,
+    TurtleParseError,
+    tokenize,
+)
 
 _UNSUPPORTED = {
     "FILTER",
@@ -95,50 +104,27 @@ def triple_patterns(query: Query) -> List[TriplePattern]:
     return seen
 
 
-class _QueryTokenizer(_Tokenizer):
-    """Extends the Turtle tokenizer with ?variables and braces."""
-
-    def _next(self):
-        text = self.text
-        while self.pos < len(text) and text[self.pos] in " \t\r\n":
-            self._advance()
-        if self.pos < len(text):
-            line, col = self.line, self.col
-            ch = text[self.pos]
-            if ch == "?":
-                self._advance()
-                m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[self.pos :])
-                if not m:
-                    raise TurtleParseError("malformed variable", line, col)
-                self._advance(len(m.group(0)))
-                return _Token("var", m.group(0), None, line, col)
-            if ch in "{}":
-                self._advance()
-                return _Token("brace", ch, None, line, col)
-        return super()._next()
-
-
 class _QueryParser:
-    def __init__(self, tokens: List[_Token]):
+    def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
         self.prefixes = dict(DEFAULT_PREFIXES)
 
-    def _peek(self) -> Optional[_Token]:
+    def _peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def _take(self) -> _Token:
+    def _take(self) -> Token:
         tok = self._peek()
         if tok is None:
             raise QueryParseError("unexpected end of query")
         self.pos += 1
         return tok
 
-    def _check_supported(self, tok: _Token) -> None:
+    def _check_supported(self, tok: Token) -> None:
         if tok.type == "word" and tok.value.upper() in _UNSUPPORTED:
             raise UnsupportedFeatureError(tok.value.upper())
 
-    def _term(self, tok: _Token) -> Term:
+    def _term(self, tok: Token) -> Term:
         self._check_supported(tok)
         if tok.type == "var":
             return Term.var(tok.value)
@@ -232,7 +218,7 @@ class _QueryParser:
 
 def parse_query(text: str) -> Query:
     try:
-        tokens = _QueryTokenizer(text).tokens()
+        tokens = tokenize(text, QUERY_GRAMMAR)
     except TurtleParseError as exc:
         raise QueryParseError(str(exc)) from exc
     return _QueryParser(tokens).parse()

@@ -39,16 +39,6 @@ GUIDED = "guided"
 
 DEFAULT_MAX_DOCUMENTS = 64
 
-# The four documents that make up Ann's corner of the bundled demo web.
-ANN_SUBTREE = frozenset(
-    {
-        "https://ann.ex/",
-        "https://ann.ex/about/",
-        "https://ann.ex/blog/",
-        "https://photos.ex/ann/",
-    }
-)
-
 
 @dataclass
 class TraversalConfig:
@@ -353,10 +343,3 @@ def evaluate_augmented(query: Query, registry: LinkingStructureRegistry,
         max_documents=max_documents, rng=rng,
     )
     return evaluate(query, pool.graph()), trace
-
-
-def ann_subtree_request_count(trace: TraversalTrace) -> int:
-    """Distinct successfully fetched documents within Ann's demo subtree."""
-    if trace.ledger is None:
-        return 0
-    return len(trace.ledger.ok_documents & ANN_SUBTREE)

@@ -7,6 +7,10 @@ names, plain literals with an optional @lang tag, predicate-object lists with
 `a` as rdf:type, and `#` comments outside tokens. Relative IRIs are resolved
 against the caller-supplied base.
 
+`tokenize` scans with one compiled alternation per grammar: TURTLE_GRAMMAR, and
+QUERY_GRAMMAR, which adds `?variables` and braces for the query parser. Tokens
+carry offsets; line and column are worked out only when an error is raised.
+
 Not supported (by design): blank nodes, collections, datatyped literals,
 @base, named graphs.
 """
@@ -35,159 +39,119 @@ class TurtleParseError(Exception):
         self.column = column
 
 
-@dataclass
-class _Token:
-    type: str  # iriref | pname | literal | dot | semi | comma | prefix_kw | word
+@dataclass(slots=True)
+class Token:
+    type: str  # iriref | pname | literal | dot | semi | comma | prefix_kw | word | var | brace
     value: str
     language: Optional[str]
-    line: int
-    column: int
+    pos: int  # offset into the scanned text
 
 
-_PNAME_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_\-]*)?:([A-Za-z0-9_\-]*)")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_LANG_RE = re.compile(r"[A-Za-z][A-Za-z0-9\-]*")
+_LITERAL_CHARS = r'(?:[^"\\\n]|\\[\\"ntr])*'
+_TURTLE_TOKENS = r"""
+    [ \t\r\n]+ | \#[^\n]*
+  | <(?P<iriref>[^>\n]*)>
+  | "(?P<literal>%s)"(?:@(?P<language>[A-Za-z][A-Za-z0-9\-]*)|(?!@))
+  | (?P<prefix_kw>@prefix)(?![A-Za-z0-9_\-])
+  | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,)
+""" % _LITERAL_CHARS
+
+# One alternation per token language; whitespace and comments match no group.
+# A literal directly followed by '@' must carry a well-formed language tag.
+TURTLE_GRAMMAR = re.compile(_TURTLE_TOKENS, re.VERBOSE)
+QUERY_GRAMMAR = re.compile(
+    r"\?(?P<var>[A-Za-z_][A-Za-z0-9_]*) | (?P<brace>[{}]) |" + _TURTLE_TOKENS, re.VERBOSE
+)
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+_OPEN_LITERAL_RE = re.compile('"' + _LITERAL_CHARS)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
+    """A TurtleParseError positioned at an offset into text."""
+    line = text.count("\n", 0, pos) + 1
+    return TurtleParseError(message, line, pos - text.rfind("\n", 0, pos))
 
-    def error(self, message: str) -> TurtleParseError:
-        return TurtleParseError(message, self.line, self.col)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+def _scan_error(text: str, pos: int, grammar: re.Pattern) -> TurtleParseError:
+    ch = text[pos]
+    if ch == "<":
+        return _error_at(text, pos, "unterminated IRI reference")
+    if ch == '"':
+        stop = _OPEN_LITERAL_RE.match(text, pos).end()
+        if text.startswith("\\", stop):
+            return _error_at(text, stop + 1, "unknown escape in literal")
+        if text.startswith('"', stop):  # closed, but a bad tag follows its '@'
+            return _error_at(text, stop + 2, "malformed language tag")
+        return _error_at(text, pos, "unterminated literal")
+    if ch == "@":
+        return _error_at(text, pos, "unexpected '@'")
+    if ch == "?" and grammar is QUERY_GRAMMAR:
+        return _error_at(text, pos, "malformed variable")
+    return _error_at(text, pos, "unexpected character %r" % ch)
 
-    def tokens(self) -> List[_Token]:
-        out: List[_Token] = []
-        while True:
-            tok = self._next()
-            if tok is None:
-                return out
-            out.append(tok)
 
-    def _next(self) -> Optional[_Token]:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-            else:
-                break
-        if self.pos >= len(text):
-            return None
-        line, col = self.line, self.col
-        ch = text[self.pos]
-        if ch == "<":
-            end = text.find(">", self.pos + 1)
-            newline = text.find("\n", self.pos + 1)
-            if end == -1 or (newline != -1 and newline < end):
-                raise TurtleParseError("unterminated IRI reference", line, col)
-            value = text[self.pos + 1 : end]
-            self._advance(end - self.pos + 1)
-            return _Token("iriref", value, None, line, col)
-        if ch == '"':
-            self._advance()
-            chars: List[str] = []
-            while True:
-                if self.pos >= len(text) or text[self.pos] == "\n":
-                    raise TurtleParseError("unterminated literal", line, col)
-                c = text[self.pos]
-                if c == "\\":
-                    self._advance()
-                    if self.pos >= len(text) or text[self.pos] not in _ESCAPES:
-                        raise TurtleParseError("unknown escape in literal", self.line, self.col)
-                    chars.append(_ESCAPES[text[self.pos]])
-                    self._advance()
-                elif c == '"':
-                    self._advance()
-                    break
-                else:
-                    chars.append(c)
-                    self._advance()
-            language = None
-            if self.pos < len(text) and text[self.pos] == "@":
-                self._advance()
-                m = _LANG_RE.match(text, self.pos)
-                if not m:
-                    raise TurtleParseError("malformed language tag", self.line, self.col)
-                language = m.group(0)
-                self._advance(len(language))
-            return _Token("literal", "".join(chars), language, line, col)
-        if ch == ".":
-            self._advance()
-            return _Token("dot", ".", None, line, col)
-        if ch == ";":
-            self._advance()
-            return _Token("semi", ";", None, line, col)
-        if ch == ",":
-            self._advance()
-            return _Token("comma", ",", None, line, col)
-        if ch == "@":
-            m = _WORD_RE.match(text, self.pos + 1)
-            if m and m.group(0) == "prefix":
-                self._advance(1 + len("prefix"))
-                return _Token("prefix_kw", "@prefix", None, line, col)
-            raise TurtleParseError("unexpected '@'", line, col)
-        m = _PNAME_RE.match(text, self.pos)
-        if m and ":" in m.group(0):
-            self._advance(len(m.group(0)))
-            return _Token("pname", m.group(0), None, line, col)
-        m = _WORD_RE.match(text, self.pos)
-        if m:
-            self._advance(len(m.group(0)))
-            return _Token("word", m.group(0), None, line, col)
-        raise TurtleParseError("unexpected character %r" % ch, line, col)
+def tokenize(text: str, grammar: re.Pattern) -> List[Token]:
+    """Split text into tokens of TURTLE_GRAMMAR or QUERY_GRAMMAR."""
+    out: List[Token] = []
+    match = grammar.match
+    pos, end = 0, len(text)
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            raise _scan_error(text, pos, grammar)
+        kind = m.lastgroup  # a tagged literal's last group is its language
+        if kind == "literal" or kind == "language":
+            value = m.group("literal")
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
+            out.append(Token("literal", value, m.group("language"), pos))
+        elif kind is not None:
+            out.append(Token(kind, m.group(kind), None, pos))
+        pos = m.end()
+    return out
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], base: str, prefixes: Dict[str, str]):
-        self.tokens = tokens
+    def __init__(self, text: str, base: str, prefixes: Dict[str, str]):
+        self.text = text
+        self.tokens = tokenize(text, TURTLE_GRAMMAR)
         self.pos = 0
         self.base = base
         self.prefixes = dict(prefixes)
 
-    def _peek(self) -> Optional[_Token]:
+    def _peek(self) -> Optional[Token]:
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
         return None
 
-    def _take(self) -> _Token:
+    def _take(self) -> Token:
         tok = self._peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("dot", "", None, 1, 1)
-            raise TurtleParseError("unterminated statement", last.line, last.column)
+            # only reached after a token was peeked, so there is a last one
+            raise self._error("unterminated statement", self.tokens[-1])
         self.pos += 1
         return tok
 
-    def _expand(self, tok: _Token) -> Term:
+    def _error(self, message: str, tok: Token) -> TurtleParseError:
+        return _error_at(self.text, tok.pos, message)
+
+    def _expand(self, tok: Token) -> Term:
         if tok.type == "iriref":
             return Term.iri(resolve_iri(self.base, tok.value))
         if tok.type == "pname":
             prefix, local = tok.value.split(":", 1)
             if prefix not in self.prefixes:
-                raise TurtleParseError("unknown prefix %r" % prefix, tok.line, tok.column)
+                raise self._error("unknown prefix %r" % prefix, tok)
             return Term.iri(self.prefixes[prefix] + local)
         if tok.type == "literal":
             return Term.literal(tok.value, tok.language)
         if tok.type == "word" and tok.value == "a":
             return Term.iri(RDF_TYPE)
-        raise TurtleParseError("unexpected token %r" % tok.value, tok.line, tok.column)
+        raise self._error("unexpected token %r" % tok.value, tok)
 
     def parse(self) -> Graph:
         graph = Graph()
@@ -203,22 +167,20 @@ class _Parser:
         self._take()  # @prefix
         name = self._take()
         if name.type != "pname" or not name.value.endswith(":"):
-            raise TurtleParseError("expected prefix name", name.line, name.column)
+            raise self._error("expected prefix name", name)
         iri = self._take()
         if iri.type != "iriref":
-            raise TurtleParseError("expected namespace IRI", iri.line, iri.column)
+            raise self._error("expected namespace IRI", iri)
         dot = self._take()
         if dot.type != "dot":
-            raise TurtleParseError("expected '.' after @prefix", dot.line, dot.column)
+            raise self._error("expected '.' after @prefix", dot)
         self.prefixes[name.value[:-1]] = resolve_iri(self.base, iri.value)
 
     def _parse_statement(self, graph: Graph) -> None:
         subject_tok = self._take()
         subject = self._expand(subject_tok)
         if subject.kind != "iri":
-            raise TurtleParseError(
-                "subject must be an IRI", subject_tok.line, subject_tok.column
-            )
+            raise self._error("subject must be an IRI", subject_tok)
         first = True
         while True:
             tok = self._peek()
@@ -230,9 +192,7 @@ class _Parser:
             pred_tok = self._take()
             predicate = self._expand(pred_tok)
             if predicate.kind != "iri":
-                raise TurtleParseError(
-                    "predicate must be an IRI", pred_tok.line, pred_tok.column
-                )
+                raise self._error("predicate must be an IRI", pred_tok)
             while True:
                 obj = self._expand(self._take())
                 graph.add(Triple(subject, predicate, obj))
@@ -243,9 +203,7 @@ class _Parser:
                     break
                 if sep.type == "dot":
                     return
-                raise TurtleParseError(
-                    "expected ',', ';' or '.'", sep.line, sep.column
-                )
+                raise self._error("expected ',', ';' or '.'", sep)
 
 
 def parse_turtle(text: str, base: str, prefixes: Optional[Dict[str, str]] = None) -> Graph:
@@ -253,5 +211,4 @@ def parse_turtle(text: str, base: str, prefixes: Optional[Dict[str, str]] = None
     merged = dict(DEFAULT_PREFIXES)
     if prefixes:
         merged.update(prefixes)
-    tokens = _Tokenizer(text).tokens()
-    return _Parser(tokens, base, merged).parse()
+    return _Parser(text, base, merged).parse()

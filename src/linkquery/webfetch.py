@@ -180,17 +180,7 @@ class Dereferencer:
         self._lock = threading.Lock()
 
     def dereference(self, entity_or_doc_iri: str) -> Document:
-        doc_iri = strip_fragment(entity_or_doc_iri)
-        with self._lock:
-            cached = self._cache.get(doc_iri)
-        if cached is not None:
-            self.ledger.record(doc_iri, self._outcomes[doc_iri], True)
-            return cached
-        doc, outcome = self._fetch_and_parse(doc_iri)
-        with self._lock:
-            self._cache[doc_iri] = doc
-            self._outcomes[doc_iri] = outcome
-        self.ledger.record(doc_iri, outcome, False)
+        [doc] = self.fetch_wave([entity_or_doc_iri]).values()
         return doc
 
     def _fetch_and_parse(self, doc_iri: str):

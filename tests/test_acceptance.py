@@ -21,7 +21,7 @@ from helpers import (
     union_graph,
     web_source,
 )
-from linkquery.fixtures import demo_manifest, fixture_path
+from linkquery.fixtures import ann_subtree_request_count, demo_manifest, fixture_path
 from linkquery.guidance import (
     ALLOW,
     DENY,
@@ -39,7 +39,6 @@ from linkquery.traversal import (
     C_MATCH,
     CappedTraversalError,
     TraversalConfig,
-    ann_subtree_request_count,
     evaluate_augmented,
     traverse_guided,
     traverse_unguided,

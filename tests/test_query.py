@@ -90,6 +90,33 @@ class TestParseQuery:
         assert len(q.required) == 2
         assert q.required[0].subject == q.required[1].subject
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT # projection\n ?s WHERE { ?s ?p ?o }",
+            "SELECT ?s WHERE { # pattern\n ?s ?p ?o }",
+            "SELECT ?s WHERE # group\n { ?s ?p ?o }",
+            "SELECT ?s WHERE { ?s ?p ?o # end\n }",
+            "SELECT ?s WHERE { ?s ?p ?o # one\n# two\n\t}",
+        ],
+    )
+    def test_comment_before_variable_or_brace(self, text):
+        assert parse_query(text) == parse_query("SELECT ?s WHERE { ?s ?p ?o }")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("SELECT ? s WHERE { ?s ?p ?o }", "malformed variable (line 1, column 8)"),
+            ("SELECT ?s WHERE {\n ?s ?p ?1 }", "malformed variable (line 2, column 8)"),
+            ("SELECT ?s WHERE { ?s ?p ?o } $", "unexpected character '$' (line 1, column 30)"),
+            ('SELECT ?s WHERE { ?s ?p "\\x" }', "unknown escape in literal (line 1, column 27)"),
+        ],
+    )
+    def test_scanner_errors_report_position(self, text, message):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text)
+        assert str(exc.value) == message
+
 
 class TestTriplePatterns:
     def test_friends_query_has_four(self):

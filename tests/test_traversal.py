@@ -15,6 +15,7 @@ from helpers import (
     union_graph,
     web_source,
 )
+from linkquery.fixtures import ann_subtree_request_count
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
     LinkingStructureRegistry,
@@ -29,7 +30,6 @@ from linkquery.traversal import (
     C_NONE,
     CappedTraversalError,
     TraversalConfig,
-    ann_subtree_request_count,
     evaluate_augmented,
     traverse_guided,
     traverse_unguided,

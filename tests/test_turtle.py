@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from linkquery.fixtures import fixture_path
-from linkquery.rdf import Term, Triple, to_ntriples
+from linkquery.rdf import Graph, Term, Triple, to_ntriples
 from linkquery.turtle import TurtleParseError, parse_turtle
 
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -135,3 +137,57 @@ class TestParser:
     def test_literal_subject_rejected(self):
         with pytest.raises(TurtleParseError):
             parse_turtle('"A" foaf:name "B".', "https://x.ex/")
+
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("\n  <https://x.ex/ foaf:name", "unterminated IRI reference", 2, 3),
+            ("<s> <p> <o\n>.", "unterminated IRI reference", 1, 9),
+            ('<s> <p>\n "abc', "unterminated literal", 2, 2),
+            ('<s> <p> "ab\ncd".', "unterminated literal", 1, 9),
+            ('<s> <p> "a\\qb".', "unknown escape in literal", 1, 12),
+            ('<s> <p> "a\\', "unknown escape in literal", 1, 12),
+            ('<s> <p> "a\\\n".', "unknown escape in literal", 1, 12),
+            ('<s> <p>\n\t"a"@1.', "malformed language tag", 2, 6),
+            ('<s> <p> "a"@.', "malformed language tag", 1, 13),
+            ("<s> <p> @base.", "unexpected '@'", 1, 9),
+            ("@prefixes x: <y>.", "unexpected '@'", 1, 1),
+            ("<s> <p> ?o.", "unexpected character '?'", 1, 9),
+            ("<s> <p> <o>.\n# c\n{", "unexpected character '{'", 3, 1),
+            ("<s> <p> \u00e9.", "unexpected character '\u00e9'", 1, 9),
+            ('\n<https://x.ex/> wat:name "A".', "unknown prefix 'wat'", 2, 17),
+            ('<https://x.ex/> foaf:name "A";', "unterminated statement", 1, 30),
+            ("<s> <p>\n# no object\n", "unterminated statement", 1, 5),
+            ("@prefix", "unterminated statement", 1, 1),
+        ],
+    )
+    def test_error_positions(self, text, message, line, column):
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(text, "https://x.ex/")
+        assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+
+_LITERAL_CHARS = 'ab Z09"\\\n\t\r#<>@.;,?{}:\u00e9\u00fc\u65e5\U0001f600'
+_LANGUAGES = [None, None, "en", "en-GB", "de", "x-1"]
+
+
+def _random_graph(rng):
+    triples = []
+    for _ in range(rng.randint(1, 3)):
+        subject = Term.iri("https://h%d.ex/p%d#s" % (rng.randrange(4), rng.randrange(4)))
+        predicate = Term.iri("https://vocab.ex/p%d" % rng.randrange(3))
+        if rng.random() < 0.2:
+            obj = Term.iri("https://o.ex/%d" % rng.randrange(5))
+        else:
+            value = "".join(rng.choice(_LITERAL_CHARS) for _ in range(rng.randint(0, 8)))
+            obj = Term.literal(value, rng.choice(_LANGUAGES))
+        triples.append(Triple(subject, predicate, obj))
+    return Graph(triples)
+
+
+def test_ntriples_round_trip_property():
+    rng = random.Random(505)
+    for _ in range(20_000):
+        graph = _random_graph(rng)
+        assert parse_turtle(to_ntriples(graph), "https://base.ex/doc") == graph
