@@ -325,12 +325,13 @@ def _explain_row(args, out, query, policy, rows, pool) -> int:
     )
     mapping = {v: t for v, t in row.items() if t is not None}
     graph = pool.graph()
+    provenance = pool.provenance()
     for pattern in query.all_patterns():
         concrete = _substitute(pattern, mapping)
         if any(term.is_variable for term in (concrete.subject, concrete.predicate, concrete.object)):
             continue
         for triple, _ in graph_match(graph, concrete):
-            for src in pool.sources_of(triple):
+            for src in sorted(provenance[triple]):
                 if policy is not None:
                     _, rule = relevance_decision(policy, triple, src)
                     label = (

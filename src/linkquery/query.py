@@ -10,8 +10,11 @@ variable or a brace.
 
 Evaluation is the standard algebra: natural join of the required patterns,
 then each OPTIONAL group left-joins the result all-or-nothing (a group either
-extends a solution completely or leaves its variables unbound). Results are
-deduplicated and sorted by projected values, NULL last.
+extends a solution completely or leaves its variables unbound). The join is
+nested loops in pattern order: each partial solution substitutes its bindings
+into the next pattern, and `graph_match` looks that pattern up in the graph's
+hash index on its bound positions, so a step costs the matching triples, not
+the graph. Results are deduplicated and sorted by projected values, NULL last.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .rdf import (
     Term,
     TriplePattern,
     graph_match,
-    resolve_iri,
+    is_absolute_iri,
 )
 from .turtle import (
     DEFAULT_PREFIXES,
@@ -128,15 +131,16 @@ class _QueryParser:
         self._check_supported(tok)
         if tok.type == "var":
             return Term.var(tok.value)
-        if tok.type == "iriref":
-            if ":" not in tok.value:
-                raise QueryParseError("relative IRI %r in query" % tok.value)
-            return Term.iri(tok.value)
-        if tok.type == "pname":
-            prefix, local = tok.value.split(":", 1)
-            if prefix not in self.prefixes:
-                raise QueryParseError("unknown prefix %r" % prefix)
-            return Term.iri(self.prefixes[prefix] + local)
+        if tok.type == "iriref" or tok.type == "pname":
+            iri = tok.value
+            if tok.type == "pname":
+                prefix, local = tok.value.split(":", 1)
+                if prefix not in self.prefixes:
+                    raise QueryParseError("unknown prefix %r" % prefix)
+                iri = self.prefixes[prefix] + local
+            if not is_absolute_iri(iri):
+                raise QueryParseError("relative IRI %r in query" % iri)
+            return Term.iri(iri)
         if tok.type == "literal":
             return Term.literal(tok.value, tok.language)
         if tok.type == "word" and tok.value == "a":

@@ -8,6 +8,7 @@ No blank nodes, no datatypes.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urljoin, urldefrag, urlsplit
@@ -102,6 +103,7 @@ def _escape_literal(text: str) -> str:
         text.replace("\\", "\\\\")
         .replace('"', '\\"')
         .replace("\n", "\\n")
+        .replace("\r", "\\r")
         .replace("\t", "\\t")
     )
 
@@ -176,16 +178,25 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
 
 
 class Graph:
-    """A deduplicated set of triples with deterministic iteration order."""
+    """A deduplicated set of triples with deterministic iteration order.
+
+    graph_match looks patterns up in a hash index that is built on first use
+    and dropped by `add`/`update`: one dict from each of the six partly bound
+    (subject, predicate, object) keys, None marking an unbound position, to
+    the triples with those terms.
+    """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = set(triples)
+        self._index: Optional[Dict[tuple, List[Triple]]] = None
 
     def add(self, triple: Triple) -> None:
         self._triples.add(triple)
+        self._index = None
 
     def update(self, triples: Iterable[Triple]) -> None:
         self._triples.update(triples)
+        self._index = None
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples
@@ -207,18 +218,49 @@ class Graph:
     def union(self, other: "Graph") -> "Graph":
         return Graph(self._triples | other._triples)
 
+    def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
+        """The triples that agree with the pattern's concrete terms, unordered.
+
+        A superset of the matches when a variable repeats (`?x p ?x`) or
+        the pattern is fully bound, so callers check each with match_triple.
+        """
+        s, p, o = (
+            None if term.is_variable else term
+            for term in (pattern.subject, pattern.predicate, pattern.object)
+        )
+        if s is None and p is None and o is None:
+            return self._triples
+        if self._index is None:
+            self._index = self._build_index()
+        if s is not None and p is not None:
+            o = None  # a fully bound pattern filters its (s, p) bucket
+        return self._index.get((s, p, o), ())
+
+    def _build_index(self) -> Dict[tuple, List[Triple]]:
+        index: Dict[tuple, List[Triple]] = defaultdict(list)
+        for triple in self._triples:
+            s, p, o = triple.subject, triple.predicate, triple.object
+            for key in (
+                (s, None, None), (None, p, None), (None, None, o),
+                (s, p, None), (s, None, o), (None, p, o),
+            ):
+                index[key].append(triple)
+        return index
+
 
 def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, SolutionMapping]]:
     """All triples in the graph matching the pattern, with their bindings.
 
     Matches come back sorted by (subject, predicate, object) term order so
-    downstream results never depend on insertion order.
+    downstream results never depend on insertion order. Only the index's
+    candidates are checked and sorted, not the whole graph.
     """
     out = []
-    for triple in graph:
+    for triple in graph._candidates(pattern):
         bindings = match_triple(triple, pattern)
         if bindings is not None:
             out.append((triple, bindings))
+    out.sort(key=lambda match: match[0].sort_key())
     return out
 
 

@@ -84,9 +84,6 @@ class TriplePool:
             out.setdefault(t, set()).add(src)
         return out
 
-    def sources_of(self, triple: Triple) -> List[str]:
-        return sorted(src for t, src in self.entries if t == triple)
-
 
 @dataclass
 class TraversalTrace:

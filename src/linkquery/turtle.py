@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .rdf import Graph, Term, Triple, resolve_iri
+from .rdf import Graph, Term, Triple, resolve_iri, strip_fragment
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -139,9 +139,14 @@ class _Parser:
     def _error(self, message: str, tok: Token) -> TurtleParseError:
         return _error_at(self.text, tok.pos, message)
 
+    def _resolve(self, reference: str) -> str:
+        if not reference:  # `<>` is the document itself (RFC 3986 section 5.2.2)
+            return strip_fragment(self.base)
+        return resolve_iri(self.base, reference)
+
     def _expand(self, tok: Token) -> Term:
         if tok.type == "iriref":
-            return Term.iri(resolve_iri(self.base, tok.value))
+            return Term.iri(self._resolve(tok.value))
         if tok.type == "pname":
             prefix, local = tok.value.split(":", 1)
             if prefix not in self.prefixes:
@@ -174,7 +179,7 @@ class _Parser:
         dot = self._take()
         if dot.type != "dot":
             raise self._error("expected '.' after @prefix", dot)
-        self.prefixes[name.value[:-1]] = resolve_iri(self.base, iri.value)
+        self.prefixes[name.value[:-1]] = self._resolve(iri.value)
 
     def _parse_statement(self, graph: Graph) -> None:
         subject_tok = self._take()

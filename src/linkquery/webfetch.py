@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from .rdf import Graph, strip_fragment
+from .rdf import Graph, IriError, strip_fragment
 from .turtle import TurtleParseError, parse_turtle
 
 OK = "ok"
@@ -190,7 +190,7 @@ class Dereferencer:
         final_iri = result.final_iri or doc_iri
         try:
             graph = parse_turtle(result.body, final_iri)
-        except TurtleParseError:
+        except (TurtleParseError, IriError):
             return Document(final_iri, final_iri, Graph()), PARSE_ERROR
         return Document(final_iri, final_iri, graph), OK
 

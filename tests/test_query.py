@@ -9,6 +9,7 @@ from helpers import (
     random_web,
     row_fingerprints,
 )
+from linkquery import rdf
 from linkquery.query import (
     Query,
     QueryParseError,
@@ -84,6 +85,18 @@ class TestParseQuery:
     def test_unknown_prefix(self):
         with pytest.raises(QueryParseError, match="wat"):
             parse_query("SELECT ?s WHERE { ?s wat:p ?o }")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ?s WHERE { ?s ?p <rel> }",
+            "SELECT ?s WHERE { ?s ?p <1:x> }",
+            "PREFIX r: <rel/> SELECT ?s WHERE { ?s r:p ?o }",
+        ],
+    )
+    def test_relative_iri_rejected(self, text):
+        with pytest.raises(QueryParseError, match="relative IRI"):
+            parse_query(text)
 
     def test_predicate_object_list(self):
         q = parse_query("SELECT ?n ?m WHERE { ?x foaf:name ?n; foaf:mbox ?m }")
@@ -259,6 +272,44 @@ class TestEvaluate:
         assert values == sorted(values)
         # projecting away ?o collapses duplicates
         assert len(rows) == 2
+
+
+class TestEvaluateWork:
+    def test_join_checks_each_candidate_once(self, monkeypatch):
+        # ?a knows ?b . ?b name ?n over 430 people knowing 10 others each:
+        # 4,300 knows triples and 430 names, 4,730 triples in all. The first
+        # pattern checks each knows triple; then each of the 4,300 partial
+        # solutions checks its one name triple, so k = 1 candidate per row.
+        # A scan of the whole graph per partial solution makes ~20 million
+        # checks; the counter stops it as soon as the bound is passed.
+        people, degree, k = 430, 10, 1
+        person = ["https://p%d.ex/#me" % i for i in range(people)]
+        triples = []
+        for i in range(people):
+            triples.append(t(person[i], FOAF + "name", Term.literal("n%d" % i)))
+            for j in range(1, degree + 1):
+                triples.append(t(person[i], FOAF + "knows", person[(i + j) % people]))
+        graph = Graph(triples)
+        expected = {
+            (person[i], person[(i + j) % people], "n%d" % ((i + j) % people))
+            for i in range(people)
+            for j in range(1, degree + 1)
+        }
+        query = parse_query("SELECT ?a ?b ?n WHERE { ?a foaf:knows ?b. ?b foaf:name ?n }")
+        bound = len(graph) + k * len(expected)
+        calls = 0
+        original = rdf.match_triple
+
+        def counting(triple, pattern):
+            nonlocal calls
+            calls += 1
+            assert calls <= bound, "more than %d match_triple calls" % bound
+            return original(triple, pattern)
+
+        monkeypatch.setattr(rdf, "match_triple", counting)
+        rows = evaluate(query, graph)
+        assert len(graph) == 4_730
+        assert {(r["a"].value, r["b"].value, r["n"].value) for r in rows} == expected
 
 
 class TestRendering:

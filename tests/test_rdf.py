@@ -173,6 +173,41 @@ class TestGraph:
         pattern = TriplePattern(Term.var("s"), Term.var("p"), Term.var("o"))
         assert graph_match(Graph(), pattern) == []
 
+    def test_graph_match_equals_filtered_scan_property(self):
+        # Every bound/unbound shape, repeated variables, concrete terms that
+        # occur nowhere or in the wrong position, and growth after a match.
+        rng = random.Random(4)
+        iris = [Term.iri("https://n%d.ex/" % i) for i in range(5)]
+        literals = [Term.literal("v"), Term.literal("v", "en")]
+        variables = [Term.var("x"), Term.var("y"), Term.var("z")]
+
+        def random_triple():
+            return Triple(rng.choice(iris), rng.choice(iris[:3]), rng.choice(iris + literals))
+
+        def random_pattern():
+            return TriplePattern(*(
+                rng.choice(variables) if rng.random() < 0.5 else rng.choice(iris + literals)
+                for _ in range(3)
+            ))
+
+        def expected(graph, pattern):
+            return [(tr, b) for tr in graph if (b := match_triple(tr, pattern)) is not None]
+
+        shapes = set()
+        for _ in range(300):
+            g = Graph(random_triple() for _ in range(rng.randrange(0, 25)))
+            for step in range(3):
+                for _ in range(8):
+                    pattern = random_pattern()
+                    shapes.add(tuple(term.is_variable for term in
+                                     (pattern.subject, pattern.predicate, pattern.object)))
+                    assert graph_match(g, pattern) == expected(g, pattern)
+                if step == 0:
+                    g.add(random_triple())
+                else:
+                    g.update(random_triple() for _ in range(rng.randrange(1, 4)))
+        assert len(shapes) == 8
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -184,6 +219,12 @@ class TestSerialization:
             ]
         )
         text = to_ntriples(g)
+        assert parse_turtle(text, "https://a.ex/") == g
+
+    def test_carriage_return_escaped(self):
+        g = Graph([t("https://a.ex/", NAME, Term.literal("a\rb"))])
+        text = to_ntriples(g)
+        assert "\r" not in text and "\\r" in text
         assert parse_turtle(text, "https://a.ex/") == g
 
     def test_lines_sorted_and_lf_terminated(self):

@@ -115,6 +115,17 @@ class TestUnguided:
         assert admission.via_triple.subject.value == "https://d.ex/#d"
         assert admission.via_pattern is None
 
+    def test_empty_reference_does_not_abort_traversal(self):
+        bodies = {
+            "https://a.ex/": "<> <https://p.ex/q> <https://b.ex/>.",
+            "https://b.ex/": "<> a <https://v.ex/Doc>.",
+        }
+        pool, trace = unguided(
+            web_source(bodies), ANY_QUERY, C_ALL, seeds=("https://a.ex/",)
+        )
+        assert trace.ledger.ok_documents == set(bodies)
+        assert {t.subject.value for t, _ in pool.entries} == set(bodies)
+
     def test_predicate_iris_never_followed(self):
         bodies = {
             "https://a.ex/": '<https://a.ex/#x> <https://b.ex/pred> "v".',

@@ -107,6 +107,15 @@ class TestParser:
         assert triple.predicate.value == "https://a.ex/dir/people#knows"
         assert triple.object.value == "https://a.ex/dir/doc#y"
 
+    def test_empty_reference_is_the_document(self):
+        g = parse_turtle(
+            "@prefix d: <> .\n<> d:part d:x.", "https://x.ex/dir/#top"
+        )
+        [triple] = list(g)
+        assert triple.subject.value == "https://x.ex/dir/"
+        assert triple.predicate.value == "https://x.ex/dir/part"
+        assert triple.object.value == "https://x.ex/dir/x"
+
     def test_a_keyword_expands_to_rdf_type(self):
         g = parse_turtle("<https://x.ex/> a <https://vocab.ex/Thing>.", "https://x.ex/")
         [triple] = list(g)

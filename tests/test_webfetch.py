@@ -9,6 +9,7 @@ from linkquery.fixtures import demo_manifest
 from linkquery.rdf import strip_fragment
 from linkquery.webfetch import (
     Dereferencer,
+    FetchResult,
     FixtureError,
     FixtureSource,
     LiveHttpSource,
@@ -98,6 +99,26 @@ class TestDereferencer:
         assert len(doc.triples) == 0
         assert deref.ledger.entries[-1].outcome == PARSE_ERROR
         assert deref.ledger.distinct_ok == 0
+
+    def test_empty_reference_names_the_document(self):
+        deref = Dereferencer(FixtureSource({"https://x.ex/": "<> a <https://v.ex/Doc>."}))
+        doc = deref.dereference("https://x.ex/")
+        [triple] = list(doc.triples)
+        assert triple.n3() == (
+            "<https://x.ex/> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <https://v.ex/Doc>."
+        )
+        assert deref.ledger.entries[-1].outcome == OK
+
+    def test_iri_error_is_a_parse_error(self):
+        class SchemelessRedirect:
+            def fetch(self, doc_iri):
+                return FetchResult(OK, "<rel> a <https://v.ex/Doc>.", "x.ex/")
+
+        # The relative reference cannot be resolved against a schemeless base.
+        deref = Dereferencer(SchemelessRedirect())
+        doc = deref.dereference("https://x.ex/")
+        assert len(doc.triples) == 0
+        assert deref.ledger.entries[-1].outcome == PARSE_ERROR
 
     def test_distinct_ok_matches_definition(self, demo_source):
         deref = Dereferencer(demo_source)
