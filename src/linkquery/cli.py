@@ -17,6 +17,7 @@ from .guidance import (
     PERMISSIVE,
     PERMISSIVE_POLICY,
     LinkingStructureRegistry,
+    considered_links,
     get_linking_structure,
     lambda_allows,
     parse_policy,
@@ -227,79 +228,77 @@ def _cmd_compare(args, out) -> int:
     return EXIT_OK
 
 
-def _explain_doc(args, out, query, registry, policy, trace, pool) -> int:
+def _explain_doc(args, out, query, registry, policy, trace) -> int:
     doc_iri = strip_fragment(args.doc)
-    admission = trace.admission_of(doc_iri)
-    if admission is not None:
-        chain = []
-        current = admission
-        while current is not None:
-            if current.reason == "seed":
-                chain.append("%s: seed" % current.doc_iri)
-                current = None
-            else:
-                chain.append(
-                    "%s: linked from %s via %s (pattern %s)"
-                    % (
-                        current.doc_iri,
-                        current.from_doc,
-                        current.via_triple.n3(),
-                        current.via_pattern.n3() if current.via_pattern else "-",
-                    )
+    current = trace.admission_of(doc_iri)
+    if current is not None:
+        while current.reason != "seed":
+            out.write(
+                "%s: linked from %s via %s (pattern %s)\n"
+                % (
+                    current.doc_iri,
+                    current.from_doc,
+                    current.via_triple.n3(),
+                    current.via_pattern.n3() if current.via_pattern else "-",
                 )
-                current = trace.admission_of(current.from_doc)
-        for line in chain:
-            out.write(line + "\n")
+            )
+            current = trace.admission_of(current.from_doc)
+        out.write("%s: seed\n" % current.doc_iri)
         return EXIT_OK
     # Not admitted: find linking triples in fetched documents and say why
     # each link did not lead to a fetch.
     findings = []
     for from_iri in sorted(trace.documents):
         doc = trace.documents[from_iri]
-        for t in doc.triples:
-            positions = [strip_fragment(t.subject.value)]
-            if t.object.kind == "iri":
-                positions.append(strip_fragment(t.object.value))
-            if doc_iri not in positions:
-                continue
-            if args.mode == GUIDED:
-                relevant, rule = relevance_decision(policy, t, doc.doc_iri)
-                if not relevant:
-                    if rule is None:
-                        # Denied by default.  If some rule's pattern covers the
-                        # triple but its source constraint rejected this
-                        # document, cite that rule: it is the one whose
-                        # restriction blocked the link.
-                        rule = next(
-                            (r for r in policy.ordered_rules()
-                             if match_triple(t, r.pattern) is not None),
-                            None,
-                        )
-                    label = (
-                        "policy rule #%d" % (rule.entry + 1)
-                        if rule is not None
-                        else "the policy default"
-                    )
-                    findings.append(
-                        "not fetched: linking triple %s from %s denied by %s"
-                        % (t.n3(), doc.doc_iri, label)
-                    )
-                    continue
-                structure = get_linking_structure(registry, doc.doc_iri)
-                allowed = any(
-                    lambda_allows(structure, doc, doc_iri, tp)
-                    for tp in query.all_patterns()
-                )
-                if not allowed:
+        linking = [t for t, targets in doc.hyperlinks if doc_iri in targets]
+        if not linking:
+            continue
+        if args.mode != GUIDED:
+            findings.extend(
+                "not fetched: linking triple %s from %s did not qualify "
+                "under %s semantics" % (t.n3(), doc.doc_iri, args.semantics)
+                for t in linking
+            )
+            continue
+        # The guided strategy's own candidate scan and λ decide, so this
+        # explanation names the cause the trace records.
+        structure = get_linking_structure(registry, doc.doc_iri)
+        considered = {
+            t for t, iris in considered_links(
+                doc, structure, lambda t: relevance_decision(policy, t, doc.doc_iri)[0])
+            if doc_iri in iris
+        }
+        sanctioned = any(
+            lambda_allows(structure, doc, doc_iri, tp) for tp in query.all_patterns()
+        )
+        for t in linking:
+            if t in considered:
+                if not sanctioned:
                     findings.append(
                         "not fetched: link %s from %s not sanctioned by any "
                         "structure rule" % (t.n3(), doc.doc_iri)
                     )
-            else:
-                findings.append(
-                    "not fetched: linking triple %s from %s did not qualify "
-                    "under %s semantics" % (t.n3(), doc.doc_iri, args.semantics)
+                continue
+            _, rule = relevance_decision(policy, t, doc.doc_iri)
+            if rule is None:
+                # Denied by default.  If some rule's pattern covers the
+                # triple but its source constraint rejected this document,
+                # cite that rule: it is the one whose restriction blocked
+                # the link.
+                rule = next(
+                    (r for r in policy.ordered_rules()
+                     if match_triple(t, r.pattern) is not None),
+                    None,
                 )
+            label = (
+                "policy rule #%d" % (rule.entry + 1)
+                if rule is not None
+                else "the policy default"
+            )
+            findings.append(
+                "not fetched: linking triple %s from %s denied by %s"
+                % (t.n3(), doc.doc_iri, label)
+            )
     if not findings:
         sys.stderr.write("unknown document: no fetched document links to %s\n" % doc_iri)
         return EXIT_USAGE
@@ -352,7 +351,7 @@ def _cmd_explain(args, out) -> int:
     source = _make_source(args)
     pool, trace = _traverse(args, source, query, registry, args.mode, args.semantics, policy)
     if args.doc is not None:
-        return _explain_doc(args, out, query, registry, policy, trace, pool)
+        return _explain_doc(args, out, query, registry, policy, trace)
     rows = evaluate(query, pool.graph())
     return _explain_row(args, out, query, policy, rows, pool)
 

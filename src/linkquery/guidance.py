@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
 
 from .rdf import (
+    IriError,
     Term,
     Triple,
     TriplePattern,
     match_triple,
-    strip_fragment,
+    strip_fragment,  # not called here; a wrap point of perfbench/tracing.py
 )
 from .webfetch import Document
 
@@ -54,11 +55,6 @@ class StructureRule:
             return True
         return tp.predicate.value in self.pattern_predicates
 
-    def follow_predicates(self) -> FrozenSet[str]:
-        if self.follow == SELF:
-            return frozenset()
-        return self.follow
-
 
 @dataclass
 class LinkingStructureRegistry:
@@ -76,22 +72,11 @@ def get_linking_structure(registry: LinkingStructureRegistry, doc_iri: str) -> E
 
     Falls back to the registry's default mode when no scope matches.
     """
-    best_len = -1
-    for rule in registry.rules:
-        if doc_iri.startswith(rule.scope) and len(rule.scope) > best_len:
-            best_len = len(rule.scope)
-    if best_len < 0:
+    in_scope = [r for r in registry.rules if doc_iri.startswith(r.scope)]
+    if not in_scope:
         return registry.default_mode
-    return [r for r in registry.rules if doc_iri.startswith(r.scope) and len(r.scope) == best_len]
-
-
-def _hyperlinked_iris(doc: Document) -> Set[str]:
-    out = set()
-    for t in doc.triples:
-        out.add(strip_fragment(t.subject.value))
-        if t.object.kind == "iri":
-            out.add(strip_fragment(t.object.value))
-    return out
+    longest = max(len(r.scope) for r in in_scope)
+    return [r for r in in_scope if len(r.scope) == longest]
 
 
 def lambda_allows(structure: EffectiveStructure, from_doc: Document,
@@ -103,27 +88,40 @@ def lambda_allows(structure: EffectiveStructure, from_doc: Document,
     pattern's predicate and either name follow predicates whose objects link
     to the candidate, or (follow = self) the candidate must be the document
     itself. The permissive default admits any hyperlinked candidate; the
-    restrictive default admits none.
+    restrictive default admits none. Both tests read from_doc's hyperlink
+    table (`Document.link_predicates`) and never scan its triples.
     """
     if structure == RESTRICTIVE:
         return False
+    linked_by = from_doc.link_predicates.get(candidate_doc_iri)
     if structure == PERMISSIVE:
-        return candidate_doc_iri in _hyperlinked_iris(from_doc)
+        return linked_by is not None
     for rule in structure:
         if not rule.covers_pattern(tp):
             continue
         if rule.follow == SELF:
             if candidate_doc_iri == from_doc.doc_iri:
                 return True
-            continue
-        for t in from_doc.triples:
-            if (
-                t.predicate.value in rule.follow
-                and t.object.kind == "iri"
-                and strip_fragment(t.object.value) == candidate_doc_iri
-            ):
-                return True
+        elif not rule.follow.isdisjoint(linked_by or ()):
+            return True
     return False
+
+
+def considered_links(doc: Document, structure: EffectiveStructure,
+                     relevant: Callable[[Triple], bool]) -> Iterator[Tuple[Triple, Tuple[str, ...]]]:
+    """Each triple of doc that guided traversal reads links from, with the
+    candidate documents it offers: all it links to when the policy finds it
+    relevant, else its object's document when a structure rule follows its
+    predicate (structure rules are trusted user guidance).
+    """
+    follow: Set[str] = set()
+    if isinstance(structure, list):
+        follow = {p for rule in structure if rule.follow != SELF for p in rule.follow}
+    for t, targets in doc.hyperlinks:
+        if relevant(t):
+            yield t, targets
+        elif t.predicate.value in follow:
+            yield t, targets[1:]
 
 
 def parse_structure_registry(text: str) -> LinkingStructureRegistry:
@@ -268,7 +266,7 @@ def parse_policy(text: str) -> ContentPolicy:
                     _parse_policy_term(pred, "p"),
                     _parse_policy_term(pattern_raw.get("o", "?"), "o"),
                 )
-            except GuidanceParseError as exc:
+            except (GuidanceParseError, IriError) as exc:
                 raise GuidanceParseError("%s: %s" % (where, exc)) from exc
             rules.append(PolicyRule(action, pattern, source, priority, exclusive, len(rules), i))
     return ContentPolicy(rules, default)

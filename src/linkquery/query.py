@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .rdf import (
     Graph,
+    IriError,
     SolutionMapping,
     Term,
     TriplePattern,
@@ -222,10 +223,9 @@ class _QueryParser:
 
 def parse_query(text: str) -> Query:
     try:
-        tokens = tokenize(text, QUERY_GRAMMAR)
-    except TurtleParseError as exc:
+        return _QueryParser(tokenize(text, QUERY_GRAMMAR)).parse()
+    except (TurtleParseError, IriError) as exc:
         raise QueryParseError(str(exc)) from exc
-    return _QueryParser(tokens).parse()
 
 
 Row = Dict[str, Optional[Term]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-from urllib.parse import urljoin, urldefrag, urlsplit
+from urllib.parse import urljoin, urlsplit
 
 IRI = "iri"
 LITERAL = "literal"
@@ -19,11 +19,14 @@ VARIABLE = "variable"
 
 
 class IriError(ValueError):
-    """Raised when an IRI that must be absolute has no scheme."""
+    """Raised when an IRI that must be absolute has no scheme, or is malformed."""
 
 
 def is_absolute_iri(text: str) -> bool:
-    return urlsplit(text).scheme != ""
+    try:
+        return urlsplit(text).scheme != ""
+    except ValueError as exc:  # a malformed authority, such as "http://[x"
+        raise IriError("malformed IRI %r: %s" % (text, exc)) from exc
 
 
 def resolve_iri(base: str, reference: str) -> str:
@@ -46,10 +49,10 @@ def resolve_iri(base: str, reference: str) -> str:
 
 
 def strip_fragment(iri: str) -> str:
-    """Drop any #fragment from an absolute IRI. Idempotent."""
+    """Cut an absolute IRI at its first '#'; the rest is kept as written."""
     if not is_absolute_iri(iri):
         raise IriError("IRI %r is not absolute" % (iri,))
-    return urldefrag(iri)[0]
+    return iri.partition("#")[0]
 
 
 @dataclass(frozen=True)
@@ -214,9 +217,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return "Graph(%d triples)" % len(self)
-
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(self._triples | other._triples)
 
     def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
         """The triples that agree with the pattern's concrete terms, unordered.

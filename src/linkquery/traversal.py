@@ -5,8 +5,11 @@ One semi-naive fixed point serves all four modes. Each wave hands the newly
 fetched documents to a link strategy: c-none follows no links, c-all every
 subject/object IRI, c-match the IRIs of query-matching triples and of triples
 about their entities, and guided the links that the linking structure allows
-for the query's patterns. The pool keeps the triples the content policy finds
-relevant, and a trace records why every document was admitted or pruned.
+for the query's patterns. Every strategy, and λ, reads a document's links
+from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
+computed once per document. The content policy judges each fetched triple
+once; the pool keeps the relevant ones, and a trace records why every
+document was admitted or pruned.
 """
 from __future__ import annotations
 
@@ -19,9 +22,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from .guidance import (
     PERMISSIVE_POLICY,
     ContentPolicy,
-    EffectiveStructure,
     LinkingStructureRegistry,
+    PoolEntry,
     apply_overrides,
+    considered_links,
     get_linking_structure,
     lambda_allows,
     triple_relevant,
@@ -128,13 +132,6 @@ class CappedTraversalError(Exception):
         self.trace = trace
 
 
-def _iri_positions(triple: Triple) -> List[str]:
-    out = [strip_fragment(triple.subject.value)]
-    if triple.object.kind == "iri":
-        out.append(strip_fragment(triple.object.value))
-    return out
-
-
 def _matching_pattern(triple: Triple, patterns: Sequence[TriplePattern]) -> Optional[TriplePattern]:
     for tp in patterns:
         if match_triple(triple, tp) is not None:
@@ -156,20 +153,23 @@ def _seed_iris(seeds: Sequence[str]) -> List[str]:
 
 
 # A link strategy gets each fetched document once, in admission order, with a
-# test for IRIs not yet fetched or admitted, and yields link or "pruned"
-# admissions. A link not followed from a document is never followed from it
-# later, so no strategy needs to see a document twice.
-LinkStrategy = Callable[[List[Document], Callable[[str], bool]], Iterable[Admission]]
+# test for IRIs not yet fetched or admitted and the (triple, document) pairs
+# the content policy finds relevant, and yields link or "pruned" admissions
+# for the links it reads from `Document.hyperlinks`. A link not followed from
+# a document is never followed from it later, so no strategy needs to see a
+# document twice.
+LinkStrategy = Callable[[List[Document], Callable[[str], bool], Set[PoolEntry]],
+                        Iterable[Admission]]
 
 
-def _no_links(docs, unseen):
+def _no_links(docs, unseen, relevant):
     return ()
 
 
-def _all_links(docs, unseen):
+def _all_links(docs, unseen, relevant):
     for doc in docs:
-        for t in doc.triples:
-            for iri in _iri_positions(t):
+        for t, targets in doc.hyperlinks:
+            for iri in targets:
                 if unseen(iri):
                     yield Admission(iri, "link", doc.doc_iri, t)
 
@@ -184,16 +184,17 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
     waiting: Dict[str, list] = {}
     ranks = itertools.count()
 
-    def follow(docs, unseen):
+    def follow(docs, unseen, relevant):
         qualifying = []
         for doc in docs:
             rank = next(ranks)
-            for i, t in enumerate(doc.triples):
+            for i, (t, targets) in enumerate(doc.hyperlinks):
                 tp = _matching_pattern(t, patterns)
+                entry = (rank, i, doc, t, targets, tp)
                 if tp is None and t.subject.value not in entities:
-                    waiting.setdefault(t.subject.value, []).append((rank, i, doc, t, tp))
+                    waiting.setdefault(t.subject.value, []).append(entry)
                     continue
-                qualifying.append((rank, i, doc, t, tp))
+                qualifying.append(entry)
                 if tp is None:
                     continue
                 for term in (t.subject, t.object):
@@ -203,47 +204,25 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
         # Admission order, then triple order: the witnesses a rescan of every
         # fetched document would pick.
         qualifying.sort(key=lambda e: e[:2])
-        for _, _, doc, t, tp in qualifying:
-            for iri in _iri_positions(t):
+        for _, _, doc, t, targets, tp in qualifying:
+            for iri in targets:
                 if unseen(iri):
                     yield Admission(iri, "link", doc.doc_iri, t, tp)
 
     return follow
 
 
-def _guided_candidates(doc: Document, structure: EffectiveStructure,
-                       policy: ContentPolicy) -> Dict[str, Triple]:
-    """Candidate document IRIs hyperlinked from doc, with one witness triple.
-
-    Links are discovered from policy-relevant triples, and additionally from
-    any triple whose predicate a structure rule explicitly says to follow;
-    structure rules are trusted user guidance, so the links they sanction are
-    considered even when the linking triple itself is not policy-relevant.
-    """
-    follow_predicates: Set[str] = set()
-    if isinstance(structure, list):
-        for rule in structure:
-            follow_predicates.update(rule.follow_predicates())
-    out: Dict[str, Triple] = {}
-    for t in doc.triples:
-        via_relevance = triple_relevant(policy, t, doc.doc_iri)
-        via_structure = (
-            t.predicate.value in follow_predicates and t.object.kind == "iri"
-        )
-        if not via_relevance and not via_structure:
-            continue
-        iris = _iri_positions(t) if via_relevance else [strip_fragment(t.object.value)]
-        for iri in iris:
-            out.setdefault(iri, t)
-    return out
-
-
-def _guided_links(registry: LinkingStructureRegistry, policy: ContentPolicy,
-                  patterns: Sequence[TriplePattern], docs, unseen):
+def _guided_links(registry: LinkingStructureRegistry, patterns: Sequence[TriplePattern],
+                  docs, unseen, relevant):
     """Guided: candidates the referring document's linking structure allows (λ)."""
     for doc in docs:
         structure = get_linking_structure(registry, doc.doc_iri)
-        for candidate, witness in _guided_candidates(doc, structure, policy).items():
+        candidates: Dict[str, Triple] = {}
+        for t, iris in considered_links(doc, structure,
+                                        lambda t: (t, doc.doc_iri) in relevant):
+            for iri in iris:
+                candidates.setdefault(iri, t)
+        for candidate, witness in candidates.items():
             if not unseen(candidate):
                 continue
             admitting_tp = next(
@@ -262,12 +241,14 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                  rng: Optional[random.Random]) -> Tuple[TriplePool, TraversalTrace]:
     """Semi-naive reachability: each wave hands only the new documents to follow.
 
-    The pool is every fetched triple the policy finds relevant, after its
-    exclusive rules are enforced.
+    The policy judges each fetched triple once, when its document arrives. The
+    pool is every relevant triple, after the policy's exclusive rules are
+    enforced.
     """
     deref = Dereferencer(source)
     trace = TraversalTrace(ledger=deref.ledger)
     docs: Dict[str, Document] = {}
+    relevant: Set[PoolEntry] = set()
     pruned: Set[str] = set()
     order = _seed_iris(seeds)
     reasons = {s: Admission(s, "seed") for s in order}
@@ -280,9 +261,11 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
             raise CappedTraversalError(max_documents, trace)
         wave = deref.fetch_wave(order)
         docs.update(wave)
+        relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.triples
+                        if triple_relevant(policy, t, doc.doc_iri))
         trace.admissions.extend(reasons[iri] for iri in wave)
         reasons = {}
-        for admission in follow(list(wave.values()), unseen):
+        for admission in follow(list(wave.values()), unseen, relevant):
             if admission.reason != "pruned":
                 reasons[admission.doc_iri] = admission
             elif admission.doc_iri not in pruned:
@@ -290,8 +273,6 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                 trace.admissions.append(admission)
         order = _order(set(reasons), rng)
 
-    relevant = {(t, doc.doc_iri) for doc in docs.values() for t in doc.triples
-                if triple_relevant(policy, t, doc.doc_iri)}
     trace.pool = TriplePool(apply_overrides(relevant, policy))
     trace.documents = docs
     return trace.pool, trace
@@ -326,7 +307,7 @@ def traverse_guided(seeds: Sequence[str], registry: LinkingStructureRegistry,
     for some query pattern. After the fixed point, exclusive policy rules are
     enforced over the whole pool.
     """
-    follow = functools.partial(_guided_links, registry, policy, triple_patterns(query))
+    follow = functools.partial(_guided_links, registry, triple_patterns(query))
     return _fixed_point(seeds, source, follow, policy, max_documents, rng)
 
 

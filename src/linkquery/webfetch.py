@@ -5,18 +5,20 @@ A source maps fragmentless document IRIs to raw Turtle bodies: either an
 in-process fixture web loaded from a JSON manifest, or live HTTP. The
 Dereferencer wraps a source with fragment stripping, a parse cache, and a
 ledger that records every request so tests (and the CLI) can assert how many
-network fetches a traversal strategy needed.
+network fetches a traversal strategy needed. Each Document carries its
+hyperlink table, computed once from its triples on first use.
 """
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .rdf import Graph, IriError, strip_fragment
+from .rdf import IRI, Graph, IriError, Triple, strip_fragment
 from .turtle import TurtleParseError, parse_turtle
 
 OK = "ok"
@@ -33,6 +35,28 @@ class Document:
     doc_iri: str
     base: str
     triples: Graph
+
+    @functools.cached_property
+    def hyperlinks(self) -> List[Tuple[Triple, Tuple[str, ...]]]:
+        """Each triple in order, with the documents it links to: its
+        subject's, then its object's if the object is an IRI. Predicates
+        never link.
+        """
+        return [
+            (t, tuple(strip_fragment(term.value) for term in (t.subject, t.object)
+                      if term.kind == IRI))
+            for t in self.triples
+        ]
+
+    @functools.cached_property
+    def link_predicates(self) -> Dict[str, Set[str]]:
+        """Each linked document, with the predicates whose IRI objects link to it."""
+        out: Dict[str, Set[str]] = {}
+        for t, (subject_doc, *object_doc) in self.hyperlinks:
+            out.setdefault(subject_doc, set())
+            for target in object_doc:
+                out.setdefault(target, set()).add(t.predicate.value)
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,8 +199,7 @@ class Dereferencer:
     def __init__(self, source):
         self.source = source
         self.ledger = FetchLedger()
-        self._cache: Dict[str, Document] = {}
-        self._outcomes: Dict[str, str] = {}
+        self._cache: Dict[str, Tuple[Document, str]] = {}  # with the fetch outcome
         self._lock = threading.Lock()
 
     def dereference(self, entity_or_doc_iri: str) -> Document:
@@ -214,13 +237,9 @@ class Dereferencer:
             else:
                 results = [self._fetch_and_parse(iri) for iri in todo]
             with self._lock:
-                for doc_iri, (doc, outcome) in zip(todo, results):
-                    self._cache[doc_iri] = doc
-                    self._outcomes[doc_iri] = outcome
+                self._cache.update(zip(todo, results))
         out: Dict[str, Document] = {}
         for doc_iri in order:
-            self.ledger.record(
-                doc_iri, self._outcomes[doc_iri], doc_iri not in todo
-            )
-            out[doc_iri] = self._cache[doc_iri]
+            out[doc_iri], outcome = self._cache[doc_iri]
+            self.ledger.record(doc_iri, outcome, doc_iri not in todo)
         return out

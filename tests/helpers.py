@@ -2,13 +2,26 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from linkquery.guidance import (
+    PERMISSIVE,
+    RESTRICTIVE,
+    SAME_ORIGIN,
+    SELF,
+    ContentPolicy,
+    EffectiveStructure,
+    LinkingStructureRegistry,
+    apply_overrides,
+    get_linking_structure,
+    triple_relevant,
+)
 from linkquery.query import Query
 from linkquery.rdf import Graph, Term, Triple, TriplePattern, match_triple, strip_fragment
 from linkquery.turtle import parse_turtle
-from linkquery.webfetch import FixtureSource
+from linkquery.webfetch import Document, FixtureSource
 
 PREDICATES = [
     "https://vocab.ex/p1",
@@ -86,6 +99,58 @@ def random_bgp_query(rng: random.Random, n_docs: int,
     return Query(projection, patterns)
 
 
+def random_registry_json(rng: random.Random, n_docs: int,
+                         default: Optional[str] = None) -> str:
+    """A random linking-structure registry over random_web's documents, as JSON.
+
+    Scopes are either a prefix of every document IRI, a prefix of several, or
+    one document; rules follow "self" or a (possibly empty) predicate list and
+    cover "*" or a predicate list.
+    """
+    rules = []
+    for _ in range(rng.randint(0, 4)):
+        rules.append({
+            "scope": rng.choice(["https://w", "https://w", "https://w1",
+                                 doc_iri(rng.randrange(n_docs))]),
+            "patternPredicates": "*" if rng.random() < 0.3
+            else rng.sample(PREDICATES, rng.randint(1, 3)),
+            "follow": SELF if rng.random() < 0.2
+            else rng.sample(PREDICATES, rng.randint(0, 3)),
+        })
+    return json.dumps({"default": default or rng.choice([PERMISSIVE, RESTRICTIVE]),
+                       "rules": rules})
+
+
+def random_policy_json(rng: random.Random, n_docs: int,
+                       default: Optional[str] = None) -> str:
+    """A random content policy over random_web's documents, as JSON.
+
+    Rules allow or deny, match any or one subject and any, one or a list of
+    predicates, and constrain the source to anything, the subject's origin or
+    one document. About a third are exclusive allow rules on subject and
+    predicate, never with the "*" source, under which they would drop nothing.
+    """
+    rules = []
+    for _ in range(rng.randint(0, 5)):
+        exclusive = rng.random() < 0.35
+        sources = [SAME_ORIGIN, doc_iri(rng.randrange(n_docs))]
+        rule = {
+            "action": "allow" if exclusive else rng.choice(["allow", "deny"]),
+            "pattern": {
+                "s": rng.choice(["?", "?", entity_iri(rng.randrange(n_docs))]),
+                "p": rng.choice(["?", PREDICATES[:2]] + PREDICATES),
+                "o": "?",
+            },
+            "source": rng.choice(sources if exclusive else sources + ["*"]),
+            "priority": rng.randint(0, 3),
+        }
+        if exclusive:
+            rule["exclusive"] = "subject-predicate"
+        rules.append(rule)
+    return json.dumps({"default": default or rng.choice(["allow", "deny"]),
+                       "rules": rules})
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles. These stay independent of the engine's algorithms.
 
@@ -139,6 +204,89 @@ def closure_c_match(bodies: Dict[str, str], seeds: Sequence[str],
         if not frontier:
             return reached
         reached |= frontier
+
+
+def reference_lambda(structure: EffectiveStructure, from_doc: Document,
+                     candidate_doc_iri: str, tp: TriplePattern) -> bool:
+    """λ by rescanning from_doc's triples and stripping fragments per triple.
+
+    The permissive default admits any document a subject or IRI object of
+    from_doc lies in; a rule that covers the pattern admits from_doc itself
+    (follow = self) or the document of an IRI object of a followed predicate.
+    """
+    if structure == RESTRICTIVE:
+        return False
+    if structure == PERMISSIVE:
+        return any(
+            strip_fragment(term.value) == candidate_doc_iri
+            for t in from_doc.triples for term in (t.subject, t.object)
+            if term.kind == "iri"
+        )
+    for rule in structure:
+        if rule.pattern_predicates != "*" and not tp.predicate.is_variable \
+                and tp.predicate.value not in rule.pattern_predicates:
+            continue
+        if rule.follow == SELF:
+            if candidate_doc_iri == from_doc.doc_iri:
+                return True
+            continue
+        for t in from_doc.triples:
+            if (t.predicate.value in rule.follow and t.object.kind == "iri"
+                    and strip_fragment(t.object.value) == candidate_doc_iri):
+                return True
+    return False
+
+
+def closure_guided(bodies: Dict[str, str], seeds: Sequence[str],
+                   registry: LinkingStructureRegistry, policy: ContentPolicy,
+                   query: Query) -> Tuple[Set[str], Set[str], Set[Tuple[Triple, str]]]:
+    """Guided reachability by rescanning every reached document until nothing changes.
+
+    A reached document offers the subject and object documents of each triple
+    the policy finds relevant there, and the object document of each other
+    triple whose predicate a rule of its linking structure follows. An offered
+    document is reached when reference_lambda allows it for some query
+    pattern. Returns the reached documents that exist, the offered documents
+    never reached (each pruned), and the pool: the relevant (triple,
+    document) pairs of the reached documents after the policy's exclusive
+    rules.
+    """
+    graphs = parse_web(bodies)
+    docs = {iri: Document(iri, iri, graph) for iri, graph in graphs.items()}
+    patterns = query.all_patterns()
+    reached = {strip_fragment(s) for s in seeds}
+    offered_all = set()
+    while True:
+        frontier = set()
+        for iri in reached & docs.keys():
+            structure = get_linking_structure(registry, iri)
+            followed = set()
+            if isinstance(structure, list):
+                for rule in structure:
+                    if rule.follow != SELF:
+                        followed |= rule.follow
+            for t in graphs[iri]:
+                if triple_relevant(policy, t, iri):
+                    offered = [t.subject, t.object]
+                elif t.predicate.value in followed:
+                    offered = [t.object]
+                else:
+                    continue
+                for term in offered:
+                    if term.kind != "iri":
+                        continue
+                    target = strip_fragment(term.value)
+                    offered_all.add(target)
+                    if target not in reached and any(
+                        reference_lambda(structure, docs[iri], target, tp) for tp in patterns
+                    ):
+                        frontier.add(target)
+        if not frontier:
+            break
+        reached |= frontier
+    found = reached & docs.keys()
+    relevant = {(t, iri) for iri in found for t in graphs[iri] if triple_relevant(policy, t, iri)}
+    return found, offered_all - reached, apply_overrides(relevant, policy)
 
 
 def union_graph(bodies: Dict[str, str], docs: Set[str]) -> Graph:

@@ -4,8 +4,13 @@ import pytest
 
 from linkquery.cli import main
 from linkquery.fixtures import demo_manifest, demo_policy, demo_query, demo_structures
+from linkquery.guidance import parse_policy, parse_structure_registry
+from linkquery.query import parse_query
+from linkquery.traversal import traverse_guided
+from linkquery.webfetch import FixtureSource
 
 SEED = "https://uma.ex/#me"
+FOAF = "http://xmlns.com/foaf/0.1/"
 
 
 def base_flags():
@@ -99,6 +104,15 @@ class TestRun:
         assert code == 3
         assert "FILTER" in err
 
+    def test_malformed_seed_is_an_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["run", "--query", str(demo_query()), "--seed", "http://[x",
+             "--fixtures", str(demo_manifest())],
+        )
+        assert code == 3
+        assert err.startswith("input error: malformed IRI")
+
     def test_tsv_format(self, capsys):
         code, out, _ = run_cli(capsys, ["run"] + guided_flags() + ["--format", "tsv"])
         assert code == 0
@@ -185,6 +199,51 @@ class TestExplain:
         assert cited == ["#1)", "#3)", "#3)", "#4)"]
         code, out, _ = run_cli(capsys, ["explain", "--row", "2"] + guided_flags())
         assert "<mailto:me@bob.ex>. from https://bob.ex/ (policy rule #3)" in out
+
+    def test_pruned_link_cause_matches_the_trace(self, capsys, tmp_path):
+        # Ann's rule follows isPrimaryTopicOf, a predicate the policy denies,
+        # but covers only foaf:name, which this query does not ask for. The
+        # guided traversal considers the link because the rule follows its
+        # predicate, and λ prunes it: the cause is the structure, not the
+        # policy.
+        structures = tmp_path / "structures.json"
+        structures.write_text(json.dumps({
+            "default": "restrictive",
+            "rules": [
+                {"scope": "https://uma.ex/", "patternPredicates": "*",
+                 "follow": [FOAF + "knows"]},
+                {"scope": "https://ann.ex/", "patternPredicates": [FOAF + "name"],
+                 "follow": [FOAF + "isPrimaryTopicOf"]},
+            ],
+        }))
+        query = tmp_path / "mbox.rq"
+        query.write_text(
+            "PREFIX foaf: <%s>\n"
+            "SELECT ?f ?m WHERE { <https://uma.ex/#me> foaf:knows ?f . ?f foaf:mbox ?m }\n"
+            % FOAF
+        )
+        flags = [
+            "--query", str(query), "--seed", SEED, "--fixtures", str(demo_manifest()),
+            "--mode", "guided", "--structures", str(structures),
+            "--policy", str(demo_policy()),
+        ]
+        _, trace = traverse_guided(
+            [SEED],
+            parse_structure_registry(structures.read_text()),
+            parse_policy(demo_policy().read_text()),
+            parse_query(query.read_text()),
+            FixtureSource.from_manifest(demo_manifest()),
+        )
+        [pruned] = [a for a in trace.admissions if a.doc_iri == "https://ann.ex/about/"]
+        assert (pruned.reason, pruned.from_doc) == ("pruned", "https://ann.ex/")
+        assert pruned.cause == "no structure rule permits following this link"
+        code, out, _ = run_cli(capsys, ["explain", "--doc", "https://ann.ex/about/"] + flags)
+        assert code == 0
+        assert out == (
+            "not fetched: link <https://ann.ex/#me> <%sisPrimaryTopicOf> "
+            "<https://ann.ex/about/>. from https://ann.ex/ not sanctioned by any "
+            "structure rule\n" % FOAF
+        )
 
     def test_unknown_doc(self, capsys):
         code, _, err = run_cli(

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import PREDICATES, reference_lambda
 from linkquery.guidance import (
     ALLOW,
     DENY,
@@ -151,6 +152,72 @@ class TestLambda:
         any_tp = TriplePattern(Term.var("s"), Term.var("p"), Term.var("o"))
         assert lambda_allows(structure, ANN_PROFILE, "https://ann.ex/about/", any_tp)
 
+    def test_matches_rescanning_reference_property(self):
+        # lambda_allows reads the document's hyperlink table; reference_lambda
+        # rescans its triples. Seeded random documents, structures, candidates
+        # and patterns; `seen` records which cases were exercised.
+        rng = random.Random(23)
+        docs = ["https://d%d.ex/" % i for i in range(5)]
+        seen = set()
+
+        def iri():
+            base = rng.choice(docs)
+            return base + rng.choice(["", "#me", "#it", "x?#q"])
+
+        def structure():
+            roll = rng.random()
+            if roll < 0.2:
+                return PERMISSIVE
+            if roll < 0.3:
+                return RESTRICTIVE
+            return [
+                StructureRule(
+                    rng.choice(docs),
+                    WILDCARD if rng.random() < 0.3
+                    else frozenset(rng.sample(PREDICATES, rng.randint(1, 3))),
+                    "self" if rng.random() < 0.25
+                    else frozenset(rng.sample(PREDICATES, rng.randint(0, 3))),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+
+        for _ in range(400):
+            from_iri = rng.choice(docs)
+            triples = [
+                t(iri(), rng.choice(PREDICATES),
+                  iri() if rng.random() < 0.5 else Term.literal("v"))
+                for _ in range(rng.randint(0, 8))
+            ]
+            from_doc = doc(from_iri, triples)
+            subject_docs = {x.subject.value.partition("#")[0] for x in triples}
+            object_docs = {x.object.value.partition("#")[0] for x in triples
+                           if x.object.kind == "iri"}
+            s = structure()
+            kinds = (
+                [s] if isinstance(s, str)
+                else ["self" if any(r.follow == "self" for r in s) else "follow"]
+                + ["*" if r.pattern_predicates == WILDCARD else "list" for r in s]
+            )
+            candidates = docs + [c + "x?" for c in docs] + ["https://nowhere.ex/"]
+            for candidate in candidates:
+                if candidate in object_docs:
+                    kinds_here = kinds
+                elif candidate in subject_docs:
+                    kinds_here = kinds + ["subject-only"]
+                else:
+                    kinds_here = kinds + ["unlinked"]
+                for predicate in [Term.var("p")] + [Term.iri(p) for p in PREDICATES]:
+                    tp = TriplePattern(Term.var("s"), predicate, Term.var("o"))
+                    expected = reference_lambda(s, from_doc, candidate, tp)
+                    assert lambda_allows(s, from_doc, candidate, tp) == expected
+                    seen.update((kind, expected) for kind in kinds_here)
+        assert seen >= {
+            (PERMISSIVE, True), (PERMISSIVE, False), (RESTRICTIVE, False),
+            ("self", True), ("self", False), ("follow", True), ("follow", False),
+            ("*", True), ("list", True), ("list", False),
+            ("unlinked", False), ("subject-only", True), ("subject-only", False),
+        }
+
 
 class TestPolicyParsing:
     def test_uma_policy_compiles(self, uma_policy):
@@ -189,6 +256,12 @@ class TestPolicyParsing:
                 json.dumps(
                     {"rules": [{"action": "allow", "pattern": {"s": "not an iri"}}]}
                 )
+            )
+
+    def test_malformed_ipv6_host(self):
+        with pytest.raises(GuidanceParseError, match="rule 0: malformed IRI"):
+            parse_policy(
+                json.dumps({"rules": [{"action": "allow", "pattern": {"s": "http://[x"}}]})
             )
 
     def test_unknown_exclusive_key(self):

@@ -98,6 +98,17 @@ class TestParseQuery:
         with pytest.raises(QueryParseError, match="relative IRI"):
             parse_query(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT ?s WHERE { ?s ?p <http://[x> }",
+            "PREFIX v: <http://[x/> SELECT ?s WHERE { ?s v:p ?o }",
+        ],
+    )
+    def test_malformed_ipv6_host_rejected(self, text):
+        with pytest.raises(QueryParseError, match="malformed IRI"):
+            parse_query(text)
+
     def test_predicate_object_list(self):
         q = parse_query("SELECT ?n ?m WHERE { ?x foaf:name ?n; foaf:mbox ?m }")
         assert len(q.required) == 2

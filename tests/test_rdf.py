@@ -9,6 +9,7 @@ from linkquery.rdf import (
     Triple,
     TriplePattern,
     graph_match,
+    is_absolute_iri,
     match_triple,
     resolve_iri,
     strip_fragment,
@@ -78,6 +79,42 @@ class TestStripFragment:
     def test_idempotent(self):
         once = strip_fragment("https://x.ex/a#frag")
         assert strip_fragment(once) == once
+
+    @pytest.mark.parametrize(
+        "iri,expected",
+        [
+            ("http://x.ex/a?#me", "http://x.ex/a?"),
+            ("http://x.ex/a;#me", "http://x.ex/a;"),
+            ("HTTP://X.ex/doc#me", "HTTP://X.ex/doc"),
+            ("HTTP://X.ex/doc", "HTTP://X.ex/doc"),
+            ("https://x.ex/a?q=1#f#g", "https://x.ex/a?q=1"),
+            ("https://x.ex/#", "https://x.ex/"),
+        ],
+    )
+    def test_cuts_at_first_hash_and_keeps_the_rest(self, iri, expected):
+        assert strip_fragment(iri) == expected
+
+    def test_relative_iri_rejected(self):
+        with pytest.raises(IriError):
+            strip_fragment("doc#me")
+
+
+class TestMalformedIri:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: is_absolute_iri("http://[x"),
+            lambda: strip_fragment("http://[x#me"),
+            lambda: resolve_iri("https://a.ex/", "http://[x"),
+            lambda: resolve_iri("https://a.ex/", "//[x/y"),
+            lambda: Term.iri("http://[x"),
+        ],
+        ids=["is_absolute_iri", "strip_fragment", "resolve_absolute", "resolve_network_path",
+             "Term.iri"],
+    )
+    def test_malformed_ipv6_host_is_an_iri_error(self, call):
+        with pytest.raises(IriError, match="malformed IRI"):
+            call()
 
 
 class TestTerms:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,19 +8,25 @@ import pytest
 from helpers import (
     closure_c_all,
     closure_c_match,
+    closure_guided,
     doc_iri,
     entity_iri,
     random_bgp_query,
+    random_policy_json,
+    random_registry_json,
     random_web,
     row_fingerprints,
     union_graph,
     web_source,
 )
+from linkquery import rdf, traversal
 from linkquery.fixtures import ann_subtree_request_count
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
+    RESTRICTIVE,
     LinkingStructureRegistry,
     parse_policy,
+    parse_structure_registry,
     triple_relevant,
 )
 from linkquery.query import evaluate, parse_query, triple_patterns
@@ -125,6 +132,20 @@ class TestUnguided:
         )
         assert trace.ledger.ok_documents == set(bodies)
         assert {t.subject.value for t, _ in pool.entries} == set(bodies)
+
+    def test_query_before_fragment_is_kept(self):
+        # https://b.ex/doc?#me lives in https://b.ex/doc?, not https://b.ex/doc.
+        bodies = {
+            "https://a.ex/": "<https://a.ex/#me> <https://p.ex/knows> <https://b.ex/doc?#me>.",
+            "https://b.ex/doc?": '<https://b.ex/doc?#me> <https://p.ex/name> "B".',
+        }
+        query = parse_query(
+            "SELECT ?n WHERE { <https://a.ex/#me> <https://p.ex/knows> ?f . "
+            "?f <https://p.ex/name> ?n }"
+        )
+        pool, trace = unguided(web_source(bodies), query, C_MATCH, seeds=("https://a.ex/",))
+        assert trace.ledger.ok_documents == set(bodies)
+        assert [row["n"].value for row in evaluate(query, pool.graph())] == ["B"]
 
     def test_predicate_iris_never_followed(self):
         bodies = {
@@ -264,6 +285,39 @@ class TestRandomWebs:
             assert trace.ledger.ok_documents == expected_docs
             assert pool.graph() == union_graph(bodies, expected_docs)
 
+    def test_guided_matches_closure_oracle(self):
+        # Restrictive registries and random policies with exclusive rules; the
+        # fetched documents, the pool and the pruned documents that stay
+        # unfetched must match. The counts check that the webs reach past the
+        # seed, prune links and let exclusive rules drop relevant triples
+        # often enough to matter.
+        rng = random.Random(53)
+        reached, pruned, overridden = 0, 0, 0
+        for _ in range(150):
+            bodies = random_web(rng)
+            seeds = [doc_iri(0)]
+            query = random_bgp_query(rng, len(bodies))
+            registry = parse_structure_registry(
+                random_registry_json(rng, len(bodies), default=RESTRICTIVE))
+            policy = parse_policy(random_policy_json(
+                rng, len(bodies), default="allow" if rng.random() < 0.5 else None))
+            pool, trace = traverse_guided(
+                seeds, registry, policy, query, web_source(bodies), max_documents=1000,
+            )
+            expected_docs, expected_pruned, expected_pool = closure_guided(
+                bodies, seeds, registry, policy, query)
+            assert trace.ledger.ok_documents == expected_docs
+            assert pool.entries == expected_pool
+            assert {a.doc_iri for a in trace.admissions if a.reason == "pruned"} \
+                - set(trace.admitted_documents()) == expected_pruned
+            reached += len(expected_docs) > 1
+            pruned += any(a.reason == "pruned" for a in trace.admissions)
+            overridden += any(
+                triple_relevant(policy, t, d.doc_iri) and (t, d.doc_iri) not in pool.entries
+                for d in trace.documents.values() for t in d.triples
+            )
+        assert reached >= 25 and pruned >= 50 and overridden >= 3
+
     def test_order_independence_under_random_scheduling(self):
         rng = random.Random(131)
         for _ in range(10):
@@ -283,6 +337,70 @@ class TestRandomWebs:
                 )
                 results.add(fingerprint)
             assert len(results) == 1
+
+
+class TestGuidedWork:
+    def test_policy_judges_each_triple_once(self, monkeypatch, demo_query_obj,
+                                            demo_registry, uma_policy):
+        # The candidate scan and the pool share one verdict per (triple,
+        # source document); apply_overrides does not go through this name.
+        calls = []
+        original = traversal.triple_relevant
+
+        def counting(policy, triple, source_doc_iri):
+            calls.append((triple, source_doc_iri))
+            return original(policy, triple, source_doc_iri)
+
+        monkeypatch.setattr(traversal, "triple_relevant", counting)
+        _, trace = traverse_guided(
+            [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
+        )
+        pairs = {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples}
+        assert len(calls) == len(pairs) == len(set(calls))
+
+    def test_hub_strip_fragment_calls_bounded(self, monkeypatch):
+        # A hub document knows 400 people, each in their own document. Link
+        # discovery reads each document's hyperlink table, so stripping is
+        # linear in the triples: at most two per triple, plus one per request
+        # and per seed. Rescanning the hub per candidate made 321,602 calls
+        # under the permissive registry and 81,802 under the follow rule.
+        people = 400
+        knows, name = "https://p.ex/knows", "https://p.ex/name"
+        bodies = {"https://hub.ex/": "".join(
+            "<https://hub.ex/#me> <%s> <https://p%d.ex/#me>.\n" % (knows, i)
+            for i in range(people))}
+        for i in range(people):
+            bodies["https://p%d.ex/" % i] = '<https://p%d.ex/#me> <%s> "P%d".' % (i, name, i)
+        query = parse_query(
+            "SELECT ?f ?n WHERE { <https://hub.ex/#me> <%s> ?f . ?f <%s> ?n }" % (knows, name))
+        registries = [
+            PERMISSIVE_REGISTRY,
+            parse_structure_registry(json.dumps({"default": "restrictive", "rules": [
+                {"scope": "https://", "patternPredicates": "*", "follow": [knows]}]})),
+        ]
+        calls = 0
+        original = rdf.strip_fragment
+
+        def counting(iri):
+            nonlocal calls
+            calls += 1
+            return original(iri)
+
+        for module_name, module in sorted(sys.modules.items()):
+            if (module_name.startswith("linkquery")
+                    and getattr(module, "strip_fragment", None) is original):
+                monkeypatch.setattr(module, "strip_fragment", counting)
+        for registry in registries:
+            source = web_source(bodies)
+            calls = 0
+            pool, trace = traverse_guided(
+                ["https://hub.ex/"], registry, PERMISSIVE_POLICY, query, source,
+                max_documents=1000,
+            )
+            triples = sum(len(d.triples) for d in trace.documents.values())
+            assert trace.ledger.distinct_ok == people + 1
+            assert len(evaluate(query, pool.graph())) == people
+            assert calls <= 2 * triples + len(trace.ledger.entries) + 1
 
 
 GOLDEN_DEMO_TRACES = Path(__file__).parent / "demo_traces.json"

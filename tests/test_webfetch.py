@@ -7,8 +7,10 @@ import pytest
 
 from linkquery.fixtures import demo_manifest
 from linkquery.rdf import strip_fragment
+from linkquery.turtle import parse_turtle
 from linkquery.webfetch import (
     Dereferencer,
+    Document,
     FetchResult,
     FixtureError,
     FixtureSource,
@@ -54,6 +56,43 @@ class TestFixtureSource:
         b = FixtureSource.from_manifest(demo_manifest())
         for iri in a.document_iris():
             assert a.fetch(iri).body == b.fetch(iri).body
+
+
+class TestHyperlinkTable:
+    BODY = (
+        '<https://a.ex/#me> <https://b.ex/pred> "v".\n'
+        "<https://a.ex/#me> <https://p.ex/knows> <https://c.ex/#it>.\n"
+        "<https://d.ex/#d> <https://p.ex/seeAlso> <https://c.ex/doc?#x>.\n"
+        "<https://d.ex/#d> <https://p.ex/knows> <https://c.ex/>.\n"
+    )
+
+    def doc(self):
+        return Document("https://a.ex/", "https://a.ex/", parse_turtle(self.BODY, "https://a.ex/"))
+
+    def test_each_triple_in_order_with_its_documents(self):
+        doc = self.doc()
+        assert [t for t, _ in doc.hyperlinks] == list(doc.triples)
+        assert [targets for _, targets in doc.hyperlinks] == [
+            ("https://a.ex/",),
+            ("https://a.ex/", "https://c.ex/"),
+            ("https://d.ex/", "https://c.ex/"),
+            ("https://d.ex/", "https://c.ex/doc?"),
+        ]
+
+    def test_predicates_by_linked_document(self):
+        # Subject-only documents are linked with no predicate; the predicate
+        # IRI's document https://b.ex/ is not linked at all.
+        assert self.doc().link_predicates == {
+            "https://a.ex/": set(),
+            "https://c.ex/": {"https://p.ex/knows"},
+            "https://c.ex/doc?": {"https://p.ex/seeAlso"},
+            "https://d.ex/": set(),
+        }
+
+    def test_computed_once(self):
+        doc = self.doc()
+        assert doc.hyperlinks is doc.hyperlinks
+        assert doc.link_predicates is doc.link_predicates
 
 
 class TestDereferencer:
@@ -116,6 +155,13 @@ class TestDereferencer:
 
         # The relative reference cannot be resolved against a schemeless base.
         deref = Dereferencer(SchemelessRedirect())
+        doc = deref.dereference("https://x.ex/")
+        assert len(doc.triples) == 0
+        assert deref.ledger.entries[-1].outcome == PARSE_ERROR
+
+    def test_malformed_ipv6_host_is_a_parse_error(self):
+        body = "<https://x.ex/> <https://p.ex/q> <http://[x>."
+        deref = Dereferencer(FixtureSource({"https://x.ex/": body}))
         doc = deref.dereference("https://x.ex/")
         assert len(doc.triples) == 0
         assert deref.ledger.entries[-1].outcome == PARSE_ERROR
