@@ -199,9 +199,14 @@ def _same_origin(subject_iri: str, source_iri: str) -> bool:
 class ContentPolicy:
     rules: List[PolicyRule] = field(default_factory=list)
     default_action: str = ALLOW
+    _ordered: List[PolicyRule] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._ordered = sorted(self.rules, key=lambda r: (-r.priority, r.index))
 
     def ordered_rules(self) -> List[PolicyRule]:
-        return sorted(self.rules, key=lambda r: (-r.priority, r.index))
+        """The rules by descending priority, then declaration; sorted once, when built."""
+        return self._ordered
 
 
 PERMISSIVE_POLICY = ContentPolicy([], ALLOW)

@@ -97,11 +97,7 @@ class TraversalTrace:
     documents: Dict[str, Document] = field(default_factory=dict)
 
     def admitted_documents(self) -> List[str]:
-        seen = []
-        for a in self.admissions:
-            if a.reason != "pruned" and a.doc_iri not in seen:
-                seen.append(a.doc_iri)
-        return seen
+        return list(dict.fromkeys(a.doc_iri for a in self.admissions if a.reason != "pruned"))
 
     def admission_of(self, doc_iri: str) -> Optional[Admission]:
         for a in self.admissions:
@@ -243,7 +239,8 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
 
     The policy judges each fetched triple once, when its document arrives. The
     pool is every relevant triple, after the policy's exclusive rules are
-    enforced.
+    enforced. The Dereferencer's fetch pool serves every wave and is shut
+    down when the traversal ends, also when it raises.
     """
     deref = Dereferencer(source)
     trace = TraversalTrace(ledger=deref.ledger)
@@ -256,22 +253,25 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     def unseen(iri: str) -> bool:
         return iri not in docs and iri not in reasons
 
-    while reasons:
-        if len(docs) + len(order) > max_documents:
-            raise CappedTraversalError(max_documents, trace)
-        wave = deref.fetch_wave(order)
-        docs.update(wave)
-        relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.triples
-                        if triple_relevant(policy, t, doc.doc_iri))
-        trace.admissions.extend(reasons[iri] for iri in wave)
-        reasons = {}
-        for admission in follow(list(wave.values()), unseen, relevant):
-            if admission.reason != "pruned":
-                reasons[admission.doc_iri] = admission
-            elif admission.doc_iri not in pruned:
-                pruned.add(admission.doc_iri)
-                trace.admissions.append(admission)
-        order = _order(set(reasons), rng)
+    try:
+        while reasons:
+            if len(docs) + len(order) > max_documents:
+                raise CappedTraversalError(max_documents, trace)
+            wave = deref.fetch_wave(order)
+            docs.update(wave)
+            relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.triples
+                            if triple_relevant(policy, t, doc.doc_iri))
+            trace.admissions.extend(reasons[iri] for iri in wave)
+            reasons = {}
+            for admission in follow(list(wave.values()), unseen, relevant):
+                if admission.reason != "pruned":
+                    reasons[admission.doc_iri] = admission
+                elif admission.doc_iri not in pruned:
+                    pruned.add(admission.doc_iri)
+                    trace.admissions.append(admission)
+            order = _order(set(reasons), rng)
+    finally:
+        deref.close()
 
     trace.pool = TriplePool(apply_overrides(relevant, policy))
     trace.documents = docs

@@ -7,6 +7,12 @@ Dereferencer wraps a source with fragment stripping, a parse cache, and a
 ledger that records every request so tests (and the CLI) can assert how many
 network fetches a traversal strategy needed. Each Document carries its
 hyperlink table, computed once from its triples on first use.
+
+A Dereferencer keeps one fetch pool for its whole life (a traversal), made on
+the first wave with more than one uncached IRI and MAX_IN_FLIGHT threads
+wide, so every wave of up to ten documents costs one round of request
+latency. Pool threads only call the source; bodies are parsed on the calling
+thread, because parsing is CPU work that threads would only contend for.
 """
 from __future__ import annotations
 
@@ -25,6 +31,11 @@ OK = "ok"
 NOT_FOUND = "not-found"
 PARSE_ERROR = "parse-error"
 
+# Requests a Dereferencer keeps in flight. Ten is requests'
+# adapters.DEFAULT_POOLSIZE, the connections LiveHttpSource's session keeps
+# open per host.
+MAX_IN_FLIGHT = 10
+
 
 class FixtureError(Exception):
     pass
@@ -33,7 +44,6 @@ class FixtureError(Exception):
 @dataclass(frozen=True)
 class Document:
     doc_iri: str
-    base: str
     triples: Graph
 
     @functools.cached_property
@@ -194,52 +204,58 @@ class Dereferencer:
     Failed fetches are soft: the document comes back empty and traversal
     carries on. Repeat requests for the same document IRI (or for IRIs
     differing only in fragment) hit the cache and do not add to distinct_ok.
+    Call close() when done, so the fetch pool's threads end.
     """
 
     def __init__(self, source):
         self.source = source
         self.ledger = FetchLedger()
         self._cache: Dict[str, Tuple[Document, str]] = {}  # with the fetch outcome
-        self._lock = threading.Lock()
+        self._pool: Optional[ThreadPoolExecutor] = None
 
     def dereference(self, entity_or_doc_iri: str) -> Document:
         [doc] = self.fetch_wave([entity_or_doc_iri]).values()
         return doc
 
-    def _fetch_and_parse(self, doc_iri: str):
-        result = self.source.fetch(doc_iri)
+    def close(self) -> None:
+        """Shut the fetch pool down, waiting for its threads to end."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def _fetch_all(self, doc_iris: List[str]) -> List[FetchResult]:
+        if len(doc_iris) < 2:
+            return [self.source.fetch(doc_iri) for doc_iri in doc_iris]
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT)
+        return list(self._pool.map(self.source.fetch, doc_iris))
+
+    @staticmethod
+    def _parse(doc_iri: str, result: FetchResult) -> Tuple[Document, str]:
         if result.outcome != OK:
-            return Document(doc_iri, doc_iri, Graph()), result.outcome
+            return Document(doc_iri, Graph()), result.outcome
         final_iri = result.final_iri or doc_iri
         try:
             graph = parse_turtle(result.body, final_iri)
         except (TurtleParseError, IriError):
-            return Document(final_iri, final_iri, Graph()), PARSE_ERROR
-        return Document(final_iri, final_iri, graph), OK
+            return Document(final_iri, Graph()), PARSE_ERROR
+        return Document(final_iri, graph), OK
 
-    def fetch_wave(self, iris: Iterable[str], workers: int = 4) -> Dict[str, Document]:
+    def fetch_wave(self, iris: Iterable[str]) -> Dict[str, Document]:
         """Dereference a batch of IRIs, fetching uncached ones concurrently.
 
-        Ledger entries are recorded in the given order, not completion order,
-        so instrumented runs stay deterministic under parallel fetching.
+        Up to MAX_IN_FLIGHT requests run at once in the fetch pool; the bodies
+        are parsed here, on the calling thread, in request order. Ledger
+        entries are recorded in the given order, not completion order, so
+        instrumented runs stay deterministic under parallel fetching.
         """
-        order: List[str] = []
-        for iri in iris:
-            doc_iri = strip_fragment(iri)
-            if doc_iri not in order:
-                order.append(doc_iri)
-        with self._lock:
-            todo = [iri for iri in order if iri not in self._cache]
-        if todo:
-            if workers > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(self._fetch_and_parse, todo))
-            else:
-                results = [self._fetch_and_parse(iri) for iri in todo]
-            with self._lock:
-                self._cache.update(zip(todo, results))
+        order = dict.fromkeys(strip_fragment(iri) for iri in iris)
+        todo = [doc_iri for doc_iri in order if doc_iri not in self._cache]
+        fetched = {doc_iri: self._parse(doc_iri, result)
+                   for doc_iri, result in zip(todo, self._fetch_all(todo))}
+        self._cache.update(fetched)
         out: Dict[str, Document] = {}
         for doc_iri in order:
             out[doc_iri], outcome = self._cache[doc_iri]
-            self.ledger.record(doc_iri, outcome, doc_iri not in todo)
+            self.ledger.record(doc_iri, outcome, doc_iri not in fetched)
         return out

@@ -252,7 +252,7 @@ def closure_guided(bodies: Dict[str, str], seeds: Sequence[str],
     rules.
     """
     graphs = parse_web(bodies)
-    docs = {iri: Document(iri, iri, graph) for iri, graph in graphs.items()}
+    docs = {iri: Document(iri, graph) for iri, graph in graphs.items()}
     patterns = query.all_patterns()
     reached = {strip_fragment(s) for s in seeds}
     offered_all = set()

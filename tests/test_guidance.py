@@ -39,7 +39,7 @@ def t(s, p, o):
 
 
 def doc(iri, triples):
-    return Document(iri, iri, Graph(triples))
+    return Document(iri, Graph(triples))
 
 
 ANN_PROFILE = doc(

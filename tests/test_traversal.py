@@ -1,6 +1,8 @@
 import json
 import random
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,7 @@ from linkquery.traversal import (
     traverse_guided,
     traverse_unguided,
 )
+from linkquery.webfetch import MAX_IN_FLIGHT, NOT_FOUND, FetchResult
 
 SEED = "https://uma.ex/#me"
 PERMISSIVE_REGISTRY = LinkingStructureRegistry([], "permissive")
@@ -401,6 +404,93 @@ class TestGuidedWork:
             assert trace.ledger.distinct_ok == people + 1
             assert len(evaluate(query, pool.graph())) == people
             assert calls <= 2 * triples + len(trace.ledger.entries) + 1
+
+
+HUB = "https://hub.ex/"
+
+
+def chains_web(width, depth):
+    """A hub linking to `width` chains of `depth` documents each.
+
+    Under c-all the waves are the hub, then `width` documents per level.
+    """
+    bodies = {HUB: "".join("<https://hub.ex/#me> <https://p.ex/q> <https://c%d.ex/0#x>.\n" % i
+                           for i in range(width))}
+    for i in range(width):
+        for level in range(depth):
+            here = "https://c%d.ex/%d" % (i, level)
+            if level + 1 < depth:
+                body = "<%s#x> <https://p.ex/q> <https://c%d.ex/%d#x>." % (here, i, level + 1)
+            else:
+                body = '<%s#x> <https://p.ex/name> "leaf".' % here
+            bodies[here] = body
+    return web_source(bodies)
+
+
+class ThreadRecordingSource:
+    """Delegates to a source, noting the thread of each fetch; raises for one IRI.
+
+    Each fetch first sleeps 10 ms, so a wave's requests overlap and a pool
+    starts a thread per request up to its width.
+    """
+
+    def __init__(self, inner, fail_on=None):
+        self.inner = inner
+        self.fail_on = fail_on
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    def fetch(self, doc_iri):
+        with self._lock:
+            self.threads.add(threading.current_thread())
+        time.sleep(0.01)
+        if doc_iri == self.fail_on:
+            raise RuntimeError("source failed on %s" % doc_iri)
+        return self.inner.fetch(doc_iri)
+
+
+class TestFetchPool:
+    def test_wave_requests_overlap(self):
+        # The hub's 8 linked documents are answered only once all 8 requests
+        # are in flight at the same time.
+        inner = chains_web(8, 1)
+        barrier = threading.Barrier(8, timeout=2)
+
+        class BarrierSource:
+            def fetch(self, doc_iri):
+                if doc_iri != HUB:
+                    try:
+                        barrier.wait()
+                    except threading.BrokenBarrierError:
+                        return FetchResult(NOT_FOUND)
+                return inner.fetch(doc_iri)
+
+        _, trace = unguided(BarrierSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        linked = [e.outcome for e in trace.ledger.entries if e.iri != HUB]
+        assert linked == ["ok"] * 8
+
+    def test_no_thread_outlives_traversal(self):
+        # Waves of 1, 8, 8 and 8 documents: one pool of at most MAX_IN_FLIGHT
+        # threads fetches them all (a pool of 4 per wave starts 12), and it is
+        # shut down when the traversal returns or raises.
+        before = set(threading.enumerate())
+        source = ThreadRecordingSource(chains_web(8, 3))
+        _, trace = unguided(source, ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 25
+        assert set(threading.enumerate()) <= before
+        pool_threads = source.threads - {threading.current_thread()}
+        assert len(pool_threads) <= MAX_IN_FLIGHT
+        assert not any(t.is_alive() for t in pool_threads)
+
+        with pytest.raises(CappedTraversalError):
+            unguided(ThreadRecordingSource(chains_web(8, 3)), ANY_QUERY, C_ALL,
+                     seeds=(HUB,), max_documents=12)
+        assert set(threading.enumerate()) <= before
+
+        failing = ThreadRecordingSource(chains_web(8, 3), fail_on="https://c3.ex/1")
+        with pytest.raises(RuntimeError):
+            unguided(failing, ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert set(threading.enumerate()) <= before
 
 
 GOLDEN_DEMO_TRACES = Path(__file__).parent / "demo_traces.json"

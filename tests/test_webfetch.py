@@ -67,7 +67,7 @@ class TestHyperlinkTable:
     )
 
     def doc(self):
-        return Document("https://a.ex/", "https://a.ex/", parse_turtle(self.BODY, "https://a.ex/"))
+        return Document("https://a.ex/", parse_turtle(self.BODY, "https://a.ex/"))
 
     def test_each_triple_in_order_with_its_documents(self):
         doc = self.doc()
@@ -187,7 +187,7 @@ class TestDereferencer:
     def test_fetch_wave_orders_ledger(self, demo_source):
         deref = Dereferencer(demo_source)
         iris = ["https://uma.ex/", "https://ann.ex/", "https://bob.ex/"]
-        deref.fetch_wave(iris, workers=3)
+        deref.fetch_wave(iris)
         assert [e.iri for e in deref.ledger.entries] == iris
 
 
