@@ -8,8 +8,10 @@ No blank nodes, no datatypes.
 """
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
 
@@ -22,11 +24,24 @@ class IriError(ValueError):
     """Raised when an IRI that must be absolute has no scheme, or is malformed."""
 
 
+# Printable ASCII but space, '[' and ']': urlsplit can neither reject such a
+# string nor strip or drop any of its characters.
+_PLAIN = re.compile(r"[!-Z\\^-~]*")
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")  # RFC 3986 section 3.1
+
+
 def is_absolute_iri(text: str) -> bool:
-    try:
-        return urlsplit(text).scheme != ""
-    except ValueError as exc:  # a malformed authority, such as "http://[x"
-        raise IriError("malformed IRI %r: %s" % (text, exc)) from exc
+    """Whether text starts with an RFC 3986 scheme and a colon.
+
+    Text that is not plain printable ASCII is first checked by urlsplit, so a
+    malformed bracketed authority, such as "http://[x", raises IriError.
+    """
+    if not _PLAIN.fullmatch(text):
+        try:
+            urlsplit(text)
+        except ValueError as exc:
+            raise IriError("malformed IRI %r: %s" % (text, exc)) from exc
+    return _SCHEME.match(text) is not None
 
 
 def resolve_iri(base: str, reference: str) -> str:
@@ -70,6 +85,10 @@ class Term:
             raise ValueError("language tag on non-literal term")
         if self.kind == IRI and not is_absolute_iri(self.value):
             raise IriError("IRI term %r is not absolute" % (self.value,))
+        object.__setattr__(self, "_hash", hash((self.kind, self.value, self.language)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def iri(value: str) -> "Term":
@@ -126,6 +145,10 @@ class Triple:
             raise ValueError("triple predicate must be an IRI")
         if self.object.kind == VARIABLE:
             raise ValueError("triple object may not be a variable")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
         return (
@@ -180,26 +203,29 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
     return bindings
 
 
+_POSITIONS = ("subject", "predicate", "object")
+
+
 class Graph:
     """A deduplicated set of triples with deterministic iteration order.
 
-    graph_match looks patterns up in a hash index that is built on first use
-    and dropped by `add`/`update`: one dict from each of the six partly bound
-    (subject, predicate, object) keys, None marking an unbound position, to
-    the triples with those terms.
+    graph_match looks patterns up in hash indexes built on demand, one per
+    shape of pattern it is asked for, and dropped by `add`/`update`. A shape
+    is the positions a pattern binds, such as (subject, predicate); its
+    index maps the terms in those positions to the triples that have them.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = set(triples)
-        self._index: Optional[Dict[tuple, List[Triple]]] = None
+        self._indexes: Dict[Tuple[str, ...], Dict[object, List[Triple]]] = {}
 
     def add(self, triple: Triple) -> None:
         self._triples.add(triple)
-        self._index = None
+        self._indexes = {}
 
     def update(self, triples: Iterable[Triple]) -> None:
         self._triples.update(triples)
-        self._index = None
+        self._indexes = {}
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples
@@ -224,28 +250,17 @@ class Graph:
         A superset of the matches when a variable repeats (`?x p ?x`) or
         the pattern is fully bound, so callers check each with match_triple.
         """
-        s, p, o = (
-            None if term.is_variable else term
-            for term in (pattern.subject, pattern.predicate, pattern.object)
-        )
-        if s is None and p is None and o is None:
+        shape = tuple(name for name in _POSITIONS if not getattr(pattern, name).is_variable)
+        if not shape:
             return self._triples
-        if self._index is None:
-            self._index = self._build_index()
-        if s is not None and p is not None:
-            o = None  # a fully bound pattern filters its (s, p) bucket
-        return self._index.get((s, p, o), ())
-
-    def _build_index(self) -> Dict[tuple, List[Triple]]:
-        index: Dict[tuple, List[Triple]] = defaultdict(list)
-        for triple in self._triples:
-            s, p, o = triple.subject, triple.predicate, triple.object
-            for key in (
-                (s, None, None), (None, p, None), (None, None, o),
-                (s, p, None), (s, None, o), (None, p, o),
-            ):
-                index[key].append(triple)
-        return index
+        shape = shape[:2]  # a fully bound pattern filters its (s, p) bucket
+        key = attrgetter(*shape)  # a pattern's or triple's terms in those positions
+        index = self._indexes.get(shape)
+        if index is None:
+            index = self._indexes[shape] = defaultdict(list)
+            for triple in self._triples:
+                index[key(triple)].append(triple)
+        return index.get(key(pattern), ())
 
 
 def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, SolutionMapping]]:

@@ -91,19 +91,25 @@ class TriplePool:
 
 @dataclass
 class TraversalTrace:
-    admissions: List[Admission] = field(default_factory=list)
+    admissions: List[Admission] = field(default_factory=list, init=False)
     pool: Optional[TriplePool] = None
     ledger: Optional[FetchLedger] = None
     documents: Dict[str, Document] = field(default_factory=dict)
+    # Each admitted document's first non-pruned admission, in admission order.
+    _admitted: Dict[str, Admission] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
+
+    def record(self, admission: Admission) -> None:
+        """Append an admission; a document's first one not pruned says why it was fetched."""
+        self.admissions.append(admission)
+        if admission.reason != "pruned":
+            self._admitted.setdefault(admission.doc_iri, admission)
 
     def admitted_documents(self) -> List[str]:
-        return list(dict.fromkeys(a.doc_iri for a in self.admissions if a.reason != "pruned"))
+        return list(self._admitted)
 
     def admission_of(self, doc_iri: str) -> Optional[Admission]:
-        for a in self.admissions:
-            if a.doc_iri == doc_iri and a.reason != "pruned":
-                return a
-        return None
+        return self._admitted.get(doc_iri)
 
     def to_json_dict(self) -> Dict:
         pool_json: Dict[str, List[str]] = {}
@@ -261,14 +267,15 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
             docs.update(wave)
             relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.triples
                             if triple_relevant(policy, t, doc.doc_iri))
-            trace.admissions.extend(reasons[iri] for iri in wave)
+            for iri in wave:
+                trace.record(reasons[iri])
             reasons = {}
             for admission in follow(list(wave.values()), unseen, relevant):
                 if admission.reason != "pruned":
                     reasons[admission.doc_iri] = admission
                 elif admission.doc_iri not in pruned:
                     pruned.add(admission.doc_iri)
-                    trace.admissions.append(admission)
+                    trace.record(admission)
             order = _order(set(reasons), rng)
     finally:
         deref.close()

@@ -7,6 +7,14 @@ names, plain literals with an optional @lang tag, predicate-object lists with
 `a` as rdf:type, and `#` comments outside tokens. Relative IRIs are resolved
 against the caller-supplied base.
 
+A parser makes one term per distinct `<…>` reference, and per prefixed name
+between `@prefix` declarations, in a document. The common relative
+references, fragment-only (`#x`) and one path segment with an optional
+fragment (`p1#me`), resolve by appending to a prefix: two `resolve_iri`
+probes split the base once per document. Any other reference (`..`, `/`,
+`?`, `;`, `:`, spaces, control or non-ASCII characters) goes through
+`resolve_iri`.
+
 `tokenize` scans with one compiled alternation per grammar: TURTLE_GRAMMAR, and
 QUERY_GRAMMAR, which adds `?variables` and braces for the query parser. Tokens
 carry offsets; line and column are worked out only when an error is raised.
@@ -16,9 +24,10 @@ Not supported (by design): blank nodes, collections, datatyped literals,
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .rdf import Graph, Term, Triple, resolve_iri, strip_fragment
 
@@ -63,6 +72,13 @@ _TURTLE_TOKENS = r"""
 TURTLE_GRAMMAR = re.compile(_TURTLE_TOKENS, re.VERBOSE)
 QUERY_GRAMMAR = re.compile(
     r"\?(?P<var>[A-Za-z_][A-Za-z0-9_]*) | (?P<brace>[{}]) |" + _TURTLE_TOKENS, re.VERBOSE
+)
+
+# A relative reference that resolves to a per-base prefix plus itself: an
+# optional path segment other than '.' and '..', then an optional fragment,
+# in printable ASCII that urljoin passes through unchanged.
+_LOCAL_REFERENCE = re.compile(
+    r"(?!\.\.?(?:\#|\Z))(?P<segment>[^\x00-\x20\x7f-\U0010ffff#/:;?]*)(?:\#[!-~]*)?"
 )
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
@@ -122,6 +138,8 @@ class _Parser:
         self.pos = 0
         self.base = base
         self.prefixes = dict(prefixes)
+        self._iris: Dict[str, Term] = {}  # by reference, as written
+        self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
 
     def _peek(self) -> Optional[Token]:
         if self.pos < len(self.tokens):
@@ -139,19 +157,34 @@ class _Parser:
     def _error(self, message: str, tok: Token) -> TurtleParseError:
         return _error_at(self.text, tok.pos, message)
 
+    @functools.cached_property
+    def _base_prefixes(self) -> Tuple[str, str]:
+        """What resolution puts before a fragment-only and before a one-segment reference."""
+        return tuple(resolve_iri(self.base, probe)[:-len(probe)] for probe in ("#x", "x"))
+
     def _resolve(self, reference: str) -> str:
         if not reference:  # `<>` is the document itself (RFC 3986 section 5.2.2)
             return strip_fragment(self.base)
-        return resolve_iri(self.base, reference)
+        local = _LOCAL_REFERENCE.fullmatch(reference)
+        if local is None:
+            return resolve_iri(self.base, reference)
+        fragment_prefix, segment_prefix = self._base_prefixes
+        return (segment_prefix if local.group("segment") else fragment_prefix) + reference
 
     def _expand(self, tok: Token) -> Term:
         if tok.type == "iriref":
-            return Term.iri(self._resolve(tok.value))
+            term = self._iris.get(tok.value)
+            if term is None:
+                term = self._iris[tok.value] = Term.iri(self._resolve(tok.value))
+            return term
         if tok.type == "pname":
-            prefix, local = tok.value.split(":", 1)
-            if prefix not in self.prefixes:
-                raise self._error("unknown prefix %r" % prefix, tok)
-            return Term.iri(self.prefixes[prefix] + local)
+            term = self._pnames.get(tok.value)
+            if term is None:
+                prefix, local = tok.value.split(":", 1)
+                if prefix not in self.prefixes:
+                    raise self._error("unknown prefix %r" % prefix, tok)
+                term = self._pnames[tok.value] = Term.iri(self.prefixes[prefix] + local)
+            return term
         if tok.type == "literal":
             return Term.literal(tok.value, tok.language)
         if tok.type == "word" and tok.value == "a":
@@ -180,6 +213,7 @@ class _Parser:
         if dot.type != "dot":
             raise self._error("expected '.' after @prefix", dot)
         self.prefixes[name.value[:-1]] = self._resolve(iri.value)
+        self._pnames.clear()
 
     def _parse_statement(self, graph: Graph) -> None:
         subject_tok = self._take()

@@ -159,7 +159,10 @@ class FixtureSource:
 
 
 class LiveHttpSource:
-    """Fetch documents over HTTP with a timeout, size cap and redirect limit."""
+    """Fetch documents over HTTP with a timeout, size cap and redirect limit.
+
+    An IRI whose scheme is not http or https is not found, without a request.
+    """
 
     def __init__(self, timeout: float = 10.0, max_body_bytes: int = 1_000_000,
                  accept: str = "text/turtle", max_redirects: int = 5):
@@ -174,6 +177,8 @@ class LiveHttpSource:
     def fetch(self, doc_iri: str) -> FetchResult:
         import requests
 
+        if doc_iri.partition(":")[0].lower() not in ("http", "https"):
+            return FetchResult(NOT_FOUND)  # such as mailto:, which requests cannot fetch
         try:
             resp = self.session.get(
                 doc_iri,

@@ -322,6 +322,27 @@ class TestEvaluateWork:
         assert len(graph) == 4_730
         assert {(r["a"].value, r["b"].value, r["n"].value) for r in rows} == expected
 
+    def test_subject_predicate_probes_index_each_triple_once(self):
+        # An anchored join looks up (subject, predicate) keys only: the first
+        # pattern binds both, and each friend substituted into the second
+        # does too. So the graph indexes one shape, each triple in one
+        # bucket, instead of all six shapes of partly bound keys.
+        people = 50
+        person = ["https://p%d.ex/#me" % i for i in range(people)]
+        graph = Graph(
+            [t(person[i], FOAF + "name", Term.literal("n%d" % i)) for i in range(people)]
+            + [t(person[i], FOAF + "knows", person[(i + j) % people])
+               for i in range(people) for j in (1, 2, 3)]
+        )
+        query = parse_query(
+            "SELECT ?b ?n WHERE { <%s> foaf:knows ?b. ?b foaf:name ?n }" % person[0]
+        )
+        rows = evaluate(query, graph)
+        assert [r["n"].value for r in rows] == ["n1", "n2", "n3"]
+        assert list(graph._indexes) == [("subject", "predicate")]
+        [index] = graph._indexes.values()
+        assert sum(len(bucket) for bucket in index.values()) == len(graph)
+
 
 class TestRendering:
     def test_tsv_null_is_empty_cell(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -132,6 +133,23 @@ class TestTerms:
 
     def test_literal_equality_includes_language(self):
         assert Term.literal("Mickey Mouse", "en") != Term.literal("Mickey Mouse")
+
+    def test_equal_terms_and_triples_hash_equal(self):
+        # Each pair is built from distinct string objects; replace() makes a
+        # new term, so it must not carry the old term's hash.
+        pairs = [
+            (Term.iri(KNOWS), Term.iri("".join(KNOWS))),
+            (Term.literal("Mickey"), Term.literal("".join("Mickey"))),
+            (Term.literal("Mickey", "en"), Term("literal", "".join("Mickey"), "".join("en"))),
+            (Term.var("x"), Term.var("?x")),
+            (dataclasses.replace(Term.literal("Mickey", "fr"), language="en"),
+             Term.literal("Mickey", "en")),
+        ]
+        pairs.append((Triple(Term.iri(NAME), Term.iri(NAME), pairs[2][0]),
+                      Triple(Term.iri("".join(NAME)), Term.iri(NAME), pairs[2][1])))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+            assert {a: "found"}[b] == "found"
 
 
 class TestMatchTriple:

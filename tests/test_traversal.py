@@ -125,6 +125,34 @@ class TestUnguided:
         assert admission.via_triple.subject.value == "https://d.ex/#d"
         assert admission.via_pattern is None
 
+    def test_admission_chain_walk_visits_no_admission_list(self):
+        # explain --doc walks from a document up its admission chain to the
+        # seed, one admission_of call per step. Over a 2,000-document c-all
+        # chain, a scan of the admissions list per call visits ~2 million
+        # admissions; lookups by document visit none.
+        n = 2_000
+        bodies = {
+            doc_iri(i): "<%s> <https://p.ex/q> <%s>." % (entity_iri(i), entity_iri(i + 1))
+            for i in range(n)
+        }
+        _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL,
+                            seeds=(doc_iri(0),), max_documents=n + 1)
+        visited = 0
+
+        class CountingList(list):
+            def __iter__(self):
+                nonlocal visited
+                for admission in super().__iter__():
+                    visited += 1
+                    yield admission
+
+        trace.admissions = CountingList(trace.admissions)
+        current, steps = trace.admission_of(doc_iri(n - 1)), 0
+        while current.reason != "seed":
+            current, steps = trace.admission_of(current.from_doc), steps + 1
+        assert (current.doc_iri, steps) == (doc_iri(0), n - 1)
+        assert visited <= n
+
     def test_empty_reference_does_not_abort_traversal(self):
         bodies = {
             "https://a.ex/": "<> <https://p.ex/q> <https://b.ex/>.",

@@ -98,6 +98,16 @@ class TestParser:
         [triple] = list(g)
         assert triple.predicate.value == "https://vocab.ex/p"
 
+    def test_redeclared_prefix_applies_from_there_on(self):
+        g = parse_turtle(
+            '@prefix ex: <https://a.ex/#> .\n<https://s.ex/> ex:p "1".\n'
+            '@prefix ex: <https://b.ex/#> .\n<https://s.ex/> ex:p "2".',
+            "https://x.ex/",
+        )
+        assert sorted((tr.predicate.value, tr.object.value) for tr in g) == [
+            ("https://a.ex/#p", "1"), ("https://b.ex/#p", "2"),
+        ]
+
     def test_prefix_with_empty_fragment_keeps_hash(self):
         g = parse_turtle(
             "@prefix p: <people#> .\np:x p:knows <#y>.", "https://a.ex/dir/doc"

@@ -4,6 +4,7 @@ import socket
 import threading
 
 import pytest
+import requests
 
 from linkquery.fixtures import demo_manifest
 from linkquery.rdf import strip_fragment
@@ -228,6 +229,7 @@ def http_server():
     thread.start()
     yield "http://127.0.0.1:%d" % port
     server.shutdown()
+    server.server_close()
 
 
 class TestLiveHttpSource:
@@ -244,6 +246,24 @@ class TestLiveHttpSource:
         assert len(doc.triples) == 1
         # the ledger records the requested IRI
         assert deref.ledger.entries[0].iri == http_server + "/redirect"
+
+    def test_only_http_and_https_are_requested(self):
+        class RecordingSession:
+            def __init__(self):
+                self.calls = []
+
+            def get(self, iri, **kwargs):
+                self.calls.append(iri)
+                raise requests.ConnectionError(iri)
+
+        source = LiveHttpSource()
+        source.session = session = RecordingSession()
+        for iri in ("mailto:ann@ann.ex", "urn:isbn:0451450523", "ftp://ann.ex/", "file:///x"):
+            assert source.fetch(iri).outcome == NOT_FOUND
+        assert session.calls == []
+        for iri in ("http://ann.ex/", "HTTPS://ann.ex/"):
+            assert source.fetch(iri).outcome == NOT_FOUND
+        assert session.calls == ["http://ann.ex/", "HTTPS://ann.ex/"]
 
     def test_http_404_is_not_found(self, http_server):
         source = LiveHttpSource(timeout=5)
