@@ -7,17 +7,22 @@ names, plain literals with an optional @lang tag, predicate-object lists with
 `a` as rdf:type, and `#` comments outside tokens. Relative IRIs are resolved
 against the caller-supplied base.
 
+`tokenize` scans the whole text in one `finditer` pass over one compiled
+alternation per grammar: TURTLE_GRAMMAR, and QUERY_GRAMMAR, which adds
+`?variables` and braces for the query parser. The last alternative of each
+catches any character no token starts with, which is reported at its offset.
+Literal escapes are undone with `str.replace`, never a call per escape.
+Tokens carry offsets; line and column are worked out only when an error is
+raised. The parser then reads statements and `@prefix` declarations in one
+loop over the tokens, driven by what it expects next.
+
 A parser makes one term per distinct `<…>` reference, and per prefixed name
 between `@prefix` declarations, in a document. The common relative
 references, fragment-only (`#x`) and one path segment with an optional
-fragment (`p1#me`), resolve by appending to a prefix: two `resolve_iri`
-probes split the base once per document. Any other reference (`..`, `/`,
-`?`, `;`, `:`, spaces, control or non-ASCII characters) goes through
-`resolve_iri`.
-
-`tokenize` scans with one compiled alternation per grammar: TURTLE_GRAMMAR, and
-QUERY_GRAMMAR, which adds `?variables` and braces for the query parser. Tokens
-carry offsets; line and column are worked out only when an error is raised.
+fragment (`p1#me`), resolve by appending to a prefix, found once per
+document: sliced from a plain http(s) base, otherwise cut from two
+`resolve_iri` probes. Any other reference (`..`, `/`, `?`, `;`, `:`, spaces,
+control or non-ASCII characters) goes through `resolve_iri`.
 
 Not supported (by design): blank nodes, collections, datatyped literals,
 @base, named graphs.
@@ -29,7 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .rdf import Graph, Term, Triple, resolve_iri, strip_fragment
+from .rdf import IRI, Graph, Term, Triple, resolve_iri, strip_fragment
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -56,7 +61,7 @@ class Token:
     pos: int  # offset into the scanned text
 
 
-_LITERAL_CHARS = r'(?:[^"\\\n]|\\[\\"ntr])*'
+_LITERAL_CHARS = r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
 _TURTLE_TOKENS = r"""
     [ \t\r\n]+ | \#[^\n]*
   | <(?P<iriref>[^>\n]*)>
@@ -65,13 +70,24 @@ _TURTLE_TOKENS = r"""
   | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*)
   | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)
   | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,)
+  | (?P<bad>[\s\S])
 """ % _LITERAL_CHARS
 
-# One alternation per token language; whitespace and comments match no group.
-# A literal directly followed by '@' must carry a well-formed language tag.
+# One alternation per token language; whitespace and comments match no group,
+# and `bad` is any character no token starts with. A literal directly
+# followed by '@' must carry a well-formed language tag.
 TURTLE_GRAMMAR = re.compile(_TURTLE_TOKENS, re.VERBOSE)
 QUERY_GRAMMAR = re.compile(
     r"\?(?P<var>[A-Za-z_][A-Za-z0-9_]*) | (?P<brace>[{}]) |" + _TURTLE_TOKENS, re.VERBOSE
+)
+
+# A base that urljoin only cuts before a local reference: lowercase http(s), a
+# non-empty authority, and a path without empty inner, '.' or '..' segments,
+# all printable ASCII other than '?', ';', '[' and ']'; any fragment.
+_SLICED_BASE = re.compile(
+    r"(?P<authority>https?://[^\x00-\x20\x7f-\U0010ffff#/;?\[\]]+)"
+    r"(?P<path>(?:/(?!\.\.?(?:[#/]|\Z))[^\x00-\x20\x7f-\U0010ffff#/;?\[\]]+)*/?)"
+    r"(?:\#[!-~]*)?"
 )
 
 # A relative reference that resolves to a per-base prefix plus itself: an
@@ -81,8 +97,6 @@ _LOCAL_REFERENCE = re.compile(
     r"(?!\.\.?(?:\#|\Z))(?P<segment>[^\x00-\x20\x7f-\U0010ffff#/:;?]*)(?:\#[!-~]*)?"
 )
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_ESCAPE_RE = re.compile(r"\\(.)")
 _OPEN_LITERAL_RE = re.compile('"' + _LITERAL_CHARS)
 
 
@@ -110,24 +124,31 @@ def _scan_error(text: str, pos: int, grammar: re.Pattern) -> TurtleParseError:
     return _error_at(text, pos, "unexpected character %r" % ch)
 
 
+def _unescape(value: str) -> str:
+    """Undo a scanned literal's escapes. Splitting at `\\\\` first, from the
+    left, keeps the other four from starting at an escaped backslash."""
+    if "\\\\" in value:
+        return "\\".join(map(_unescape, value.split("\\\\")))
+    return value.replace('\\"', '"').replace("\\n", "\n").replace("\\t", "\t").replace("\\r", "\r")
+
+
 def tokenize(text: str, grammar: re.Pattern) -> List[Token]:
     """Split text into tokens of TURTLE_GRAMMAR or QUERY_GRAMMAR."""
     out: List[Token] = []
-    match = grammar.match
-    pos, end = 0, len(text)
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            raise _scan_error(text, pos, grammar)
+    append = out.append
+    for m in grammar.finditer(text):
         kind = m.lastgroup  # a tagged literal's last group is its language
+        if kind is None:
+            continue
         if kind == "literal" or kind == "language":
-            value = m.group("literal")
+            value = m["literal"]
             if "\\" in value:
-                value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
-            out.append(Token("literal", value, m.group("language"), pos))
-        elif kind is not None:
-            out.append(Token(kind, m.group(kind), None, pos))
-        pos = m.end()
+                value = _unescape(value)
+            append(Token("literal", value, m["language"], m.start()))
+        elif kind == "bad":
+            raise _scan_error(text, m.start(), grammar)
+        else:
+            append(Token(kind, m[kind], None, m.start()))
     return out
 
 
@@ -135,24 +156,10 @@ class _Parser:
     def __init__(self, text: str, base: str, prefixes: Dict[str, str]):
         self.text = text
         self.tokens = tokenize(text, TURTLE_GRAMMAR)
-        self.pos = 0
         self.base = base
         self.prefixes = dict(prefixes)
         self._iris: Dict[str, Term] = {}  # by reference, as written
         self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
-
-    def _peek(self) -> Optional[Token]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def _take(self) -> Token:
-        tok = self._peek()
-        if tok is None:
-            # only reached after a token was peeked, so there is a last one
-            raise self._error("unterminated statement", self.tokens[-1])
-        self.pos += 1
-        return tok
 
     def _error(self, message: str, tok: Token) -> TurtleParseError:
         return _error_at(self.text, tok.pos, message)
@@ -160,7 +167,12 @@ class _Parser:
     @functools.cached_property
     def _base_prefixes(self) -> Tuple[str, str]:
         """What resolution puts before a fragment-only and before a one-segment reference."""
-        return tuple(resolve_iri(self.base, probe)[:-len(probe)] for probe in ("#x", "x"))
+        sliced = _SLICED_BASE.fullmatch(self.base)
+        if sliced is None:
+            return tuple(resolve_iri(self.base, probe)[:-len(probe)] for probe in ("#x", "x"))
+        path = sliced["path"]
+        return (sliced["authority"] + path,
+                sliced["authority"] + (path[:path.rfind("/") + 1] or "/"))
 
     def _resolve(self, reference: str) -> str:
         if not reference:  # `<>` is the document itself (RFC 3986 section 5.2.2)
@@ -192,57 +204,58 @@ class _Parser:
         raise self._error("unexpected token %r" % tok.value, tok)
 
     def parse(self) -> Graph:
-        graph = Graph()
-        while self._peek() is not None:
-            tok = self._peek()
-            if tok.type == "prefix_kw":
-                self._parse_prefix()
-            else:
-                self._parse_statement(graph)
-        return graph
-
-    def _parse_prefix(self) -> None:
-        self._take()  # @prefix
-        name = self._take()
-        if name.type != "pname" or not name.value.endswith(":"):
-            raise self._error("expected prefix name", name)
-        iri = self._take()
-        if iri.type != "iriref":
-            raise self._error("expected namespace IRI", iri)
-        dot = self._take()
-        if dot.type != "dot":
-            raise self._error("expected '.' after @prefix", dot)
-        self.prefixes[name.value[:-1]] = self._resolve(iri.value)
-        self._pnames.clear()
-
-    def _parse_statement(self, graph: Graph) -> None:
-        subject_tok = self._take()
-        subject = self._expand(subject_tok)
-        if subject.kind != "iri":
-            raise self._error("subject must be an IRI", subject_tok)
-        first = True
-        while True:
-            tok = self._peek()
-            if tok is not None and tok.type == "dot" and not first:
-                # permit a trailing ';' before the terminator
-                self._take()
-                return
-            first = False
-            pred_tok = self._take()
-            predicate = self._expand(pred_tok)
-            if predicate.kind != "iri":
-                raise self._error("predicate must be an IRI", pred_tok)
-            while True:
-                obj = self._expand(self._take())
-                graph.add(Triple(subject, predicate, obj))
-                sep = self._take()
-                if sep.type == "comma":
-                    continue
-                if sep.type == "semi":
-                    break
-                if sep.type == "dot":
-                    return
-                raise self._error("expected ',', ';' or '.'", sep)
+        """Read the tokens in one pass; `expect` names what the next one must be."""
+        triples: List[Triple] = []
+        expand = self._expand
+        expect = "subject"
+        for tok in self.tokens:
+            kind = tok.type
+            if expect == "object":
+                triples.append(Triple(subject, predicate, expand(tok)))
+                expect = "separator"
+            elif expect == "separator":
+                if kind == "comma":
+                    expect = "object"
+                elif kind == "semi":
+                    expect = "predicate or dot"
+                elif kind == "dot":
+                    expect = "subject"
+                else:
+                    raise self._error("expected ',', ';' or '.'", tok)
+            elif expect == "predicate" or (expect == "predicate or dot" and kind != "dot"):
+                predicate = expand(tok)
+                if predicate.kind != IRI:
+                    raise self._error("predicate must be an IRI", tok)
+                expect = "object"
+            elif expect == "predicate or dot":  # a trailing ';' before the terminator
+                expect = "subject"
+            elif expect == "subject":
+                if kind == "prefix_kw":
+                    expect = "prefix name"
+                else:
+                    subject = expand(tok)
+                    if subject.kind != IRI:
+                        raise self._error("subject must be an IRI", tok)
+                    expect = "predicate"
+            elif expect == "prefix name":
+                if kind != "pname" or not tok.value.endswith(":"):
+                    raise self._error("expected prefix name", tok)
+                name = tok.value[:-1]
+                expect = "namespace"
+            elif expect == "namespace":
+                if kind != "iriref":
+                    raise self._error("expected namespace IRI", tok)
+                namespace = tok.value
+                expect = "prefix dot"
+            else:  # the '.' that ends a prefix declaration
+                if kind != "dot":
+                    raise self._error("expected '.' after @prefix", tok)
+                self.prefixes[name] = self._resolve(namespace)
+                self._pnames.clear()
+                expect = "subject"
+        if expect != "subject":
+            raise self._error("unterminated statement", self.tokens[-1])
+        return Graph(triples)
 
 
 def parse_turtle(text: str, base: str, prefixes: Optional[Dict[str, str]] = None) -> Graph:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,15 +76,16 @@ class LedgerEntry:
 
 
 class FetchLedger:
-    """Ordered record of every request made through a Dereferencer."""
+    """Ordered record of every request made through a Dereferencer.
+
+    Only fetch_wave records, on the thread that calls it, so no lock is needed.
+    """
 
     def __init__(self):
         self.entries: List[LedgerEntry] = []
-        self._lock = threading.Lock()
 
     def record(self, iri: str, outcome: str, cache_hit: bool) -> None:
-        with self._lock:
-            self.entries.append(LedgerEntry(iri, outcome, cache_hit))
+        self.entries.append(LedgerEntry(iri, outcome, cache_hit))
 
     @property
     def distinct_ok(self) -> int:
@@ -158,10 +158,24 @@ class FixtureSource:
         return sorted(self._bodies)
 
 
+def _decode(body: bytes, content_type: str) -> str:
+    """The body as text in the charset its Content-Type names; UTF-8 when it
+    names none, or one Python cannot decode text with."""
+    import email.message  # as requests is, only where live fetching needs it
+
+    header = email.message.Message()
+    header["Content-Type"] = content_type
+    try:
+        return body.decode(header.get_content_charset("utf-8"), "replace")
+    except LookupError:
+        return body.decode("utf-8", "replace")
+
+
 class LiveHttpSource:
     """Fetch documents over HTTP with a timeout, size cap and redirect limit.
 
     An IRI whose scheme is not http or https is not found, without a request.
+    A body is decoded in the charset of its Content-Type, by default UTF-8.
     """
 
     def __init__(self, timeout: float = 10.0, max_body_bytes: int = 1_000_000,
@@ -200,7 +214,8 @@ class LiveHttpSource:
                     return FetchResult(NOT_FOUND)  # oversize body
                 chunks.append(chunk)
             final = strip_fragment(resp.url)
-            return FetchResult(OK, b"".join(chunks).decode("utf-8", "replace"), final)
+            body = _decode(b"".join(chunks), resp.headers.get("Content-Type", ""))
+            return FetchResult(OK, body, final)
 
 
 class Dereferencer:

@@ -13,7 +13,7 @@ import string
 from urllib.parse import urlsplit
 
 from linkquery.rdf import IriError, is_absolute_iri, resolve_iri
-from linkquery.turtle import _Parser
+from linkquery.turtle import _SLICED_BASE, _Parser
 
 SCHEME_CHARS = set(string.ascii_letters + string.digits + "+-.")
 
@@ -27,6 +27,13 @@ BASE_SEGMENTS = ["", "a", "b;p", ".", "..", "c.ttl", "%7E", "A:b"]
 BASE_QUERIES = ["", "?", "?q=1", "?a;b", "?/c"]
 BASE_FRAGMENTS = ["", "#", "#f", "#f?g"]
 UNRESOLVABLE_BASES = ["", "rel/doc", "1x:y", ".:a", " http://h.ex/"]
+
+SLICE_SCHEMES = ["http", "https", "https", "HTTP", "ftp"]
+SLICE_AUTHORITIES = ["//h.ex", "//u:p@H.ex:80", "//h.ex:", "//@", "//", "//h[1]", "//h;x", "//h\tx"]
+SLICE_SEGMENTS = [
+    "", "a", "b.ttl", ".", "..", "...", ".x", "x.", "%2E", "~u", "!$&'()*+,=", "@:", "b;p",
+    "q?", "[1]", "\\", "\u00e9", " ", "\t",
+]
 
 REFERENCE_PIECES = [
     "a", "p1", "x.ttl", "Me", ".", "..", "...", "/", "//", "?", "q=1", ";", "p", ":",
@@ -102,7 +109,30 @@ def test_parser_resolution_matches_resolve_iri():
     assert mismatches == []
 
 
+def test_sliced_base_prefixes_match_the_probes():
+    """A base the parser slices gives the prefixes two resolve_iri probes cut."""
+    rng = random.Random(13)
+    sliced = 0
+    mismatches = []
+    for _ in range(40_000):
+        segments = [rng.choice(SLICE_SEGMENTS) for _ in range(rng.randrange(5))]
+        base = "%s:%s%s%s%s" % (
+            rng.choice(SLICE_SCHEMES), rng.choice(SLICE_AUTHORITIES),
+            "/" * rng.randrange(2) + "/".join(segments),
+            rng.choice(["", "", "?", "?q"]), rng.choice(["", "", "#", "#f", "#f/../g?h", "#\u00e9"]),
+        )
+        if _SLICED_BASE.fullmatch(base) is None:
+            continue
+        sliced += 1
+        probes = tuple(outcome(resolve_iri, base, probe)[:-len(probe)] for probe in ("#x", "x"))
+        if _Parser("", base, {})._base_prefixes != probes:
+            mismatches.append(base)
+    assert sliced > 2_000
+    assert mismatches == []
+
+
 if __name__ == "__main__":
     test_is_absolute_iri_matches_the_rfc_scheme_rule()
     test_parser_resolution_matches_resolve_iri()
-    print("both differentials: zero mismatches")
+    test_sliced_base_prefixes_match_the_probes()
+    print("all three differentials: zero mismatches")

@@ -187,6 +187,24 @@ class TestParser:
         assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize(
+    "written,value",
+    [
+        (r"\\n", "\\n"),  # an escaped backslash, then a plain 'n'
+        (r"\\\n", "\\\n"),  # an escaped backslash, then a newline escape
+        (r"\\\\", "\\\\"),
+        (r"\\\"", '\\"'),
+        (r"\"\\", '"\\'),
+        (r"a\\", "a\\"),  # an escaped backslash right before the closing quote
+        (r"\t\r\n\"\\", '\t\r\n"\\'),  # only escapes
+        ("no escapes at all", "no escapes at all"),
+    ],
+)
+def test_escapes_unescape_left_to_right(written, value):
+    [triple] = parse_turtle('<s> <p> "%s"@en.' % written, "https://x.ex/")
+    assert triple.object == Term.literal(value, "en")
+
+
 _LITERAL_CHARS = 'ab Z09"\\\n\t\r#<>@.;,?{}:\u00e9\u00fc\u65e5\U0001f600'
 _LANGUAGES = [None, None, "en", "en-GB", "de", "x-1"]
 

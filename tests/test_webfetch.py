@@ -198,11 +198,27 @@ def _free_port():
         return s.getsockname()[1]
 
 
+NAME_LATIN1 = '<https://x.ex/#a> <https://p.ex/name> "Andr\u00e9".'.encode("iso-8859-1")
+NAME_UTF8 = NAME_LATIN1.decode("iso-8859-1").encode("utf-8")
+CHARSET_BODIES = {  # path: (Content-Type, body)
+    "/latin1": ("text/turtle; charset=ISO-8859-1", NAME_LATIN1),
+    "/latin1-no-charset": ("text/turtle", NAME_LATIN1),
+    "/utf8-no-charset": ("text/turtle", NAME_UTF8),
+    "/utf8-unknown-charset": ('text/turtle; charset="no-such-charset"', NAME_UTF8),
+}
+
+
 @pytest.fixture
 def http_server():
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
-            if self.path == "/redirect":
+            if self.path in CHARSET_BODIES:
+                content_type, body = CHARSET_BODIES[self.path]
+                self.send_response(200)
+                self.send_header("Content-Type", content_type)
+                self.end_headers()
+                self.wfile.write(body)
+            elif self.path == "/redirect":
                 self.send_response(302)
                 self.send_header("Location", "/final")
                 self.end_headers()
@@ -264,6 +280,17 @@ class TestLiveHttpSource:
         for iri in ("http://ann.ex/", "HTTPS://ann.ex/"):
             assert source.fetch(iri).outcome == NOT_FOUND
         assert session.calls == ["http://ann.ex/", "HTTPS://ann.ex/"]
+
+    @pytest.mark.parametrize("path,name", [
+        ("/latin1", "Andr\u00e9"),
+        ("/latin1-no-charset", "Andr\ufffd"),  # read as UTF-8, where \xe9 is malformed
+        ("/utf8-no-charset", "Andr\u00e9"),
+        ("/utf8-unknown-charset", "Andr\u00e9"),
+    ])
+    def test_body_decoded_in_content_type_charset(self, http_server, path, name):
+        doc = Dereferencer(LiveHttpSource(timeout=5)).dereference(http_server + path)
+        [triple] = doc.triples
+        assert triple.object.value == name
 
     def test_http_404_is_not_found(self, http_server):
         source = LiveHttpSource(timeout=5)
