@@ -83,7 +83,9 @@ QUERY_GRAMMAR = re.compile(
 
 # A base that urljoin only cuts before a local reference: lowercase http(s), a
 # non-empty authority, and a path without empty inner, '.' or '..' segments,
-# all printable ASCII other than '?', ';', '[' and ']'; any fragment.
+# all printable ASCII other than '?', ';', '[' and ']'; any fragment. Slicing
+# such a base, not probing it, takes crawl's query_p50_s (132 documents a
+# query) from 0.0132 to 0.0118 s (.benchmarks/BENCH_8.json, sliced_base_ab).
 _SLICED_BASE = re.compile(
     r"(?P<authority>https?://[^\x00-\x20\x7f-\U0010ffff#/;?\[\]]+)"
     r"(?P<path>(?:/(?!\.\.?(?:[#/]|\Z))[^\x00-\x20\x7f-\U0010ffff#/;?\[\]]+)*/?)"

@@ -160,14 +160,19 @@ class FixtureSource:
 
 def _decode(body: bytes, content_type: str) -> str:
     """The body as text in the charset its Content-Type names; UTF-8 when it
-    names none, or one Python cannot decode text with."""
+    names none, or one Python cannot decode text with.
+
+    Some codecs Python can look up still refuse to decode (`undefined` always,
+    `idna` with any error handler but 'strict', `punycode` on non-ASCII
+    bytes): they raise UnicodeError, a ValueError, and also fall back.
+    """
     import email.message  # as requests is, only where live fetching needs it
 
     header = email.message.Message()
     header["Content-Type"] = content_type
     try:
         return body.decode(header.get_content_charset("utf-8"), "replace")
-    except LookupError:
+    except (LookupError, ValueError):
         return body.decode("utf-8", "replace")
 
 

@@ -205,6 +205,10 @@ CHARSET_BODIES = {  # path: (Content-Type, body)
     "/latin1-no-charset": ("text/turtle", NAME_LATIN1),
     "/utf8-no-charset": ("text/turtle", NAME_UTF8),
     "/utf8-unknown-charset": ('text/turtle; charset="no-such-charset"', NAME_UTF8),
+    # codecs Python looks up but that raise UnicodeError on this body
+    "/utf8-undefined-charset": ("text/turtle; charset=undefined", NAME_UTF8),
+    "/utf8-idna-charset": ("text/turtle; charset=idna", NAME_UTF8),
+    "/utf8-punycode-charset": ("text/turtle; charset=punycode", NAME_UTF8),
 }
 
 
@@ -286,6 +290,9 @@ class TestLiveHttpSource:
         ("/latin1-no-charset", "Andr\ufffd"),  # read as UTF-8, where \xe9 is malformed
         ("/utf8-no-charset", "Andr\u00e9"),
         ("/utf8-unknown-charset", "Andr\u00e9"),
+        ("/utf8-undefined-charset", "Andr\u00e9"),
+        ("/utf8-idna-charset", "Andr\u00e9"),
+        ("/utf8-punycode-charset", "Andr\u00e9"),
     ])
     def test_body_decoded_in_content_type_charset(self, http_server, path, name):
         doc = Dereferencer(LiveHttpSource(timeout=5)).dereference(http_server + path)
