@@ -52,7 +52,6 @@ from .traversal import (
     TraversalConfig,
     TraversalTrace,
     TriplePool,
-    evaluate_augmented,
     traverse_guided,
     traverse_unguided,
 )

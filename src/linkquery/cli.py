@@ -11,7 +11,6 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .fixtures import ann_subtree_request_count
 from .guidance import (
     GuidanceParseError,
     PERMISSIVE,
@@ -38,8 +37,7 @@ from .traversal import (
     C_ALL,
     C_MATCH,
     C_NONE,
-    GUIDED,
-    UNGUIDED,
+    DEFAULT_MAX_DOCUMENTS,
     CappedTraversalError,
     TraversalConfig,
     traverse_guided,
@@ -52,6 +50,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPPED = 2
 EXIT_INPUT = 3
+
+UNGUIDED = "unguided"
+GUIDED = "guided"
 
 
 class _UsageError(Exception):
@@ -73,9 +74,7 @@ def _add_common_flags(p: argparse.ArgumentParser, with_mode: bool) -> None:
     p.add_argument("--policy", metavar="FILE")
     p.add_argument("--fixtures", metavar="FILE")
     p.add_argument("--live", action="store_true")
-    p.add_argument("--format", choices=["table", "tsv", "json"], default="table")
-    p.add_argument("--max-docs", type=int, default=64)
-    p.add_argument("--timing", action="store_true")
+    p.add_argument("--max-docs", type=int, default=DEFAULT_MAX_DOCUMENTS)
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--max-body-bytes", type=int, default=1_000_000)
     p.add_argument("--accept", default="text/turtle")
@@ -86,6 +85,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     run = sub.add_parser("run", help="traverse and print query solutions")
     _add_common_flags(run, with_mode=True)
+    run.add_argument("--format", choices=["table", "tsv", "json"], default="table")
+    run.add_argument("--timing", action="store_true")
     compare = sub.add_parser("compare", help="side-by-side unguided vs guided report")
     _add_common_flags(compare, with_mode=False)
     explain = sub.add_parser("explain", help="explain a document or result row")
@@ -206,13 +207,12 @@ def _cmd_compare(args, out) -> int:
         out.write("  removed: %s\n" % "\t".join(x if x is not None else "NULL" for x in fp))
     for fp in sorted(added, key=lambda f: tuple(x or "" for x in f)):
         out.write("  added: %s\n" % "\t".join(x if x is not None else "NULL" for x in fp))
-    out.write(
-        "ann.ex requests: %d -> %d\n"
-        % (
-            ann_subtree_request_count(unguided_trace),
-            ann_subtree_request_count(guided_trace),
-        )
-    )
+    unguided_fetched = unguided_trace.fetched_per_subtree()
+    guided_fetched = guided_trace.fetched_per_subtree()
+    for root in sorted(unguided_fetched.keys() | guided_fetched.keys()):
+        before, after = unguided_fetched.get(root, 0), guided_fetched.get(root, 0)
+        if before or after:
+            out.write("fetched under %s: %d -> %d\n" % (root, before, after))
 
     # Structure pruning is meant to be performance-only; report whether the
     # registry alone (policy fully permissive) changed results versus c-all.

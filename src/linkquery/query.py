@@ -18,7 +18,6 @@ the graph. Results are deduplicated and sorted by projected values, NULL last.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -319,7 +318,3 @@ def rows_to_json(rows: List[Row], projection: List[str]) -> List[Dict[str, Optio
         {v: (None if row[v] is None else row[v].n3()) for v in projection}
         for row in rows
     ]
-
-
-def render_json(rows: List[Row], projection: List[str]) -> str:
-    return json.dumps(rows_to_json(rows, projection), indent=2, sort_keys=True) + "\n"

@@ -57,6 +57,8 @@ def resolve_iri(base: str, reference: str) -> str:
         return reference
     if not is_absolute_iri(base):
         raise IriError("base IRI %r has no scheme" % (base,))
+    if reference.startswith("#"):  # the base document, as written (RFC 3986 section 5.2.2)
+        return base.partition("#")[0] + reference
     resolved = urljoin(base, reference)
     if reference.endswith("#") and not resolved.endswith("#"):
         resolved += "#"  # urljoin drops an empty fragment

@@ -8,8 +8,8 @@ about their entities, and guided the links that the linking structure allows
 for the query's patterns. Every strategy, and λ, reads a document's links
 from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
 computed once per document. The content policy judges each fetched triple
-once; the pool keeps the relevant ones, and a trace records why every
-document was admitted or pruned.
+once, reading it from the same table; the pool keeps the relevant ones, and a
+trace records why every document was admitted or pruned.
 """
 from __future__ import annotations
 
@@ -30,16 +30,13 @@ from .guidance import (
     lambda_allows,
     triple_relevant,
 )
-from .query import Query, evaluate, triple_patterns
+from .query import Query, triple_patterns
 from .rdf import Graph, Triple, TriplePattern, match_triple, strip_fragment
 from .webfetch import Dereferencer, Document, FetchLedger
 
 C_NONE = "c-none"
 C_ALL = "c-all"
 C_MATCH = "c-match"
-
-UNGUIDED = "unguided"
-GUIDED = "guided"
 
 DEFAULT_MAX_DOCUMENTS = 64
 
@@ -110,6 +107,26 @@ class TraversalTrace:
 
     def admission_of(self, doc_iri: str) -> Optional[Admission]:
         return self._admitted.get(doc_iri)
+
+    def fetched_per_subtree(self) -> Dict[str, int]:
+        """Documents fetched ok in each root's subtree of the admission forest.
+
+        A root is a document admitted by a link from a seed; its subtree is
+        every document whose admission chain passes through it, the root
+        included. Seeds belong to no subtree.
+        """
+        ok = self.ledger.ok_documents if self.ledger is not None else set()
+        roots: Dict[str, Optional[str]] = {}  # each admitted document's root; None for seeds
+        counts: Dict[str, int] = {}
+        # A document is admitted after the document that links to it, so one
+        # step up the admission chain reaches a root already found.
+        for iri, admission in self._admitted.items():
+            if admission.reason == "seed":
+                roots[iri] = None
+                continue
+            root = roots[iri] = roots[admission.from_doc] or iri
+            counts[root] = counts.get(root, 0) + (iri in ok)
+        return counts
 
     def to_json_dict(self) -> Dict:
         pool_json: Dict[str, List[str]] = {}
@@ -243,10 +260,11 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                  rng: Optional[random.Random]) -> Tuple[TriplePool, TraversalTrace]:
     """Semi-naive reachability: each wave hands only the new documents to follow.
 
-    The policy judges each fetched triple once, when its document arrives. The
-    pool is every relevant triple, after the policy's exclusive rules are
-    enforced. The Dereferencer's fetch pool serves every wave and is shut
-    down when the traversal ends, also when it raises.
+    The policy judges each fetched triple once, when its document arrives,
+    taking the triples from the hyperlink table so each document is sorted
+    once. The pool is every relevant triple, after the policy's exclusive
+    rules are enforced. The Dereferencer's fetch pool serves every wave and
+    is shut down when the traversal ends, also when it raises.
     """
     deref = Dereferencer(source)
     trace = TraversalTrace(ledger=deref.ledger)
@@ -265,7 +283,7 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                 raise CappedTraversalError(max_documents, trace)
             wave = deref.fetch_wave(order)
             docs.update(wave)
-            relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.triples
+            relevant.update((t, doc.doc_iri) for doc in wave.values() for t, _ in doc.hyperlinks
                             if triple_relevant(policy, t, doc.doc_iri))
             for iri in wave:
                 trace.record(reasons[iri])
@@ -316,15 +334,3 @@ def traverse_guided(seeds: Sequence[str], registry: LinkingStructureRegistry,
     """
     follow = functools.partial(_guided_links, registry, triple_patterns(query))
     return _fixed_point(seeds, source, follow, policy, max_documents, rng)
-
-
-def evaluate_augmented(query: Query, registry: LinkingStructureRegistry,
-                       policy: ContentPolicy, seeds: Sequence[str], source, *,
-                       max_documents: int = DEFAULT_MAX_DOCUMENTS,
-                       rng: Optional[random.Random] = None):
-    """Guided traversal followed by query evaluation over the pool's graph."""
-    pool, trace = traverse_guided(
-        seeds, registry, policy, query, source,
-        max_documents=max_documents, rng=rng,
-    )
-    return evaluate(query, pool.graph()), trace

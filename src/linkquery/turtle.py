@@ -260,9 +260,6 @@ class _Parser:
         return Graph(triples)
 
 
-def parse_turtle(text: str, base: str, prefixes: Optional[Dict[str, str]] = None) -> Graph:
+def parse_turtle(text: str, base: str) -> Graph:
     """Parse Turtle-subset text into a Graph, resolving IRIs against base."""
-    merged = dict(DEFAULT_PREFIXES)
-    if prefixes:
-        merged.update(prefixes)
-    return _Parser(text, base, merged).parse()
+    return _Parser(text, base, DEFAULT_PREFIXES).parse()

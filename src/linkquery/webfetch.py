@@ -30,6 +30,9 @@ OK = "ok"
 NOT_FOUND = "not-found"
 PARSE_ERROR = "parse-error"
 
+# Redirects LiveHttpSource follows for one request.
+MAX_REDIRECTS = 5
+
 # Requests a Dereferencer keeps in flight. Ten is requests'
 # adapters.DEFAULT_POOLSIZE, the connections LiveHttpSource's session keeps
 # open per host.
@@ -184,14 +187,14 @@ class LiveHttpSource:
     """
 
     def __init__(self, timeout: float = 10.0, max_body_bytes: int = 1_000_000,
-                 accept: str = "text/turtle", max_redirects: int = 5):
+                 accept: str = "text/turtle"):
         import requests
 
         self.timeout = timeout
         self.max_body_bytes = max_body_bytes
         self.accept = accept
         self.session = requests.Session()
-        self.session.max_redirects = max_redirects
+        self.session.max_redirects = MAX_REDIRECTS
 
     def fetch(self, doc_iri: str) -> FetchResult:
         import requests

@@ -21,7 +21,7 @@ from helpers import (
     union_graph,
     web_source,
 )
-from linkquery.fixtures import ann_subtree_request_count, demo_manifest, fixture_path
+from linkquery.fixtures import demo_manifest, fixture_path
 from linkquery.guidance import (
     ALLOW,
     DENY,
@@ -39,7 +39,6 @@ from linkquery.traversal import (
     C_MATCH,
     CappedTraversalError,
     TraversalConfig,
-    evaluate_augmented,
     traverse_guided,
     traverse_unguided,
 )
@@ -117,10 +116,11 @@ def test_1_unguided_result_table(demo_query_obj):
 
 def test_2_guided_result_restriction(demo_query_obj, demo_registry, uma_policy):
     with criterion(2, "guided run keeps only the trusted rows"):
-        rows, _ = evaluate_augmented(
-            demo_query_obj, demo_registry, uma_policy, [SEED],
+        pool, _ = traverse_guided(
+            [SEED], demo_registry, uma_policy, demo_query_obj,
             FixtureSource.from_manifest(demo_manifest()),
         )
+        rows = evaluate(demo_query_obj, pool.graph())
         assert ordered_fingerprints(rows, demo_query_obj.projection) == \
             EXPECTED_GUIDED_ROWS
 
@@ -147,12 +147,12 @@ def test_4_ann_subtree_requests(demo_query_obj, demo_registry, uma_policy):
         _, unguided_trace = run_unguided(
             FixtureSource.from_manifest(demo_manifest()), demo_query_obj
         )
-        assert ann_subtree_request_count(unguided_trace) == 4
+        assert unguided_trace.fetched_per_subtree()["https://ann.ex/"] == 4
         _, guided_trace = traverse_guided(
             [SEED], demo_registry, uma_policy, demo_query_obj,
             FixtureSource.from_manifest(demo_manifest()),
         )
-        assert ann_subtree_request_count(guided_trace) == 2
+        assert guided_trace.fetched_per_subtree()["https://ann.ex/"] == 2
 
 
 def test_5_oracle_equivalence_property():
@@ -312,13 +312,15 @@ def test_9_allow_rule_monotonicity_property():
                 index=len(base.rules),
             )
             widened = ContentPolicy(base.rules + [extra], DENY)
-            before, _ = evaluate_augmented(
-                query, PERMISSIVE_REGISTRY, base, [doc_iri(0)],
+            before_pool, _ = traverse_guided(
+                [doc_iri(0)], PERMISSIVE_REGISTRY, base, query,
                 web_source(bodies), max_documents=1000,
             )
-            after, _ = evaluate_augmented(
-                query, PERMISSIVE_REGISTRY, widened, [doc_iri(0)],
+            after_pool, _ = traverse_guided(
+                [doc_iri(0)], PERMISSIVE_REGISTRY, widened, query,
                 web_source(bodies), max_documents=1000,
             )
+            before = evaluate(query, before_pool.graph())
+            after = evaluate(query, after_pool.graph())
             assert row_fingerprints(before, query.projection) <= \
                 row_fingerprints(after, query.projection)

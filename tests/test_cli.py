@@ -129,7 +129,8 @@ class TestCompare:
         assert code == 0
         assert "unguided (c-match): 5 rows / 7 docs; guided: 2 rows / 4 docs" in out
         assert "rows removed: 3" in out
-        assert "ann.ex requests: 4 -> 2" in out
+        assert "fetched under https://ann.ex/: 4 -> 2\n" \
+            "fetched under https://bob.ex/: 2 -> 1\n" in out
         # the demo registry prunes the encyclopedia document, so the Mickey
         # row disappears even before the policy filters triples
         assert "structure pruning alone vs c-all: results changed" in out
@@ -150,6 +151,48 @@ class TestCompare:
         assert code == 0
         assert "rows removed: 0" in out
         assert "structure pruning alone vs c-all: results unchanged" in out
+
+
+    def test_subtree_lines_name_this_webs_documents(self, capsys, tmp_path):
+        # A web without ann.ex: the report names the documents the seed
+        # links to, and nothing of the demo.
+        bodies = {
+            "a.ttl": "<https://a.ex/#me> <%sknows> <https://b.ex/#me>." % FOAF,
+            "b.ttl": '<https://b.ex/#me> <%sname> "B"; <%sknows> <https://c.ex/#me>.'
+                     % (FOAF, FOAF),
+            "c.ttl": '<https://c.ex/#me> <%sname> "C".' % FOAF,
+        }
+        for name, body in bodies.items():
+            (tmp_path / name).write_text(body)
+        manifest = tmp_path / "web.json"
+        manifest.write_text(json.dumps({"documents": {
+            "https://%s.ex/" % name[0]: name for name in bodies}}))
+        query = tmp_path / "q.rq"
+        query.write_text("PREFIX foaf: <%s> SELECT ?f ?n WHERE { ?x foaf:knows ?f . "
+                         "?f foaf:name ?n }" % FOAF)
+        code, out, _ = run_cli(capsys, [
+            "compare", "--query", str(query), "--seed", "https://a.ex/#me",
+            "--fixtures", str(manifest), "--semantics", "c-all",
+            "--structures", str(demo_structures()), "--policy", str(demo_policy()),
+        ])
+        assert code == 0
+        assert "ann.ex" not in out
+        assert "fetched under https://b.ex/: 2 -> " in out
+
+    @pytest.mark.parametrize("command,flag", [
+        ("compare", ["--format", "json"]),
+        ("compare", ["--timing"]),
+        ("explain", ["--timing"]),
+        ("explain", ["--format", "tsv"]),
+    ])
+    def test_run_only_flags_are_usage_errors(self, capsys, command, flag):
+        extra = ["--row", "1"] if command == "explain" else []
+        code, out, err = run_cli(capsys, [command] + base_flags() + [
+            "--structures", str(demo_structures()), "--policy", str(demo_policy()),
+        ] + extra + flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: unrecognized arguments: %s\n" % " ".join(flag))
 
 
 class TestExplain:

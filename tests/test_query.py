@@ -16,9 +16,9 @@ from linkquery.query import (
     UnsupportedFeatureError,
     evaluate,
     parse_query,
-    render_json,
     render_table,
     render_tsv,
+    rows_to_json,
     triple_patterns,
 )
 from linkquery.rdf import Graph, Term, Triple, TriplePattern
@@ -355,13 +355,11 @@ class TestRendering:
         assert tsv.splitlines()[1].endswith("\t")
 
     def test_json_null(self):
-        import json
-
         q = parse_query(
             "SELECT ?s ?x WHERE { ?s ?p ?o. OPTIONAL { ?s <https://none.ex/p> ?x } }"
         )
         g = Graph([t("https://a.ex/", "https://p.ex/", Term.literal("v"))])
-        data = json.loads(render_json(evaluate(q, g), q.projection))
+        data = rows_to_json(evaluate(q, g), q.projection)
         assert data[0]["x"] is None
 
     def test_table_has_headers(self):

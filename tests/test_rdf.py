@@ -17,6 +17,7 @@ from linkquery.rdf import (
     to_ntriples,
 )
 from linkquery.turtle import parse_turtle
+from test_parser_golden import BASES
 
 KNOWS = "http://xmlns.com/foaf/0.1/knows"
 NAME = "http://xmlns.com/foaf/0.1/name"
@@ -57,6 +58,22 @@ class TestResolveIri:
     )
     def test_standard_reference_resolution_vectors(self, ref, expected):
         assert resolve_iri("http://a/b/c/d;p?q", ref) == expected
+
+    @pytest.mark.parametrize(
+        "base,expected",
+        [
+            ("urn:isbn:1", "urn:isbn:1#me"),
+            ("urn:isbn:1#old", "urn:isbn:1#me"),
+            ("HTTP://A.ex/x", "HTTP://A.ex/x#me"),
+        ],
+    )
+    def test_fragment_reference_keeps_the_base_as_written(self, base, expected):
+        assert resolve_iri(base, "#me") == expected
+
+    @pytest.mark.parametrize("base", [b for b in BASES if is_absolute_iri(b)])
+    def test_empty_and_fragment_references_name_one_document(self, base):
+        [triple] = parse_turtle("<> <https://p.ex/p> <#x>.", base)
+        assert strip_fragment(triple.subject.value) == strip_fragment(triple.object.value)
 
     def test_malformed_base(self):
         with pytest.raises(IriError):

@@ -22,7 +22,6 @@ from helpers import (
     web_source,
 )
 from linkquery import rdf, traversal
-from linkquery.fixtures import ann_subtree_request_count
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
     RESTRICTIVE,
@@ -39,7 +38,6 @@ from linkquery.traversal import (
     C_NONE,
     CappedTraversalError,
     TraversalConfig,
-    evaluate_augmented,
     traverse_guided,
     traverse_unguided,
 )
@@ -216,10 +214,10 @@ class TestGuided:
 
     def test_deny_all_policy_stops_at_seeds(self, demo_source, demo_query_obj):
         policy = parse_policy('{"default": "deny", "rules": []}')
-        solutions, trace = evaluate_augmented(
-            demo_query_obj, PERMISSIVE_REGISTRY, policy, [SEED], demo_source
+        pool, trace = traverse_guided(
+            [SEED], PERMISSIVE_REGISTRY, policy, demo_query_obj, demo_source
         )
-        assert solutions == []
+        assert evaluate(demo_query_obj, pool.graph()) == []
         assert trace.ledger.ok_documents == {"https://uma.ex/"}
 
     def test_permissive_guidance_equals_c_all_pool(self, demo_query_obj):
@@ -271,21 +269,22 @@ class TestGuided:
     def test_results_restricted_to_trusted_rows(
         self, demo_source, demo_query_obj, demo_registry, uma_policy
     ):
-        solutions, _ = evaluate_augmented(
-            demo_query_obj, demo_registry, uma_policy, [SEED], demo_source
+        pool, _ = traverse_guided(
+            [SEED], demo_registry, uma_policy, demo_query_obj, demo_source
         )
+        solutions = evaluate(demo_query_obj, pool.graph())
         names = {row["name"].value for row in solutions}
         assert names == {"Ann", "Bob"}
 
     def test_ann_subtree_counts(self, demo_query_obj, demo_registry, uma_policy):
         _, match_trace = unguided(web_source_from_demo(), demo_query_obj, C_MATCH)
-        assert ann_subtree_request_count(match_trace) == 4
+        assert match_trace.fetched_per_subtree()["https://ann.ex/"] == 4
         _, guided_trace = traverse_guided(
             [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
         )
-        assert ann_subtree_request_count(guided_trace) == 2
+        assert guided_trace.fetched_per_subtree()["https://ann.ex/"] == 2
         _, none_trace = unguided(web_source_from_demo(), demo_query_obj, C_NONE)
-        assert ann_subtree_request_count(none_trace) == 0
+        assert none_trace.fetched_per_subtree().get("https://ann.ex/", 0) == 0
 
 
 class TestRandomWebs:
@@ -370,6 +369,43 @@ class TestRandomWebs:
             assert len(results) == 1
 
 
+class TestSubtreeReport:
+    def test_demo_subtrees(self, demo_query_obj, demo_registry, uma_policy):
+        _, match_trace = unguided(web_source_from_demo(), demo_query_obj, C_MATCH)
+        _, guided_trace = traverse_guided(
+            [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
+        )
+        # https://uma.ex/bob.jpg is a root too, but its request is not found.
+        assert match_trace.fetched_per_subtree() == {
+            "https://ann.ex/": 4, "https://bob.ex/": 2, "https://uma.ex/bob.jpg": 0,
+        }
+        assert guided_trace.fetched_per_subtree() == {"https://ann.ex/": 2, "https://bob.ex/": 1}
+
+    def test_subtrees_partition_fetched_documents(self):
+        # Every document fetched ok, other than a seed, lies in exactly one
+        # root's subtree, and every root is linked from a seed.
+        rng = random.Random(409)
+        branching = 0
+        for _ in range(100):
+            bodies = random_web(rng)
+            seeds = rng.sample(sorted(bodies), min(len(bodies), rng.randint(1, 2)))
+            query = random_bgp_query(rng, len(bodies))
+            registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
+            policy = parse_policy(random_policy_json(rng, len(bodies)))
+            runs = [unguided(web_source(bodies), query, semantics, seeds=seeds,
+                             max_documents=1000)[1] for semantics in (C_ALL, C_MATCH)]
+            runs.append(traverse_guided(seeds, registry, policy, query, web_source(bodies),
+                                        max_documents=1000)[1])
+            for trace in runs:
+                counts = trace.fetched_per_subtree()
+                seeds_ok = trace.ledger.ok_documents & {strip_fragment(s) for s in seeds}
+                assert sum(counts.values()) == trace.ledger.distinct_ok - len(seeds_ok)
+                for root in counts:
+                    assert trace.admission_of(trace.admission_of(root).from_doc).reason == "seed"
+                branching += len(counts) > 1
+        assert branching >= 50
+
+
 class TestGuidedWork:
     def test_policy_judges_each_triple_once(self, monkeypatch, demo_query_obj,
                                             demo_registry, uma_policy):
@@ -388,6 +424,28 @@ class TestGuidedWork:
         )
         pairs = {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples}
         assert len(calls) == len(pairs) == len(set(calls))
+
+    @pytest.mark.parametrize("mode", [C_NONE, C_ALL, C_MATCH, "guided"])
+    def test_each_document_sorted_once(self, monkeypatch, mode, demo_query_obj,
+                                       demo_registry, uma_policy):
+        # The policy pass and link discovery both read the hyperlink table,
+        # which sorts its document once.
+        calls = 0
+        original = rdf.Graph.__iter__
+
+        def counting(graph):
+            nonlocal calls
+            calls += 1
+            return original(graph)
+
+        monkeypatch.setattr(rdf.Graph, "__iter__", counting)
+        if mode == "guided":
+            _, trace = traverse_guided(
+                [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
+            )
+        else:
+            _, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
+        assert 0 < calls <= len(trace.documents)
 
     def test_hub_strip_fragment_calls_bounded(self, monkeypatch):
         # A hub document knows 400 people, each in their own document. Link
