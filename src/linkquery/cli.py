@@ -1,6 +1,9 @@
 """
 Command-line surface: run a traversal, compare guided vs unguided runs, or
 explain why a document was (not) fetched / how a result row is supported.
+A run is guided when --structures and --policy are both given, else unguided
+under --semantics (default c-match). A flag that the run would ignore is a
+usage error: --semantics when guided, and the live flags without --live.
 """
 from __future__ import annotations
 
@@ -13,9 +16,7 @@ from typing import List, Optional
 
 from .guidance import (
     GuidanceParseError,
-    PERMISSIVE,
     PERMISSIVE_POLICY,
-    LinkingStructureRegistry,
     considered_links,
     get_linking_structure,
     lambda_allows,
@@ -25,12 +26,14 @@ from .guidance import (
 )
 from .query import (
     QueryParseError,
+    _cell,
     _substitute,
     evaluate,
     parse_query,
     render_table,
     render_tsv,
     rows_to_json,
+    triple_patterns,
 )
 from .rdf import IriError, graph_match, match_triple, strip_fragment
 from .traversal import (
@@ -64,33 +67,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser, with_mode: bool) -> None:
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query", required=True, metavar="FILE")
     p.add_argument("--seed", action="append", default=[], metavar="IRI")
-    if with_mode:
-        p.add_argument("--mode", choices=[UNGUIDED, GUIDED], default=UNGUIDED)
-    p.add_argument("--semantics", choices=[C_NONE, C_ALL, C_MATCH], default=C_MATCH)
+    p.add_argument("--semantics", choices=[C_NONE, C_ALL, C_MATCH])
     p.add_argument("--structures", metavar="FILE")
     p.add_argument("--policy", metavar="FILE")
     p.add_argument("--fixtures", metavar="FILE")
     p.add_argument("--live", action="store_true")
     p.add_argument("--max-docs", type=int, default=DEFAULT_MAX_DOCUMENTS)
-    p.add_argument("--timeout", type=float, default=10.0)
-    p.add_argument("--max-body-bytes", type=int, default=1_000_000)
-    p.add_argument("--accept", default="text/turtle")
+    # Named as LiveHttpSource's parameters, whose defaults apply when absent.
+    p.add_argument("--timeout", type=float)
+    p.add_argument("--max-body-bytes", type=int)
+    p.add_argument("--accept")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="linkquery", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     run = sub.add_parser("run", help="traverse and print query solutions")
-    _add_common_flags(run, with_mode=True)
+    _add_common_flags(run)
     run.add_argument("--format", choices=["table", "tsv", "json"], default="table")
     run.add_argument("--timing", action="store_true")
     compare = sub.add_parser("compare", help="side-by-side unguided vs guided report")
-    _add_common_flags(compare, with_mode=False)
+    _add_common_flags(compare)
     explain = sub.add_parser("explain", help="explain a document or result row")
-    _add_common_flags(explain, with_mode=True)
+    _add_common_flags(explain)
     explain.add_argument("--row", type=int, metavar="N")
     explain.add_argument("--doc", metavar="IRI")
     return parser
@@ -99,50 +101,53 @@ def _build_parser() -> _Parser:
 def _make_source(args):
     if args.live == bool(args.fixtures):
         raise _UsageError("exactly one of --fixtures and --live is required")
+    given = {name: getattr(args, name) for name in ("timeout", "max_body_bytes", "accept")
+             if getattr(args, name) is not None}
     if args.live:
-        return LiveHttpSource(
-            timeout=args.timeout,
-            max_body_bytes=args.max_body_bytes,
-            accept=args.accept,
-        )
+        return LiveHttpSource(**given)
+    if given:
+        raise _UsageError("only --live uses %s"
+                          % ", ".join("--" + name.replace("_", "-") for name in given))
     return FixtureSource.from_manifest(args.fixtures)
 
 
-def _load_inputs(args, mode: str):
+def _load_inputs(args):
+    """The query, and the guidance: (registry, policy) when --structures and
+    --policy are both given, None when neither is. compare requires it.
+    """
     if not args.seed:
         raise _UsageError("at least one --seed is required")
     query = parse_query(Path(args.query).read_text(encoding="utf-8"))
-    registry = policy = None
-    if mode == GUIDED:
-        if not args.structures or not args.policy:
-            raise _UsageError("guided mode requires --structures and --policy")
-        registry = parse_structure_registry(Path(args.structures).read_text(encoding="utf-8"))
-        policy = parse_policy(Path(args.policy).read_text(encoding="utf-8"))
-    return query, registry, policy
+    if args.structures is None and args.policy is None and args.command != "compare":
+        return query, None
+    if args.structures is None or args.policy is None:
+        raise _UsageError("guided mode requires --structures and --policy")
+    if args.semantics is not None and args.command != "compare":
+        raise _UsageError("--semantics does not apply to a guided run "
+                          "(--structures and --policy given)")
+    registry = parse_structure_registry(Path(args.structures).read_text(encoding="utf-8"))
+    policy = parse_policy(Path(args.policy).read_text(encoding="utf-8"))
+    return query, (registry, policy)
 
 
-def _traverse(args, source, query, registry, mode: str, semantics: str, policy):
-    """Traverse from the run's seeds in one mode and return (pool, trace)."""
-    if mode == GUIDED:
-        return traverse_guided(
-            args.seed, registry, policy, query, source, max_documents=args.max_docs
-        )
+def _traverse(args, source, query, guidance, semantics):
+    """Traverse from the run's seeds, guided when guidance is given; return (pool, trace)."""
+    if guidance is not None:
+        return traverse_guided(args.seed, *guidance, query, source, max_documents=args.max_docs)
     config = TraversalConfig(semantics, args.seed, args.max_docs)
     return traverse_unguided(config, source, query)
 
 
 def _cmd_run(args, out) -> int:
-    query, registry, policy = _load_inputs(args, args.mode)
+    query, guidance = _load_inputs(args)
+    semantics = args.semantics or C_MATCH
     source = _make_source(args)
     started = time.monotonic()
-    pool, trace = _traverse(args, source, query, registry, args.mode, args.semantics, policy)
+    pool, trace = _traverse(args, source, query, guidance, semantics)
     rows = evaluate(query, pool.graph())
     elapsed = time.monotonic() - started
     fetched = sorted(trace.ledger.ok_documents)
-    if args.mode == GUIDED:
-        mode_descriptor = GUIDED
-    else:
-        mode_descriptor = "%s/%s" % (UNGUIDED, args.semantics)
+    mode_descriptor = GUIDED if guidance else "%s/%s" % (UNGUIDED, semantics)
     if args.format == "json":
         report = {
             "solutions": rows_to_json(rows, query.projection),
@@ -168,34 +173,26 @@ def _cmd_run(args, out) -> int:
     return EXIT_OK
 
 
-def _row_fingerprints(rows, projection):
-    return [
-        tuple(None if row[v] is None else row[v].n3() for v in projection)
-        for row in rows
-    ]
-
-
 def _cmd_compare(args, out) -> int:
-    query, registry, policy = _load_inputs(args, GUIDED)
+    query, guidance = _load_inputs(args)
+    semantics = args.semantics or C_MATCH
     source = _make_source(args)
 
-    def solve(mode, semantics, run_policy):
-        pool, trace = _traverse(args, source, query, registry, mode, semantics, run_policy)
-        return evaluate(query, pool.graph()), trace
+    def solve(run_guidance, run_semantics):
+        """The run's rows, each a tuple of its terms (Term equality is row
+        identity), and its trace."""
+        pool, trace = _traverse(args, source, query, run_guidance, run_semantics)
+        return {tuple(row.values()) for row in evaluate(query, pool.graph())}, trace
 
-    unguided_rows, unguided_trace = solve(UNGUIDED, args.semantics, None)
-    guided_rows, guided_trace = solve(GUIDED, None, policy)
-
-    unguided_set = set(_row_fingerprints(unguided_rows, query.projection))
-    guided_set = set(_row_fingerprints(guided_rows, query.projection))
-    removed = unguided_set - guided_set
-    added = guided_set - unguided_set
+    unguided_rows, unguided_trace = solve(None, semantics)
+    guided_rows, guided_trace = solve(guidance, None)
+    removed = unguided_rows - guided_rows
 
     out.write(
         "unguided (%s): %d rows / %d docs; guided: %d rows / %d docs; "
         "rows removed: %d\n"
         % (
-            args.semantics,
+            semantics,
             len(unguided_rows),
             unguided_trace.ledger.distinct_ok,
             len(guided_rows),
@@ -203,10 +200,9 @@ def _cmd_compare(args, out) -> int:
             len(removed),
         )
     )
-    for fp in sorted(removed, key=lambda f: tuple(x or "" for x in f)):
-        out.write("  removed: %s\n" % "\t".join(x if x is not None else "NULL" for x in fp))
-    for fp in sorted(added, key=lambda f: tuple(x or "" for x in f)):
-        out.write("  added: %s\n" % "\t".join(x if x is not None else "NULL" for x in fp))
+    for label, rows in (("removed", removed), ("added", guided_rows - unguided_rows)):
+        for row in sorted(rows, key=lambda r: tuple("" if t is None else t.n3() for t in r)):
+            out.write("  %s: %s\n" % (label, "\t".join(_cell(t) for t in row)))
     unguided_fetched = unguided_trace.fetched_per_subtree()
     guided_fetched = guided_trace.fetched_per_subtree()
     for root in sorted(unguided_fetched.keys() | guided_fetched.keys()):
@@ -216,19 +212,16 @@ def _cmd_compare(args, out) -> int:
 
     # Structure pruning is meant to be performance-only; report whether the
     # registry alone (policy fully permissive) changed results versus c-all.
-    all_rows, _ = solve(UNGUIDED, C_ALL, None)
-    structure_rows, _ = solve(GUIDED, None, PERMISSIVE_POLICY)
-    changed = set(_row_fingerprints(all_rows, query.projection)) != set(
-        _row_fingerprints(structure_rows, query.projection)
-    )
+    all_rows, _ = solve(None, C_ALL)
+    structure_rows, _ = solve((guidance[0], PERMISSIVE_POLICY), None)
     out.write(
         "structure pruning alone vs c-all: %s\n"
-        % ("results changed" if changed else "results unchanged")
+        % ("results changed" if all_rows != structure_rows else "results unchanged")
     )
     return EXIT_OK
 
 
-def _explain_doc(args, out, query, registry, policy, trace) -> int:
+def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
     doc_iri = strip_fragment(args.doc)
     current = trace.admission_of(doc_iri)
     if current is not None:
@@ -253,15 +246,16 @@ def _explain_doc(args, out, query, registry, policy, trace) -> int:
         linking = [t for t, targets in doc.hyperlinks if doc_iri in targets]
         if not linking:
             continue
-        if args.mode != GUIDED:
+        if guidance is None:
             findings.extend(
                 "not fetched: linking triple %s from %s did not qualify "
-                "under %s semantics" % (t.n3(), doc.doc_iri, args.semantics)
+                "under %s semantics" % (t.n3(), doc.doc_iri, semantics)
                 for t in linking
             )
             continue
         # The guided strategy's own candidate scan and λ decide, so this
         # explanation names the cause the trace records.
+        registry, policy = guidance
         structure = get_linking_structure(registry, doc.doc_iri)
         considered = {
             t for t, iris in considered_links(
@@ -269,7 +263,7 @@ def _explain_doc(args, out, query, registry, policy, trace) -> int:
             if doc_iri in iris
         }
         sanctioned = any(
-            lambda_allows(structure, doc, doc_iri, tp) for tp in query.all_patterns()
+            lambda_allows(structure, doc, doc_iri, tp) for tp in triple_patterns(query)
         )
         for t in linking:
             if t in considered:
@@ -307,7 +301,7 @@ def _explain_doc(args, out, query, registry, policy, trace) -> int:
     return EXIT_OK
 
 
-def _explain_row(args, out, query, policy, rows, pool) -> int:
+def _explain_row(args, out, query, guidance, rows, pool) -> int:
     if args.row < 1 or args.row > len(rows):
         sys.stderr.write("no such row: %d (have %d rows)\n" % (args.row, len(rows)))
         return EXIT_USAGE
@@ -316,30 +310,23 @@ def _explain_row(args, out, query, policy, rows, pool) -> int:
         "row %d: %s\n"
         % (
             args.row,
-            ", ".join(
-                "?%s=%s" % (v, row[v].n3() if row[v] is not None else "NULL")
-                for v in query.projection
-            ),
+            ", ".join("?%s=%s" % (v, _cell(row[v])) for v in query.projection),
         )
     )
     mapping = {v: t for v, t in row.items() if t is not None}
     graph = pool.graph()
     provenance = pool.provenance()
-    for pattern in query.all_patterns():
+    for pattern in triple_patterns(query):
         concrete = _substitute(pattern, mapping)
         if any(term.is_variable for term in (concrete.subject, concrete.predicate, concrete.object)):
             continue
         for triple, _ in graph_match(graph, concrete):
             for src in sorted(provenance[triple]):
-                if policy is not None:
-                    _, rule = relevance_decision(policy, triple, src)
-                    label = (
-                        " (policy rule #%d)" % (rule.entry + 1)
-                        if rule is not None
-                        else ""
-                    )
-                else:
-                    label = ""
+                label = ""
+                if guidance is not None:
+                    _, rule = relevance_decision(guidance[1], triple, src)
+                    if rule is not None:
+                        label = " (policy rule #%d)" % (rule.entry + 1)
                 out.write("  %s from %s%s\n" % (triple.n3(), src, label))
     return EXIT_OK
 
@@ -347,13 +334,14 @@ def _explain_row(args, out, query, policy, rows, pool) -> int:
 def _cmd_explain(args, out) -> int:
     if (args.row is None) == (args.doc is None):
         raise _UsageError("explain requires exactly one of --row and --doc")
-    query, registry, policy = _load_inputs(args, args.mode)
+    query, guidance = _load_inputs(args)
+    semantics = args.semantics or C_MATCH
     source = _make_source(args)
-    pool, trace = _traverse(args, source, query, registry, args.mode, args.semantics, policy)
+    pool, trace = _traverse(args, source, query, guidance, semantics)
     if args.doc is not None:
-        return _explain_doc(args, out, query, registry, policy, trace)
+        return _explain_doc(args, out, query, guidance, semantics, trace)
     rows = evaluate(query, pool.graph())
-    return _explain_row(args, out, query, policy, rows, pool)
+    return _explain_row(args, out, query, guidance, rows, pool)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -279,12 +279,9 @@ def evaluate(query: Query, graph: Graph) -> List[Row]:
     rows: List[Row] = []
     for m in solutions:
         row = {var: m.get(var) for var in query.projection}
-        fingerprint = tuple(
-            (t.kind, t.value, t.language) if t is not None else None
-            for t in (row[v] for v in query.projection)
-        )
-        if fingerprint not in seen:
-            seen.add(fingerprint)
+        terms = tuple(row.values())
+        if terms not in seen:
+            seen.add(terms)
             rows.append(row)
     rows.sort(key=lambda r: _row_sort_key(r, query.projection))
     return rows

@@ -13,6 +13,9 @@ SEED = "https://uma.ex/#me"
 FOAF = "http://xmlns.com/foaf/0.1/"
 
 
+GUIDANCE = ["--structures", str(demo_structures()), "--policy", str(demo_policy())]
+
+
 def base_flags():
     return [
         "--query", str(demo_query()),
@@ -22,11 +25,7 @@ def base_flags():
 
 
 def guided_flags():
-    return base_flags() + [
-        "--mode", "guided",
-        "--structures", str(demo_structures()),
-        "--policy", str(demo_policy()),
-    ]
+    return base_flags() + GUIDANCE
 
 
 def run_cli(capsys, argv):
@@ -46,7 +45,7 @@ class TestRun:
 
     def test_unguided_c_match_run(self, capsys):
         code, out, _ = run_cli(
-            capsys, ["run"] + base_flags() + ["--mode", "unguided", "--semantics", "c-match"]
+            capsys, ["run"] + base_flags() + ["--semantics", "c-match"]
         )
         assert code == 0
         assert "documents fetched: 7" in out
@@ -84,7 +83,7 @@ class TestRun:
         assert code == 1
 
     def test_guided_requires_guidance_files(self, capsys):
-        code, _, err = run_cli(capsys, ["run"] + base_flags() + ["--mode", "guided"])
+        code, _, err = run_cli(capsys, ["run"] + base_flags() + GUIDANCE[:2])
         assert code == 1
 
     def test_traversal_cap_exit_code(self, capsys):
@@ -118,6 +117,52 @@ class TestRun:
         assert code == 0
         header = out.splitlines()[0]
         assert header == "?friend\t?name\t?email\t?picture"
+
+    def test_timing_line(self, capsys):
+        code, out, _ = run_cli(capsys, ["run"] + base_flags() + ["--timing"])
+        assert code == 0
+        assert out.splitlines()[-1].startswith("elapsed: ")
+        code, out, _ = run_cli(capsys, ["run"] + base_flags() + ["--timing", "--format", "json"])
+        assert code == 0
+        assert "elapsed_seconds" in json.loads(out)
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("run", GUIDANCE + ["--semantics", "c-none"], "--semantics does not apply"),
+        ("explain", GUIDANCE + ["--semantics", "c-match"], "--semantics does not apply"),
+        ("run", GUIDANCE[:2], "guided mode requires --structures and --policy"),
+        ("explain", GUIDANCE[2:], "guided mode requires --structures and --policy"),
+        ("compare", GUIDANCE[2:], "guided mode requires --structures and --policy"),
+        ("compare", [], "guided mode requires --structures and --policy"),
+        ("run", ["--timeout", "0.001", "--accept", "x/y"], "only --live uses --timeout, --accept"),
+        ("explain", ["--max-body-bytes", "1"], "only --live uses --max-body-bytes"),
+        ("compare", GUIDANCE + ["--timeout", "1"], "only --live uses --timeout"),
+    ])
+    def test_flags_the_run_would_ignore_are_usage_errors(self, capsys, command, flags,
+                                                         message):
+        extra = ["--row", "1"] if command == "explain" else []
+        code, out, err = run_cli(capsys, [command] + base_flags() + extra + flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: %s" % message)
+
+    @pytest.mark.parametrize("flags,given", [
+        ([], {}),
+        (["--timeout", "2.5", "--accept", "text/n3"], {"timeout": 2.5, "accept": "text/n3"}),
+        (["--max-body-bytes", "10"], {"max_body_bytes": 10}),
+    ])
+    def test_live_passes_only_given_flags(self, capsys, monkeypatch, flags, given):
+        # LiveHttpSource's own defaults apply to the flags not given.
+        calls = []
+
+        def fake_live_source(**kwargs):
+            calls.append(kwargs)
+            return FixtureSource.from_manifest(demo_manifest())
+
+        monkeypatch.setattr("linkquery.cli.LiveHttpSource", fake_live_source)
+        code, out, _ = run_cli(capsys, [
+            "run", "--query", str(demo_query()), "--seed", SEED, "--live"] + flags)
+        assert code == 0
+        assert "documents fetched: 7" in out
+        assert calls == [given]
 
 
 class TestCompare:
@@ -153,6 +198,18 @@ class TestCompare:
         assert "structure pruning alone vs c-all: results unchanged" in out
 
 
+    def test_guided_run_adds_rows(self, capsys):
+        # c-none reads only Uma's profile, which names no friend.
+        code, out, _ = run_cli(capsys, ["compare"] + base_flags() + GUIDANCE + [
+            "--semantics", "c-none"])
+        assert code == 0
+        assert "unguided (c-none): 0 rows / 1 docs; guided: 2 rows / 4 docs; " \
+            "rows removed: 0\n" in out
+        assert [line.split("\t")[:2] for line in out.splitlines() if "added:" in line] == [
+            ["  added: <https://ann.ex/#me>", '"Ann"'],
+            ["  added: <https://bob.ex/#me>", '"Bob"'],
+        ]
+
     def test_subtree_lines_name_this_webs_documents(self, capsys, tmp_path):
         # A web without ann.ex: the report names the documents the seed
         # links to, and nothing of the demo.
@@ -184,6 +241,8 @@ class TestCompare:
         ("compare", ["--timing"]),
         ("explain", ["--timing"]),
         ("explain", ["--format", "tsv"]),
+        ("run", ["--mode", "guided"]),
+        ("explain", ["--mode", "unguided"]),
     ])
     def test_run_only_flags_are_usage_errors(self, capsys, command, flag):
         extra = ["--row", "1"] if command == "explain" else []
@@ -267,7 +326,7 @@ class TestExplain:
         )
         flags = [
             "--query", str(query), "--seed", SEED, "--fixtures", str(demo_manifest()),
-            "--mode", "guided", "--structures", str(structures),
+            "--structures", str(structures),
             "--policy", str(demo_policy()),
         ]
         _, trace = traverse_guided(
@@ -287,6 +346,31 @@ class TestExplain:
             "<https://ann.ex/about/>. from https://ann.ex/ not sanctioned by any "
             "structure rule\n" % FOAF
         )
+
+    def test_unguided_unfetched_doc(self, capsys):
+        code, out, _ = run_cli(capsys, ["explain", "--doc", "https://ann.ex/"] + base_flags()
+                               + ["--semantics", "c-none"])
+        assert code == 0
+        assert out == (
+            "not fetched: linking triple <https://uma.ex/#me> <%sknows> "
+            "<https://ann.ex/#me>. from https://uma.ex/ did not qualify under c-none "
+            "semantics\n" % FOAF
+        )
+
+    def test_row_support_lists_a_repeated_pattern_once(self, capsys, tmp_path):
+        query = tmp_path / "names.rq"
+        query.write_text(
+            "PREFIX foaf: <%s>\nSELECT ?f ?n WHERE { <https://uma.ex/#me> foaf:knows ?f . "
+            "?f foaf:name ?n . ?f foaf:name ?n }\n" % FOAF
+        )
+        code, out, _ = run_cli(capsys, [
+            "explain", "--row", "1", "--query", str(query), "--seed", SEED,
+            "--fixtures", str(demo_manifest())])
+        assert code == 0
+        assert out.splitlines()[0] == \
+            'row 1: ?f=<http://dbpedia.org/resource/Mickey_Mouse>, ?n="Mickey Mouse"@en'
+        assert len(out.splitlines()) == 3
+        assert out.count('"Mickey Mouse"@en. from') == 1
 
     def test_unknown_doc(self, capsys):
         code, _, err = run_cli(

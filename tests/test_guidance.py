@@ -98,6 +98,14 @@ class TestRegistry:
                 json.dumps({"rules": [{"scope": "https://a.ex/", "follow": "everything"}]})
             )
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"rules": [', "structure registry is not valid JSON"),
+        ('{"default": "open"}', "unknown default mode 'open'"),
+    ])
+    def test_malformed_registry(self, text, message):
+        with pytest.raises(GuidanceParseError, match=message):
+            parse_structure_registry(text)
+
     def test_malformed_scope(self):
         with pytest.raises(GuidanceParseError, match="scope"):
             parse_structure_registry(
@@ -263,6 +271,32 @@ class TestPolicyParsing:
             parse_policy(
                 json.dumps({"rules": [{"action": "allow", "pattern": {"s": "http://[x"}}]})
             )
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"rules": [', "policy is not valid JSON"),
+        ('{"default": "maybe"}', "unknown default action 'maybe'"),
+        ('{"rules": [{"action": "permit", "pattern": {}}]}',
+         "rule 0: action must be allow or deny"),
+        ('{"rules": [{"action": "allow"}]}', "rule 0: missing pattern"),
+        ('{"rules": [{"action": "allow", "pattern": {}, "source": 5}]}',
+         "rule 0: malformed source constraint"),
+        ('{"rules": [{"action": "allow", "pattern": {}, "priority": "high"}]}',
+         "rule 0: priority must be an integer"),
+        ('{"rules": [{"action": "allow", "pattern": {"o": "\\"Ann"}}]}',
+         "rule 0: malformed literal"),
+    ])
+    def test_malformed_policy(self, text, message):
+        with pytest.raises(GuidanceParseError, match=message):
+            parse_policy(text)
+
+    def test_literal_object_pattern(self):
+        policy = parse_policy(json.dumps({"default": "deny", "rules": [
+            {"action": "allow", "pattern": {"p": FOAF + "name", "o": '"Ann"'}}]}))
+        assert policy.rules[0].pattern.object == Term.literal("Ann")
+        ann = t("https://x.ex/#a", FOAF + "name", Term.literal("Ann"))
+        bob = t("https://x.ex/#b", FOAF + "name", Term.literal("Bob"))
+        assert triple_relevant(policy, ann, "https://x.ex/")
+        assert not triple_relevant(policy, bob, "https://x.ex/")
 
     def test_unknown_exclusive_key(self):
         with pytest.raises(GuidanceParseError, match="exclusive"):

@@ -142,6 +142,21 @@ class TestParseQuery:
         assert str(exc.value) == message
 
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "empty query"),
+            ("# nothing but a comment\n", "empty query"),
+            ("SELECT ?s WHERE { ?s ?p ?o } }", "unexpected trailing token '}'"),
+            ("SELECT ?s WHERE { ?s ?p ?o } ?o", "unexpected trailing token 'o'"),
+        ],
+    )
+    def test_empty_or_trailing_text_rejected(self, text, message):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text)
+        assert str(exc.value) == message
+
+
 class TestTriplePatterns:
     def test_friends_query_has_four(self):
         assert len(triple_patterns(parse_query(FRIENDS_QUERY))) == 4

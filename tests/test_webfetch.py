@@ -48,6 +48,17 @@ class TestFixtureSource:
         with pytest.raises(FixtureError, match="gone.ttl"):
             FixtureSource.from_manifest(manifest)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"documents": ', "cannot load manifest"),
+        ('{"notes": "no documents"}', "lacks a 'documents' object"),
+        ('{"documents": ["a.ttl"]}', "lacks a 'documents' object"),
+    ])
+    def test_malformed_manifest(self, tmp_path, text, message):
+        manifest = tmp_path / "web.json"
+        manifest.write_text(text)
+        with pytest.raises(FixtureError, match=message):
+            FixtureSource.from_manifest(manifest)
+
     def test_fragment_in_manifest_iri_rejected(self):
         with pytest.raises(FixtureError):
             FixtureSource({"https://one.ex/#me": ""})
