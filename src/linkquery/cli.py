@@ -47,7 +47,7 @@ from .traversal import (
     traverse_unguided,
 )
 from .turtle import TurtleParseError
-from .webfetch import FixtureError, FixtureSource, LiveHttpSource
+from .webfetch import OK, FixtureError, FixtureSource, LiveHttpSource
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,6 +225,9 @@ def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
     doc_iri = strip_fragment(args.doc)
     current = trace.admission_of(doc_iri)
     if current is not None:
+        outcome = {e.iri: e.outcome for e in trace.ledger.entries}[doc_iri]
+        if outcome != OK:
+            out.write("not fetched: the request for %s failed (%s)\n" % (doc_iri, outcome))
         while current.reason != "seed":
             out.write(
                 "%s: linked from %s via %s (pattern %s)\n"

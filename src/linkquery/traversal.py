@@ -7,9 +7,11 @@ subject/object IRI, c-match the IRIs of query-matching triples and of triples
 about their entities, and guided the links that the linking structure allows
 for the query's patterns. Every strategy, and λ, reads a document's links
 from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
-computed once per document. The content policy judges each fetched triple
-once, reading it from the same table; the pool keeps the relevant ones, and a
-trace records why every document was admitted or pruned.
+computed once per document; c-none never computes it. The content policy
+judges each fetched triple once, reading it from the document's sorted
+triples (`Document.sorted_triples`), the list the hyperlink table is built
+from; the pool keeps the relevant ones, and a trace records why every
+document was admitted or pruned.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .guidance import (
     triple_relevant,
 )
 from .query import Query, triple_patterns
-from .rdf import Graph, Triple, TriplePattern, match_triple, strip_fragment
+from .rdf import Graph, Term, Triple, TriplePattern, match_triple, strip_fragment
 from .webfetch import Dereferencer, Document, FetchLedger
 
 C_NONE = "c-none"
@@ -197,8 +199,16 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
     """c-match: links of pattern-matching triples and of triples about their entities.
 
     A non-matching triple whose subject is not yet such an entity waits,
-    keyed by that subject, until a matching triple names the subject.
+    keyed by that subject, until a matching triple names the subject. A
+    triple is tried only against the patterns its predicate could match,
+    in query order, so the first one that matches is the admission's pattern.
     """
+    unbound = [tp for tp in patterns if tp.predicate.is_variable]
+    by_predicate: Dict[Term, List[TriplePattern]] = {  # each bound predicate's, and unbound
+        tp.predicate: [other for other in patterns
+                       if other.predicate.is_variable or other.predicate == tp.predicate]
+        for tp in patterns if not tp.predicate.is_variable
+    }
     entities: Set[str] = set()
     waiting: Dict[str, list] = {}
     ranks = itertools.count()
@@ -208,7 +218,7 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
         for doc in docs:
             rank = next(ranks)
             for i, (t, targets) in enumerate(doc.hyperlinks):
-                tp = _matching_pattern(t, patterns)
+                tp = _matching_pattern(t, by_predicate.get(t.predicate, unbound))
                 entry = (rank, i, doc, t, targets, tp)
                 if tp is None and t.subject.value not in entities:
                     waiting.setdefault(t.subject.value, []).append(entry)
@@ -261,10 +271,11 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     """Semi-naive reachability: each wave hands only the new documents to follow.
 
     The policy judges each fetched triple once, when its document arrives,
-    taking the triples from the hyperlink table so each document is sorted
-    once. The pool is every relevant triple, after the policy's exclusive
-    rules are enforced. The Dereferencer's fetch pool serves every wave and
-    is shut down when the traversal ends, also when it raises.
+    taking the triples from `Document.sorted_triples`, which the hyperlink
+    table also reads, so each document is sorted once. The pool is every
+    relevant triple, after the policy's exclusive rules are enforced. The
+    Dereferencer's fetch pool and IRI term table serve every wave, and the
+    pool is shut down when the traversal ends, also when it raises.
     """
     deref = Dereferencer(source)
     trace = TraversalTrace(ledger=deref.ledger)
@@ -283,7 +294,7 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                 raise CappedTraversalError(max_documents, trace)
             wave = deref.fetch_wave(order)
             docs.update(wave)
-            relevant.update((t, doc.doc_iri) for doc in wave.values() for t, _ in doc.hyperlinks
+            relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.sorted_triples
                             if triple_relevant(policy, t, doc.doc_iri))
             for iri in wave:
                 trace.record(reasons[iri])

@@ -16,12 +16,17 @@ Tokens carry offsets; line and column are worked out only when an error is
 raised. The parser then reads statements and `@prefix` declarations in one
 loop over the tokens, driven by what it expects next.
 
-A parser makes one term per distinct `<…>` reference, and per prefixed name
-between `@prefix` declarations, in a document. The common relative
-references, fragment-only (`#x`) and one path segment with an optional
-fragment (`p1#me`), resolve by appending to a prefix, found once per
-document: sliced from a plain http(s) base, otherwise cut from two
-`resolve_iri` probes. Any other reference (`..`, `/`, `?`, `;`, `:`, spaces,
+A parser resolves each distinct `<…>` reference, and each prefixed name
+between `@prefix` declarations, once per document. It takes its IRI terms,
+`a` included, from a table keyed by resolved IRI that the caller may share
+between parses. A Dereferencer keeps one per traversal, so an IRI is built
+and checked by `Term.iri` once per traversal, not once per document, and
+every document that names it holds the same term. A value whose term could
+not be built is never stored. The common relative references,
+fragment-only (`#x`) and one path segment with an optional fragment
+(`p1#me`), resolve by appending to a prefix, found once per document:
+sliced from a plain http(s) base, otherwise cut from two `resolve_iri`
+probes. Any other reference (`..`, `/`, `?`, `;`, `:`, spaces,
 control or non-ASCII characters) goes through `resolve_iri`.
 
 Not supported (by design): blank nodes, collections, datatyped literals,
@@ -155,11 +160,13 @@ def tokenize(text: str, grammar: re.Pattern) -> List[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, base: str, prefixes: Dict[str, str]):
+    def __init__(self, text: str, base: str, prefixes: Dict[str, str],
+                 terms: Optional[Dict[str, Term]] = None):
         self.text = text
         self.tokens = tokenize(text, TURTLE_GRAMMAR)
         self.base = base
         self.prefixes = dict(prefixes)
+        self.terms = {} if terms is None else terms  # IRI terms by value, may be shared
         self._iris: Dict[str, Term] = {}  # by reference, as written
         self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
 
@@ -185,11 +192,17 @@ class _Parser:
         fragment_prefix, segment_prefix = self._base_prefixes
         return (segment_prefix if local.group("segment") else fragment_prefix) + reference
 
+    def _iri(self, value: str) -> Term:
+        term = self.terms.get(value)
+        if term is None:
+            term = self.terms[value] = Term.iri(value)  # stored only once it is built
+        return term
+
     def _expand(self, tok: Token) -> Term:
         if tok.type == "iriref":
             term = self._iris.get(tok.value)
             if term is None:
-                term = self._iris[tok.value] = Term.iri(self._resolve(tok.value))
+                term = self._iris[tok.value] = self._iri(self._resolve(tok.value))
             return term
         if tok.type == "pname":
             term = self._pnames.get(tok.value)
@@ -197,12 +210,12 @@ class _Parser:
                 prefix, local = tok.value.split(":", 1)
                 if prefix not in self.prefixes:
                     raise self._error("unknown prefix %r" % prefix, tok)
-                term = self._pnames[tok.value] = Term.iri(self.prefixes[prefix] + local)
+                term = self._pnames[tok.value] = self._iri(self.prefixes[prefix] + local)
             return term
         if tok.type == "literal":
             return Term.literal(tok.value, tok.language)
         if tok.type == "word" and tok.value == "a":
-            return Term.iri(RDF_TYPE)
+            return self._iri(RDF_TYPE)
         raise self._error("unexpected token %r" % tok.value, tok)
 
     def parse(self) -> Graph:
@@ -260,6 +273,10 @@ class _Parser:
         return Graph(triples)
 
 
-def parse_turtle(text: str, base: str) -> Graph:
-    """Parse Turtle-subset text into a Graph, resolving IRIs against base."""
-    return _Parser(text, base, DEFAULT_PREFIXES).parse()
+def parse_turtle(text: str, base: str, terms: Optional[Dict[str, Term]] = None) -> Graph:
+    """Parse Turtle-subset text into a Graph, resolving IRIs against base.
+
+    terms maps IRI values to their terms; the parse reuses the terms it holds
+    and adds the ones it builds, so parses that share it share their terms.
+    """
+    return _Parser(text, base, DEFAULT_PREFIXES, terms).parse()

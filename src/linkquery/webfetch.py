@@ -5,8 +5,11 @@ A source maps fragmentless document IRIs to raw Turtle bodies: either an
 in-process fixture web loaded from a JSON manifest, or live HTTP. The
 Dereferencer wraps a source with fragment stripping, a parse cache, and a
 ledger that records every request so tests (and the CLI) can assert how many
-network fetches a traversal strategy needed. Each Document carries its
-hyperlink table, computed once from its triples on first use.
+network fetches a traversal strategy needed. Its parses share one table of
+IRI terms, so each IRI is built and checked once per Dereferencer, that is
+per traversal, and the table goes when the Dereferencer does. Each Document
+carries its sorted triples and its hyperlink table, each computed once on
+first use.
 
 A Dereferencer keeps one fetch pool for its whole life (a traversal), made on
 the first wave with more than one uncached IRI and MAX_IN_FLIGHT threads
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .rdf import IRI, Graph, IriError, Triple, strip_fragment
+from .rdf import IRI, Graph, IriError, Term, Triple, strip_fragment
 from .turtle import TurtleParseError, parse_turtle
 
 OK = "ok"
@@ -49,15 +52,24 @@ class Document:
     triples: Graph
 
     @functools.cached_property
+    def sorted_triples(self) -> List[Triple]:
+        """The triples in graph order, sorted once for every reader."""
+        return list(self.triples)
+
+    @functools.cached_property
     def hyperlinks(self) -> List[Tuple[Triple, Tuple[str, ...]]]:
         """Each triple in order, with the documents it links to: its
         subject's, then its object's if the object is an IRI. Predicates
         never link.
+
+        An IRI term's value was checked to be absolute when the term was
+        built, so the document is the value cut at its first '#', without
+        checking it again as strip_fragment would.
         """
         return [
-            (t, tuple(strip_fragment(term.value) for term in (t.subject, t.object)
+            (t, tuple(term.value.partition("#")[0] for term in (t.subject, t.object)
                       if term.kind == IRI))
-            for t in self.triples
+            for t in self.sorted_triples
         ]
 
     @functools.cached_property
@@ -239,6 +251,7 @@ class Dereferencer:
         self.source = source
         self.ledger = FetchLedger()
         self._cache: Dict[str, Tuple[Document, str]] = {}  # with the fetch outcome
+        self._terms: Dict[str, Term] = {}  # IRI terms by value, shared by every parse
         self._pool: Optional[ThreadPoolExecutor] = None
 
     def dereference(self, entity_or_doc_iri: str) -> Document:
@@ -258,13 +271,12 @@ class Dereferencer:
             self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT)
         return list(self._pool.map(self.source.fetch, doc_iris))
 
-    @staticmethod
-    def _parse(doc_iri: str, result: FetchResult) -> Tuple[Document, str]:
+    def _parse(self, doc_iri: str, result: FetchResult) -> Tuple[Document, str]:
         if result.outcome != OK:
             return Document(doc_iri, Graph()), result.outcome
         final_iri = result.final_iri or doc_iri
         try:
-            graph = parse_turtle(result.body, final_iri)
+            graph = parse_turtle(result.body, final_iri, self._terms)
         except (TurtleParseError, IriError):
             return Document(final_iri, Graph()), PARSE_ERROR
         return Document(final_iri, graph), OK

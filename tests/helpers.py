@@ -6,6 +6,8 @@ import json
 import random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from hypothesis import strategies as st
+
 from linkquery.guidance import (
     PERMISSIVE,
     RESTRICTIVE,
@@ -97,6 +99,52 @@ def random_bgp_query(rng: random.Random, n_docs: int,
         bound = sorted({v for tp in patterns for v in tp.variables()})
     projection = bound[: rng.randint(1, len(bound))]
     return Query(projection, patterns)
+
+
+class DrawnRandom:
+    """The random.Random calls the generators above make, answered by
+    hypothesis draws, so each generator is also a strategy whose failures
+    shrink: to fewer documents, triples and patterns, and to the first
+    choice of each list.
+    """
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def randint(self, a: int, b: int) -> int:
+        return self.draw(st.integers(a, b))
+
+    def randrange(self, n: int) -> int:
+        return self.draw(st.integers(0, n - 1))
+
+    def choice(self, seq):
+        return self.draw(st.sampled_from(seq))
+
+    def random(self) -> float:
+        return self.draw(st.integers(0, 999)) / 1000
+
+
+@st.composite
+def webs(draw) -> Dict[str, str]:
+    """random_web as a strategy."""
+    return random_web(DrawnRandom(draw))
+
+
+@st.composite
+def bgp_queries(draw, n_docs: int) -> Query:
+    """random_bgp_query as a strategy, with up to two of its patterns copied
+    to any position, each copy as it is or with a new variable as its
+    predicate, so a triple often matches a repeated pattern, or a bound and
+    a variable-predicate pattern in either order.
+    """
+    query = random_bgp_query(DrawnRandom(draw), n_docs)
+    patterns = list(query.required)
+    for _ in range(draw(st.integers(0, 2))):
+        tp = draw(st.sampled_from(patterns))
+        if draw(st.booleans()):
+            tp = TriplePattern(tp.subject, Term.var("p"), tp.object)  # a superset of tp's matches
+        patterns.insert(draw(st.integers(0, len(patterns))), tp)
+    return Query(query.projection, patterns)
 
 
 def random_registry_json(rng: random.Random, n_docs: int,

@@ -357,6 +357,37 @@ class TestExplain:
             "semantics\n" % FOAF
         )
 
+    def test_failed_fetch_is_not_presented_as_fetched(self, capsys, tmp_path):
+        # The seed links to a document the web does not serve: it is admitted
+        # and requested, but its fetch is not-found, so explain says so.
+        (tmp_path / "a.ttl").write_text(
+            "<https://a.ex/#me> <%sknows> <https://gone.ex/#me>." % FOAF)
+        (tmp_path / "bad.ttl").write_text("<https://bad.ex/#me> <%sname> ." % FOAF)
+        manifest = tmp_path / "web.json"
+        manifest.write_text(json.dumps({"documents": {"https://a.ex/": "a.ttl"}}))
+        query = tmp_path / "q.rq"
+        query.write_text("PREFIX foaf: <%s> SELECT ?f WHERE { ?x foaf:knows ?f }" % FOAF)
+        flags = ["--query", str(query), "--seed", "https://a.ex/#me",
+                 "--fixtures", str(manifest)]
+        code, out, _ = run_cli(capsys, ["explain", "--doc", "https://gone.ex/"] + flags)
+        assert code == 0
+        assert out == (
+            "not fetched: the request for https://gone.ex/ failed (not-found)\n"
+            "https://gone.ex/: linked from https://a.ex/ via <https://a.ex/#me> "
+            "<%sknows> <https://gone.ex/#me>. (pattern ?x <%sknows> ?f.)\n"
+            "https://a.ex/: seed\n" % (FOAF, FOAF)
+        )
+        code, out, _ = run_cli(capsys, ["run"] + flags + ["--format", "json"])
+        assert json.loads(out)["documents"] == ["https://a.ex/"]
+        # A seed whose body does not parse is explained the same way.
+        manifest.write_text(json.dumps({"documents": {"https://bad.ex/": "bad.ttl"}}))
+        code, out, _ = run_cli(capsys, ["explain", "--doc", "https://bad.ex/", "--query",
+                                        str(query), "--seed", "https://bad.ex/#me",
+                                        "--fixtures", str(manifest)])
+        assert code == 0
+        assert out == ("not fetched: the request for https://bad.ex/ failed (parse-error)\n"
+                       "https://bad.ex/: seed\n")
+
     def test_row_support_lists_a_repeated_pattern_once(self, capsys, tmp_path):
         query = tmp_path / "names.rq"
         query.write_text(

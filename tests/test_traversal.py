@@ -6,8 +6,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    bgp_queries,
     closure_c_all,
     closure_c_match,
     closure_guided,
@@ -20,6 +23,7 @@ from helpers import (
     row_fingerprints,
     union_graph,
     web_source,
+    webs,
 )
 from linkquery import rdf, traversal
 from linkquery.guidance import (
@@ -32,6 +36,7 @@ from linkquery.guidance import (
 )
 from linkquery.query import evaluate, parse_query, triple_patterns
 from linkquery.rdf import match_triple, strip_fragment
+from linkquery.turtle import parse_turtle
 from linkquery.traversal import (
     C_ALL,
     C_MATCH,
@@ -41,7 +46,7 @@ from linkquery.traversal import (
     traverse_guided,
     traverse_unguided,
 )
-from linkquery.webfetch import MAX_IN_FLIGHT, NOT_FOUND, FetchResult
+from linkquery.webfetch import MAX_IN_FLIGHT, NOT_FOUND, OK, PARSE_ERROR, FetchResult
 
 SEED = "https://uma.ex/#me"
 PERMISSIVE_REGISTRY = LinkingStructureRegistry([], "permissive")
@@ -185,6 +190,22 @@ class TestUnguided:
             web_source(bodies), ANY_QUERY, C_ALL, seeds=("https://a.ex/",)
         )
         assert "https://b.ex/" not in trace.ledger.requested_documents()
+
+    @pytest.mark.parametrize("where, first", [
+        ("?a ?p ?b . ?a <https://p.ex/knows> ?b", "?a ?p ?b."),
+        ("?a <https://p.ex/knows> ?b . ?a ?p ?b", "?a <https://p.ex/knows> ?b."),
+        ("?a <https://p.ex/name> ?b . ?a ?p ?b . ?a <https://p.ex/knows> ?b", "?a ?p ?b."),
+    ])
+    def test_admission_names_first_matching_pattern_in_query_order(self, where, first):
+        # A triple matching a bound-predicate and a variable-predicate
+        # pattern is admitted through whichever comes first in the query.
+        bodies = {
+            "https://a.ex/": "<https://a.ex/#me> <https://p.ex/knows> <https://b.ex/#me>.",
+            "https://b.ex/": '<https://b.ex/#me> <https://p.ex/name> "B".',
+        }
+        query = parse_query("SELECT ?a WHERE { %s }" % where)
+        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=("https://a.ex/",))
+        assert trace.admission_of("https://b.ex/").via_pattern.n3() == first
 
 
 class TestGuided:
@@ -369,6 +390,26 @@ class TestRandomWebs:
             assert len(results) == 1
 
 
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_c_match_fetches_closure_and_names_first_matching_pattern(self, data):
+        # Patterns may have a variable predicate and may repeat; an
+        # admission's pattern is the first in query order its triple matches,
+        # or none for a triple about an entity that matches no pattern.
+        bodies = data.draw(webs())
+        query = data.draw(bgp_queries(len(bodies)))
+        seeds = [doc_iri(0)]
+        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=seeds,
+                            max_documents=1000)
+        assert trace.ledger.ok_documents == closure_c_match(bodies, seeds, query)
+        for admission in trace.admissions:
+            if admission.reason == "link":
+                assert admission.via_pattern == next(
+                    (tp for tp in query.all_patterns()
+                     if match_triple(admission.via_triple, tp) is not None), None)
+
+
 class TestSubtreeReport:
     def test_demo_subtrees(self, demo_query_obj, demo_registry, uma_policy):
         _, match_trace = unguided(web_source_from_demo(), demo_query_obj, C_MATCH)
@@ -490,6 +531,102 @@ class TestGuidedWork:
             assert trace.ledger.distinct_ok == people + 1
             assert len(evaluate(query, pool.graph())) == people
             assert calls <= 2 * triples + len(trace.ledger.entries) + 1
+
+    def test_c_none_builds_no_hyperlink_table(self, demo_query_obj):
+        _, trace = unguided(web_source_from_demo(), demo_query_obj, C_NONE)
+        assert trace.documents
+        assert not any("hyperlinks" in d.__dict__ for d in trace.documents.values())
+
+    def test_c_match_tries_triples_against_patterns_with_their_predicate(self, monkeypatch):
+        # A chain of 30 people, each document with 40 triples whose
+        # predicates no pattern names. A triple is tried against the
+        # patterns naming its predicate and the variable-predicate ones;
+        # trying every triple against every pattern makes about three times
+        # the bound.
+        people, noise = 30, 40
+        knows, name = "https://p.ex/knows", "https://p.ex/name"
+        bodies = {}
+        for i in range(people):
+            me = "https://p%d.ex/#me" % i
+            lines = ['<%s> <%s> "P%d".' % (me, name, i)]
+            if i + 1 < people:
+                lines.append("<%s> <%s> <https://p%d.ex/#me>." % (me, knows, i + 1))
+            lines += ['<%s> <https://noise.ex/n%d> "%d".' % (me, j, j) for j in range(noise)]
+            bodies["https://p%d.ex/" % i] = "\n".join(lines)
+        query = parse_query('SELECT ?b WHERE { ?a <%s> ?b . ?b <%s> ?n . ?b ?p "marker" }'
+                            % (knows, name))
+        patterns = triple_patterns(query)
+        calls = 0
+        original = traversal.match_triple
+
+        def counting(triple, pattern):
+            nonlocal calls
+            calls += 1
+            return original(triple, pattern)
+
+        monkeypatch.setattr(traversal, "match_triple", counting)
+        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=["https://p0.ex/"])
+        triples = [t for d in trace.documents.values() for t in d.triples]
+        named = [t for t in triples if t.predicate in {tp.predicate for tp in patterns}]
+        unbound = [tp for tp in patterns if tp.predicate.is_variable]
+        assert trace.ledger.distinct_ok == people
+        assert calls <= len(named) * len(patterns) + len(triples) * len(unbound)
+
+    def test_each_iri_term_built_once_per_traversal(self, monkeypatch):
+        # Every document names the same 40 predicates and its neighbours:
+        # each IRI becomes one Term, shared by the documents that name it,
+        # and a Term is built once per distinct IRI and once per literal.
+        people, shared = 20, 40
+        bodies = {}
+        for i in range(people):
+            me = "https://p%d.ex/#me" % i
+            lines = ['<%s> <https://v.ex/p%d> "%d-%d".' % (me, j, i, j) for j in range(shared)]
+            lines += ["<%s> <https://v.ex/knows> <https://p%d.ex/#me>." % (me, (i + k) % people)
+                      for k in (1, 2)]
+            bodies["https://p%d.ex/" % i] = "\n".join(lines)
+        calls = 0
+        original = rdf.Term.__post_init__
+
+        def counting(term):
+            nonlocal calls
+            calls += 1
+            return original(term)
+
+        monkeypatch.setattr(rdf.Term, "__post_init__", counting)
+        _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=["https://p0.ex/"])
+        monkeypatch.undo()
+        terms = {}
+        literals = 0
+        for doc in trace.documents.values():
+            for t in doc.triples:
+                for term in (t.subject, t.predicate, t.object):
+                    if term.kind == rdf.IRI:
+                        terms.setdefault(term.value, set()).add(id(term))
+                    else:
+                        literals += 1
+        assert trace.ledger.distinct_ok == people
+        assert all(len(ids) == 1 for ids in terms.values())
+        assert calls <= len(terms) + literals
+
+    def test_invalid_iri_is_a_parse_error_that_spoils_no_later_document(self):
+        # Under a urn: base the relative reference <p1> stays relative, so its
+        # term cannot be built: both documents using it are parse errors, and
+        # the document fetched after them parses as on its own.
+        seed = "https://a.ex/"
+        bodies = {
+            seed: "<https://a.ex/#me> <https://p.ex/q> <urn:isbn:1>, <urn:isbn:2>, "
+                  "<https://b.ex/#it>.",
+            "urn:isbn:1": "<p1> <https://p.ex/q> <https://c.ex/#it>.",
+            "urn:isbn:2": "<p1> <https://p.ex/q> <https://c.ex/#it>.",
+            "https://b.ex/": "<https://b.ex/#it> <https://p.ex/q> <https://c.ex/#it>.",
+            "https://c.ex/": "<https://c.ex/#it> <p1> <https://a.ex/#me>.",
+        }
+        _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=[seed])
+        outcomes = {e.iri: e.outcome for e in trace.ledger.entries}
+        assert outcomes == {seed: OK, "urn:isbn:1": PARSE_ERROR, "urn:isbn:2": PARSE_ERROR,
+                            "https://b.ex/": OK, "https://c.ex/": OK}
+        assert trace.documents["https://c.ex/"].triples == parse_turtle(
+            bodies["https://c.ex/"], "https://c.ex/")
 
 
 HUB = "https://hub.ex/"

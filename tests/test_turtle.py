@@ -3,7 +3,7 @@ import random
 import pytest
 
 from linkquery.fixtures import fixture_path
-from linkquery.rdf import Graph, Term, Triple, to_ntriples
+from linkquery.rdf import Graph, IriError, Term, Triple, to_ntriples
 from linkquery.turtle import TurtleParseError, parse_turtle
 
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -130,6 +130,23 @@ class TestParser:
         g = parse_turtle("<https://x.ex/> a <https://vocab.ex/Thing>.", "https://x.ex/")
         [triple] = list(g)
         assert triple.predicate.value.endswith("#type")
+
+    def test_parses_sharing_a_term_table_share_terms(self):
+        # References, prefixed names and `a` take their terms from the table;
+        # a value whose term cannot be built is not stored.
+        terms = {}
+        a = parse_turtle("<#me> a foaf:Person; foaf:knows <https://b.ex/#me>.",
+                         "https://a.ex/", terms)
+        b = parse_turtle("<#me> a <%sPerson>; <%sknows> <https://a.ex/#me>." % (FOAF, FOAF),
+                         "https://b.ex/", terms)
+        by_value = {term.value: term for t in a for term in (t.subject, t.predicate, t.object)}
+        for t in b:
+            for term in (t.subject, t.predicate, t.object):
+                assert term is by_value[term.value] is terms[term.value]
+        with pytest.raises(IriError):
+            parse_turtle('<p1> <%sname> "P".' % FOAF, "urn:isbn:1", terms)
+        assert "p1" not in terms
+        assert len(terms) == 5
 
     def test_trailing_semicolon_before_dot_allowed(self):
         g = parse_turtle('<https://x.ex/> foaf:name "A"; .', "https://x.ex/")
