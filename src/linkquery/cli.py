@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .guidance import (
     GuidanceParseError,
@@ -27,7 +27,6 @@ from .guidance import (
 from .query import (
     QueryParseError,
     _cell,
-    _substitute,
     evaluate,
     parse_query,
     render_table,
@@ -35,7 +34,7 @@ from .query import (
     rows_to_json,
     triple_patterns,
 )
-from .rdf import IriError, graph_match, match_triple, strip_fragment
+from .rdf import IriError, TriplePattern, graph_match, match_triple, strip_fragment
 from .traversal import (
     C_ALL,
     C_MATCH,
@@ -47,7 +46,7 @@ from .traversal import (
     traverse_unguided,
 )
 from .turtle import TurtleParseError
-from .webfetch import OK, FixtureError, FixtureSource, LiveHttpSource
+from .webfetch import OK, FetchResult, FixtureError, FixtureSource, LiveHttpSource
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,10 +172,27 @@ def _cmd_run(args, out) -> int:
     return EXIT_OK
 
 
+class _FetchOnce:
+    """A source that fetches each IRI once and answers repeats from memory,
+    so compare's four runs make one request per document. Within a run, a
+    wave asks for distinct IRIs not fetched before, so no two pool threads
+    fetch the same IRI at once."""
+
+    def __init__(self, source):
+        self._fetch = source.fetch
+        self._results: Dict[str, FetchResult] = {}
+
+    def fetch(self, doc_iri: str) -> FetchResult:
+        result = self._results.get(doc_iri)
+        if result is None:
+            result = self._results.setdefault(doc_iri, self._fetch(doc_iri))
+        return result
+
+
 def _cmd_compare(args, out) -> int:
     query, guidance = _load_inputs(args)
     semantics = args.semantics or C_MATCH
-    source = _make_source(args)
+    source = _FetchOnce(_make_source(args))
 
     def solve(run_guidance, run_semantics):
         """The run's rows, each a tuple of its terms (Term equality is row
@@ -302,6 +318,15 @@ def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
     for line in findings:
         out.write(line + "\n")
     return EXIT_OK
+
+
+def _substitute(pattern: TriplePattern, mapping) -> TriplePattern:
+    def sub(term):
+        if term.is_variable and term.value in mapping:
+            return mapping[term.value]
+        return term
+
+    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
 
 
 def _explain_row(args, out, query, guidance, rows, pool) -> int:

@@ -10,24 +10,42 @@ variable or a brace.
 
 Evaluation is the standard algebra: natural join of the required patterns,
 then each OPTIONAL group left-joins the result all-or-nothing (a group either
-extends a solution completely or leaves its variables unbound). The join is
-nested loops in pattern order: each partial solution substitutes its bindings
-into the next pattern, and `graph_match` looks that pattern up in the graph's
-hash index on its bound positions, so a step costs the matching triples, not
-the graph. Results are deduplicated and sorted by projected values, NULL last.
+extends a solution completely or leaves its variables unbound). It is an
+index nested-loop join in three stages:
+
+- Plan: the required patterns, and each OPTIONAL group, are ordered greedily,
+  next the pattern with the most bound positions (constants, and variables
+  bound by earlier steps); ties keep the written order. So a join starts
+  from its constants (Hartig, "Zero-knowledge query planning for an iterator
+  implementation of link traversal based query execution", ESWC 2011).
+- Compile: each step is compiled once for the variables it will find bound,
+  into its index shape (its first two bound positions), the lookup key a
+  solution gives, the residual checks (a third bound position, a variable
+  repeated in the pattern) and the triple positions that bind new variables.
+  An OPTIONAL group is compiled once for each domain of the solutions
+  reaching it: a solution whose earlier group failed binds fewer variables.
+- Run: each partial solution makes one lookup in the graph's index of the
+  step's shape (`Graph.index`), and each candidate triple gets the residual
+  checks and one dict copy.
+
+Results are deduplicated and sorted by projected values, NULL last, so the
+order of the join never shows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .rdf import (
+    POSITIONS,
     Graph,
     IriError,
     SolutionMapping,
     Term,
+    Triple,
     TriplePattern,
-    graph_match,
+    graph_match,  # not called here; a wrap point of perfbench/tracing.py
     is_absolute_iri,
 )
 from .turtle import (
@@ -230,26 +248,92 @@ def parse_query(text: str) -> Query:
 Row = Dict[str, Optional[Term]]
 
 
-def _substitute(pattern: TriplePattern, mapping: SolutionMapping) -> TriplePattern:
-    def sub(term: Term) -> Term:
-        if term.is_variable and term.value in mapping:
-            return mapping[term.value]
-        return term
+@dataclass(frozen=True)
+class _Step:
+    """A pattern compiled for the variables bound before it."""
 
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
+    shape: Tuple[str, ...]  # the index it looks up: at most two bound positions
+    key: Callable[[SolutionMapping], object]  # a solution's key in that index
+    accept: Optional[Callable[[Triple, SolutionMapping], bool]]  # residual checks
+    binds: Tuple[Tuple[str, Callable[[Triple], Term]], ...]  # (variable, its position)
 
 
-def _extend(mapping: SolutionMapping, patterns: List[TriplePattern], graph: Graph) -> List[SolutionMapping]:
-    out = [mapping]
-    for pattern in patterns:
-        nxt = []
-        for m in out:
-            for _, bindings in graph_match(graph, _substitute(pattern, m)):
-                merged = dict(m)
-                merged.update(bindings)
-                nxt.append(merged)
-        out = nxt
-    return out
+def _bound_positions(pattern: TriplePattern, bound: AbstractSet[str]) -> int:
+    return sum(not term.is_variable or term.value in bound
+               for term in (pattern.subject, pattern.predicate, pattern.object))
+
+
+def _compile(pattern: TriplePattern, bound: AbstractSet[str]) -> _Step:
+    fixed = []  # bound positions: (position, constant, or None and the bound variable)
+    binds: Dict[str, str] = {}  # each new variable: the position that binds it
+    repeats = []  # (position, earlier position) of a new variable repeated
+    for position in POSITIONS:
+        term = getattr(pattern, position)
+        if not term.is_variable:
+            fixed.append((position, term, None))
+        elif term.value in bound:
+            fixed.append((position, None, term.value))
+        elif term.value in binds:
+            repeats.append((position, binds[term.value]))
+        else:
+            binds[term.value] = position
+    keyed, residual = fixed[:2], fixed[2:]
+    variables = [var for _, _, var in keyed if var is not None]
+    if not variables:
+        constant = keyed[0][1] if len(keyed) == 1 else tuple(term for _, term, _ in keyed)
+        key = lambda m: constant
+    elif len(variables) == len(keyed):
+        key = itemgetter(*variables)  # a term for one variable, a tuple for two
+    elif keyed[0][2] is None:
+        first, var = keyed[0][1], variables[0]
+        key = lambda m: (first, m[var])
+    else:
+        var, second = variables[0], keyed[1][1]
+        key = lambda m: (m[var], second)
+    accept = None
+    if residual or repeats:
+        def accept(t: Triple, m: SolutionMapping) -> bool:
+            return (all(getattr(t, pos) == (m[var] if term is None else term)
+                        for pos, term, var in residual)
+                    and all(getattr(t, pos) == getattr(t, earlier) for pos, earlier in repeats))
+    return _Step(tuple(position for position, _, _ in keyed), key, accept,
+                 tuple((var, attrgetter(position)) for var, position in binds.items()))
+
+
+def _plan(patterns: List[TriplePattern], bound: AbstractSet[str]) -> List[_Step]:
+    """The patterns as compiled steps, in greedy order: next the first of
+    those with the most bound positions."""
+    bound = set(bound)
+    todo = list(patterns)
+    steps = []
+    while todo:
+        pattern = max(todo, key=lambda tp: _bound_positions(tp, bound))
+        todo.remove(pattern)
+        steps.append(_compile(pattern, bound))
+        bound.update(pattern.variables())
+    return steps
+
+
+def _join(solutions: List[SolutionMapping], steps: List[_Step], graph: Graph) -> List[SolutionMapping]:
+    for step in steps:
+        if not solutions:
+            break
+        bucket = graph.index(step.shape).get
+        key, accept, binds = step.key, step.accept, step.binds
+        out = []
+        for m in solutions:
+            for t in bucket(key(m), ()):
+                if accept is not None and not accept(t, m):
+                    continue
+                if binds:
+                    extended = m.copy()
+                    for var, position in binds:
+                        extended[var] = position(t)
+                    out.append(extended)
+                else:
+                    out.append(m)  # fully bound: at most one triple matches
+        solutions = out
+    return solutions
 
 
 def _row_sort_key(row: Row, projection: List[str]):
@@ -265,24 +349,32 @@ def _row_sort_key(row: Row, projection: List[str]):
 
 def evaluate(query: Query, graph: Graph) -> List[Row]:
     """Evaluate the query over a graph, returning sorted, deduplicated rows."""
-    solutions = _extend({}, query.required, graph)
+    required_vars = frozenset(v for tp in query.required for v in tp.variables())
+    by_domain = {required_vars: _join([{}], _plan(query.required, ()), graph)}
     for group in query.optional_groups:
-        joined: List[SolutionMapping] = []
-        for m in solutions:
-            extensions = _extend(m, group, graph)
+        group_vars = {v for tp in group for v in tp.variables()}
+        joined: Dict[FrozenSet[str], List[SolutionMapping]] = {}
+        for domain, solutions in by_domain.items():
+            extensions = _join(solutions, _plan(group, domain), graph)
+            # An extension agrees with its solution on the domain, so the
+            # solutions no extension agrees with are those the group fails.
+            order = sorted(domain)
+            extended = {tuple(map(e.__getitem__, order)) for e in extensions}
+            failed = [m for m in solutions if tuple(map(m.__getitem__, order)) not in extended]
             if extensions:
-                joined.extend(extensions)
-            else:
-                joined.append(m)
-        solutions = joined
+                joined.setdefault(domain | group_vars, []).extend(extensions)
+            if failed:
+                joined.setdefault(domain, []).extend(failed)
+        by_domain = joined
     seen = set()
     rows: List[Row] = []
-    for m in solutions:
-        row = {var: m.get(var) for var in query.projection}
-        terms = tuple(row.values())
-        if terms not in seen:
-            seen.add(terms)
-            rows.append(row)
+    for solutions in by_domain.values():
+        for m in solutions:
+            row = {var: m.get(var) for var in query.projection}
+            terms = tuple(row.values())
+            if terms not in seen:
+                seen.add(terms)
+                rows.append(row)
     rows.sort(key=lambda r: _row_sort_key(r, query.projection))
     return rows
 

@@ -205,16 +205,16 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
     return bindings
 
 
-_POSITIONS = ("subject", "predicate", "object")
+POSITIONS = ("subject", "predicate", "object")
 
 
 class Graph:
     """A deduplicated set of triples with deterministic iteration order.
 
-    graph_match looks patterns up in hash indexes built on demand, one per
-    shape of pattern it is asked for, and dropped by `add`/`update`. A shape
-    is the positions a pattern binds, such as (subject, predicate); its
-    index maps the terms in those positions to the triples that have them.
+    Patterns are looked up in hash indexes built on demand, one per shape,
+    and dropped by `add`/`update`. A shape is up to two positions a pattern
+    binds, such as (subject, predicate); its index maps the terms in those
+    positions to the triples that have them.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -246,34 +246,39 @@ class Graph:
     def __repr__(self) -> str:
         return "Graph(%d triples)" % len(self)
 
-    def _candidates(self, pattern: TriplePattern) -> Iterable[Triple]:
-        """The triples that agree with the pattern's concrete terms, unordered.
+    def index(self, shape: Tuple[str, ...]) -> Dict[object, List[Triple]]:
+        """The index of a shape, built on first use; read it with `get`.
 
-        A superset of the matches when a variable repeats (`?x p ?x`) or
-        the pattern is fully bound, so callers check each with match_triple.
+        Its keys are the terms in the shape's positions: the term itself for
+        one position, a tuple for two, and () for the empty shape, whose one
+        bucket holds every triple. Buckets are unordered.
         """
-        shape = tuple(name for name in _POSITIONS if not getattr(pattern, name).is_variable)
-        if not shape:
-            return self._triples
-        shape = shape[:2]  # a fully bound pattern filters its (s, p) bucket
-        key = attrgetter(*shape)  # a pattern's or triple's terms in those positions
         index = self._indexes.get(shape)
         if index is None:
-            index = self._indexes[shape] = defaultdict(list)
-            for triple in self._triples:
-                index[key(triple)].append(triple)
-        return index.get(key(pattern), ())
+            if shape:
+                key = attrgetter(*shape)
+                index = defaultdict(list)
+                for triple in self._triples:
+                    index[key(triple)].append(triple)
+            else:
+                index = {(): list(self._triples)}
+            self._indexes[shape] = index
+        return index
 
 
 def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, SolutionMapping]]:
     """All triples in the graph matching the pattern, with their bindings.
 
     Matches come back sorted by (subject, predicate, object) term order so
-    downstream results never depend on insertion order. Only the index's
-    candidates are checked and sorted, not the whole graph.
+    downstream results never depend on insertion order. Only the bucket of
+    the pattern's first two concrete positions is checked and sorted, not
+    the whole graph. `explain --row` calls it, as do the tests; `evaluate`
+    reads `Graph.index` through its compiled steps instead.
     """
+    shape = tuple(name for name in POSITIONS if not getattr(pattern, name).is_variable)[:2]
+    key = attrgetter(*shape)(pattern) if shape else ()
     out = []
-    for triple in graph._candidates(pattern):
+    for triple in graph.index(shape).get(key, ()):
         bindings = match_triple(triple, pattern)
         if bindings is not None:
             out.append((triple, bindings))

@@ -1,6 +1,7 @@
 """Shared generators and independent brute-force oracles for the test suite."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -125,9 +126,9 @@ class DrawnRandom:
 
 
 @st.composite
-def webs(draw) -> Dict[str, str]:
+def webs(draw, max_docs: int = 20, max_triples: int = 10) -> Dict[str, str]:
     """random_web as a strategy."""
-    return random_web(DrawnRandom(draw))
+    return random_web(DrawnRandom(draw), max_docs, max_triples)
 
 
 @st.composite
@@ -145,6 +146,50 @@ def bgp_queries(draw, n_docs: int) -> Query:
             tp = TriplePattern(tp.subject, Term.var("p"), tp.object)  # a superset of tp's matches
         patterns.insert(draw(st.integers(0, len(patterns))), tp)
     return Query(query.projection, patterns)
+
+
+def _variables(patterns: List[TriplePattern]) -> List[str]:
+    return sorted({v for tp in patterns for v in tp.variables()})
+
+
+@st.composite
+def optional_queries(draw, triples: Sequence[Triple]) -> Query:
+    """Queries with zero to two OPTIONAL groups that often have solutions
+    over a graph of the given (non-empty) triples.
+
+    A required pattern is one of the triples with each position kept or
+    made a variable: ?a, ?b or ?c, so variables repeat, predicates are
+    variables, and a pattern may be fully bound. Each group links a variable
+    bound before it to a new one by a predicate of the graph, either way
+    round: ?x p ?d in the first, with ?x a required variable, and ?d p ?e in
+    the second; it may add one more pattern made like the required ones. So
+    solutions whose first group failed reach the second with a smaller
+    domain than those it extended, and the second group's ?d is bound for
+    some of them and new for others.
+    """
+    def like(triple: Triple, variables: List[str]) -> TriplePattern:
+        return TriplePattern(*(
+            Term.var(draw(st.sampled_from(variables))) if draw(st.booleans()) else term
+            for term in (triple.subject, triple.predicate, triple.object)))
+
+    required = [like(draw(st.sampled_from(triples)), ["a", "b", "c"])
+                for _ in range(draw(st.integers(1, 3)))]
+    if not _variables(required):
+        required[0] = dataclasses.replace(required[0], subject=Term.var("a"))
+    variables = _variables(required)
+    links = [(draw(st.sampled_from(variables)), "d"), ("d", "e")]
+    groups = []
+    for bound, new in links[:draw(st.integers(0, 2))]:
+        ends = [Term.var(bound), Term.var(new)]
+        if draw(st.booleans()):
+            ends.reverse()
+        variables = variables + [new]
+        group = [TriplePattern(ends[0], draw(st.sampled_from(triples)).predicate, ends[1])]
+        if draw(st.booleans()):
+            group.append(like(draw(st.sampled_from(triples)), variables))
+        groups.append(group)
+    projection = draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+    return Query(projection, required, groups)
 
 
 def random_registry_json(rng: random.Random, n_docs: int,

@@ -180,6 +180,32 @@ class TestCompare:
         # row disappears even before the policy filters triples
         assert "structure pruning alone vs c-all: results changed" in out
 
+    def test_each_document_fetched_once(self, capsys, monkeypatch):
+        # The four runs (unguided, guided, c-all, structure-only) request 12
+        # distinct IRIs, 32 times in all; each is fetched once.
+        calls = []
+        original = FixtureSource.fetch
+
+        def counting(source, doc_iri):
+            calls.append(doc_iri)
+            return original(source, doc_iri)
+
+        monkeypatch.setattr(FixtureSource, "fetch", counting)
+        code, out, _ = run_cli(capsys, ["compare"] + guided_flags())
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 12
+        assert out == (
+            "unguided (c-match): 5 rows / 7 docs; guided: 2 rows / 4 docs; rows removed: 3\n"
+            '  removed: <http://dbpedia.org/resource/Mickey_Mouse>\t"Mickey Mouse"@en\tNULL\tNULL\n'
+            '  removed: <https://ann.ex/#me>\t"Felix"\t<mailto:me@ann.ex>'
+            "\t<https://ann.ex/about/ann.jpg>\n"
+            '  removed: <https://bob.ex/#me>\t"Bob"\t<mailto:me@bob.ex>'
+            "\t<https://bob.ex/funny-fish.jpg>\n"
+            "fetched under https://ann.ex/: 4 -> 2\n"
+            "fetched under https://bob.ex/: 2 -> 1\n"
+            "structure pruning alone vs c-all: results changed\n"
+        )
+
     def test_permissive_guidance_no_row_difference(self, capsys, tmp_path):
         structures = tmp_path / "structures.json"
         structures.write_text('{"default": "permissive", "rules": []}')

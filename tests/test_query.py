@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_evaluate,
+    optional_queries,
     parse_web,
     random_bgp_query,
     random_web,
     row_fingerprints,
+    webs,
 )
-from linkquery import rdf
 from linkquery.query import (
     Query,
     QueryParseError,
@@ -198,6 +201,31 @@ class TestEvaluate:
             ),
         }
 
+    def test_second_group_sees_both_domains(self):
+        # The first group binds ?d for a.ex only. So the second group, on
+        # ?d, runs with ?d bound for a.ex, where it finds d.ex's triple, and
+        # with ?d new for b.ex, where any r-triple extends the solution.
+        p, q_, r = "https://vocab.ex/p", "https://vocab.ex/q", "https://vocab.ex/r"
+        g = Graph([
+            t("https://a.ex/", p, "https://x.ex/"),
+            t("https://b.ex/", p, "https://y.ex/"),
+            t("https://x.ex/", q_, "https://d.ex/"),
+            t("https://d.ex/", r, "https://e.ex/"),
+            t("https://f.ex/", r, "https://g.ex/"),
+        ])
+        query = parse_query(
+            "SELECT ?a ?d ?e WHERE { ?a <%s> ?b OPTIONAL { ?b <%s> ?d } OPTIONAL { ?d <%s> ?e } }"
+            % (p, q_, r)
+        )
+        rows = [tuple(row[v].value for v in query.projection) for row in evaluate(query, g)]
+        assert rows == [
+            ("https://a.ex/", "https://d.ex/", "https://e.ex/"),
+            ("https://b.ex/", "https://d.ex/", "https://e.ex/"),
+            ("https://b.ex/", "https://f.ex/", "https://g.ex/"),
+        ]
+        assert set(rows) == {tuple(cell[1] for cell in row)
+                             for row in brute_force_evaluate(query, g)}
+
     def test_optional_group_all_or_nothing(self):
         name, mbox, img = FOAF + "name", FOAF + "mbox", FOAF + "img"
         g = Graph(
@@ -284,6 +312,22 @@ class TestEvaluate:
                     ):
                         assert m[0] != ("iri", row["a"].value, None)
 
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_evaluate_equals_brute_force_with_optionals(self, data):
+        # Webs of at most 3 x 6 triples keep the oracle's |graph|^|patterns|
+        # enumeration small.
+        bodies = data.draw(webs(max_docs=3, max_triples=6))
+        graph = Graph()
+        for g in parse_web(bodies).values():
+            graph.update(iter(g))
+        assume(len(graph))
+        query = data.draw(optional_queries(list(graph)))
+        rows = evaluate(query, graph)
+        expected = brute_force_evaluate(query, graph)
+        assert row_fingerprints(rows, query.projection) == expected
+        assert len(rows) == len(expected)
+
     def test_results_deduplicated_and_sorted(self):
         p = "https://vocab.ex/p"
         g = Graph(
@@ -300,14 +344,41 @@ class TestEvaluate:
         assert len(rows) == 2
 
 
+def count_candidates(monkeypatch, bound):
+    """Make evaluate's index lookups count the candidate triples it takes
+    from their buckets, failing as soon as it takes more than bound.
+    Returns a function that reads the count."""
+    taken = 0
+
+    class Bucket(list):
+        def __iter__(self):
+            nonlocal taken
+            for triple in list.__iter__(self):
+                taken += 1
+                assert taken <= bound, "more than %d candidates taken" % bound
+                yield triple
+
+    class Index:
+        def __init__(self, index):
+            self.index = index
+
+        def get(self, key, default=None):
+            bucket = self.index.get(key)
+            return default if bucket is None else Bucket(bucket)
+
+    original = Graph.index
+    monkeypatch.setattr(Graph, "index", lambda graph, shape: Index(original(graph, shape)))
+    return lambda: taken
+
+
 class TestEvaluateWork:
     def test_join_checks_each_candidate_once(self, monkeypatch):
         # ?a knows ?b . ?b name ?n over 430 people knowing 10 others each:
         # 4,300 knows triples and 430 names, 4,730 triples in all. The first
-        # pattern checks each knows triple; then each of the 4,300 partial
-        # solutions checks its one name triple, so k = 1 candidate per row.
-        # A scan of the whole graph per partial solution makes ~20 million
-        # checks; the counter stops it as soon as the bound is passed.
+        # pattern takes each knows triple; then each of the 4,300 partial
+        # solutions takes its one name triple, so k = 1 candidate per row.
+        # A scan of the whole graph per partial solution takes ~20 million;
+        # the counter stops it as soon as the bound is passed.
         people, degree, k = 430, 10, 1
         person = ["https://p%d.ex/#me" % i for i in range(people)]
         triples = []
@@ -322,20 +393,39 @@ class TestEvaluateWork:
             for j in range(1, degree + 1)
         }
         query = parse_query("SELECT ?a ?b ?n WHERE { ?a foaf:knows ?b. ?b foaf:name ?n }")
-        bound = len(graph) + k * len(expected)
-        calls = 0
-        original = rdf.match_triple
-
-        def counting(triple, pattern):
-            nonlocal calls
-            calls += 1
-            assert calls <= bound, "more than %d match_triple calls" % bound
-            return original(triple, pattern)
-
-        monkeypatch.setattr(rdf, "match_triple", counting)
+        taken = count_candidates(monkeypatch, len(graph) + k * len(expected))
         rows = evaluate(query, graph)
         assert len(graph) == 4_730
         assert {(r["a"].value, r["b"].value, r["n"].value) for r in rows} == expected
+        assert taken() >= len(rows)  # each row was built from a counted candidate
+
+    def test_join_starts_from_its_constant(self, monkeypatch):
+        # ?a knows ?b . ?b knows ?c . ?c name "n7" over 3,000 people, each
+        # knowing the 5 at offsets 1, 2, 4, 8 and 16, plus names: 18,000
+        # triples. Started from the constant, the join takes 1 name, the 5
+        # knowers of n7 and their 5 knowers each: 31 candidates for 25 rows.
+        # In the written order it takes all 15,000 knows triples, then 5
+        # per solution twice, about 165,000.
+        people, offsets = 3_000, (1, 2, 4, 8, 16)
+        person = ["https://p%d.ex/#me" % i for i in range(people)]
+        graph = Graph(
+            [t(person[i], FOAF + "name", Term.literal("n%d" % i)) for i in range(people)]
+            + [t(person[i], FOAF + "knows", person[(i + j) % people])
+               for i in range(people) for j in offsets]
+        )
+        expected = {
+            (person[(7 - i - j) % people], person[(7 - i) % people], person[7])
+            for i in offsets for j in offsets
+        }
+        query = parse_query(
+            'SELECT ?a ?b ?c WHERE { ?a foaf:knows ?b. ?b foaf:knows ?c. ?c foaf:name "n7" }'
+        )
+        taken = count_candidates(monkeypatch, 100)
+        rows = evaluate(query, graph)
+        assert len(graph) == 18_000
+        assert {(r["a"].value, r["b"].value, r["c"].value) for r in rows} == expected
+        assert len(rows) == 25
+        assert taken() >= len(rows)
 
     def test_subject_predicate_probes_index_each_triple_once(self):
         # An anchored join looks up (subject, predicate) keys only: the first
