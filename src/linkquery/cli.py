@@ -8,11 +8,13 @@ usage error: --semantics when guided, and the live flags without --live.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import List, Optional
 
 from .guidance import (
     GuidanceParseError,
@@ -34,7 +36,7 @@ from .query import (
     rows_to_json,
     triple_patterns,
 )
-from .rdf import IriError, TriplePattern, graph_match, match_triple, strip_fragment
+from .rdf import IriError, graph_match, match_triple, strip_fragment
 from .traversal import (
     C_ALL,
     C_MATCH,
@@ -46,7 +48,7 @@ from .traversal import (
     traverse_unguided,
 )
 from .turtle import TurtleParseError
-from .webfetch import OK, FetchResult, FixtureError, FixtureSource, LiveHttpSource
+from .webfetch import OK, FixtureError, FixtureSource, LiveHttpSource
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -172,27 +174,14 @@ def _cmd_run(args, out) -> int:
     return EXIT_OK
 
 
-class _FetchOnce:
-    """A source that fetches each IRI once and answers repeats from memory,
-    so compare's four runs make one request per document. Within a run, a
-    wave asks for distinct IRIs not fetched before, so no two pool threads
-    fetch the same IRI at once."""
-
-    def __init__(self, source):
-        self._fetch = source.fetch
-        self._results: Dict[str, FetchResult] = {}
-
-    def fetch(self, doc_iri: str) -> FetchResult:
-        result = self._results.get(doc_iri)
-        if result is None:
-            result = self._results.setdefault(doc_iri, self._fetch(doc_iri))
-        return result
-
-
 def _cmd_compare(args, out) -> int:
     query, guidance = _load_inputs(args)
     semantics = args.semantics or C_MATCH
-    source = _FetchOnce(_make_source(args))
+    # A source that fetches each IRI once and answers repeats from memory, so
+    # the four runs make one request per document. Within a run, a wave asks
+    # for distinct IRIs not fetched before, so no two pool threads miss on
+    # the same IRI at once.
+    source = SimpleNamespace(fetch=functools.cache(_make_source(args).fetch))
 
     def solve(run_guidance, run_semantics):
         """The run's rows, each a tuple of its terms (Term equality is row
@@ -320,15 +309,6 @@ def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
     return EXIT_OK
 
 
-def _substitute(pattern: TriplePattern, mapping) -> TriplePattern:
-    def sub(term):
-        if term.is_variable and term.value in mapping:
-            return mapping[term.value]
-        return term
-
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
-
-
 def _explain_row(args, out, query, guidance, rows, pool) -> int:
     if args.row < 1 or args.row > len(rows):
         sys.stderr.write("no such row: %d (have %d rows)\n" % (args.row, len(rows)))
@@ -345,10 +325,11 @@ def _explain_row(args, out, query, guidance, rows, pool) -> int:
     graph = pool.graph()
     provenance = pool.provenance()
     for pattern in triple_patterns(query):
-        concrete = _substitute(pattern, mapping)
-        if any(term.is_variable for term in (concrete.subject, concrete.predicate, concrete.object)):
-            continue
-        for triple, _ in graph_match(graph, concrete):
+        if not mapping.keys() >= set(pattern.variables()):
+            continue  # a variable the row leaves unbound: unprojected or NULL
+        for triple, bindings in graph_match(graph, pattern):
+            if not bindings.items() <= mapping.items():
+                continue
             for src in sorted(provenance[triple]):
                 label = ""
                 if guidance is not None:

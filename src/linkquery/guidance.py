@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
 
 from .rdf import (
@@ -169,12 +169,13 @@ def parse_structure_registry(text: str) -> LinkingStructureRegistry:
 
 @dataclass(frozen=True)
 class PolicyRule:
+    """One content-policy rule; ties in priority rank by place in `ContentPolicy.rules`."""
+
     action: str  # allow | deny
     pattern: TriplePattern  # variables act as wildcards
     source: str  # IRI prefix, SAME_ORIGIN, or WILDCARD
     priority: int
     exclusive_key: Optional[str] = None  # only SUBJECT_PREDICATE
-    index: int = 0  # declaration position after list expansion, for tie-breaks
     entry: int = 0  # position of the rule's entry in the policy file, from 0
 
     def matches(self, triple: Triple, source_doc_iri: str) -> bool:
@@ -190,9 +191,27 @@ class PolicyRule:
         return source_doc_iri.startswith(self.source)
 
 
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+def _origin(iri: str) -> Optional[Tuple[str, str, Optional[int]]]:
+    """The RFC 6454 origin of iri: its scheme, lowercased host and port, the
+    scheme's default port when none is given. None without a host or with a
+    malformed port."""
+    parts = urlsplit(iri)
+    try:
+        port = parts.port
+    except ValueError:
+        return None
+    if not parts.hostname:
+        return None
+    return parts.scheme, parts.hostname, _DEFAULT_PORTS.get(parts.scheme) if port is None else port
+
+
 def _same_origin(subject_iri: str, source_iri: str) -> bool:
-    a, b = urlsplit(subject_iri), urlsplit(source_iri)
-    return a.scheme == b.scheme and a.netloc == b.netloc
+    """A URI without an origin (no host, or a malformed port) is same-origin with nothing."""
+    origin = _origin(subject_iri)
+    return origin is not None and origin == _origin(source_iri)
 
 
 @dataclass
@@ -202,10 +221,12 @@ class ContentPolicy:
     _ordered: List[PolicyRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._ordered = sorted(self.rules, key=lambda r: (-r.priority, r.index))
+        self._ordered = sorted(self.rules, key=lambda r: -r.priority)
 
     def ordered_rules(self) -> List[PolicyRule]:
-        """The rules by descending priority, then declaration; sorted once, when built."""
+        """The rules by descending priority, sorted once, when built. The sort is
+        stable: equal priorities keep their order in `rules`, as parse_policy
+        appends them (declaration order, list expansion included)."""
         return self._ordered
 
 
@@ -273,7 +294,7 @@ def parse_policy(text: str) -> ContentPolicy:
                 )
             except (GuidanceParseError, IriError) as exc:
                 raise GuidanceParseError("%s: %s" % (where, exc)) from exc
-            rules.append(PolicyRule(action, pattern, source, priority, exclusive, len(rules), i))
+            rules.append(PolicyRule(action, pattern, source, priority, exclusive, i))
     return ContentPolicy(rules, default)
 
 
@@ -296,32 +317,23 @@ PoolEntry = Tuple[Triple, str]
 def apply_overrides(pool: Iterable[PoolEntry], policy: ContentPolicy) -> Set[PoolEntry]:
     """Enforce exclusive rules over the already-relevant pool.
 
-    For each rule with an exclusive subject-predicate key (descending
-    priority): when some pool triple is admitted by that rule, drop all pool
-    triples sharing its (subject, predicate) that were admitted from other
-    sources by lower-priority rules.
+    Each rule with an exclusive subject-predicate key, in `ordered_rules()`
+    order, claims the (subject, predicate) keys of the surviving entries it
+    matches. It drops each surviving entry with a claimed key whose source
+    document its source constraint rejects, unless a rule ahead of it in
+    `ordered_rules()` matches the entry: only entries admitted by a rule
+    ranked below it, or by the default, are displaced.
     """
     surviving: Set[PoolEntry] = set(pool)
-    exclusive_rules = [
-        r for r in policy.ordered_rules() if r.exclusive_key == SUBJECT_PREDICATE
-    ]
-    for rule in exclusive_rules:
-        winners = {
-            (t, src) for (t, src) in surviving if rule.matches(t, src)
-        }
-        winner_keys = {(t.subject, t.predicate) for (t, _) in winners}
-        if not winner_keys:
+    ordered = policy.ordered_rules()
+    for position, rule in enumerate(ordered):
+        if rule.exclusive_key != SUBJECT_PREDICATE:
             continue
-        dropped = set()
-        for entry in surviving:
-            t, src = entry
-            if (t.subject, t.predicate) not in winner_keys or entry in winners:
-                continue
-            _, deciding = relevance_decision(policy, t, src)
-            lower_priority = deciding is None or (
-                (-deciding.priority, deciding.index) > (-rule.priority, rule.index)
-            )
-            if lower_priority and not rule.source_matches(t, src):
-                dropped.add(entry)
-        surviving -= dropped
+        claimed = {(t.subject, t.predicate) for t, src in surviving if rule.matches(t, src)}
+        surviving = {
+            (t, src) for t, src in surviving
+            if (t.subject, t.predicate) not in claimed
+            or rule.source_matches(t, src)
+            or any(ahead.matches(t, src) for ahead in ordered[:position])
+        }
     return surviving

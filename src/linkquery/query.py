@@ -100,26 +100,18 @@ class Query:
             raise QueryParseError("projection must be non-empty")
         if len(set(self.projection)) != len(self.projection):
             raise QueryParseError("duplicate variable in projection")
-        bound = set()
-        for pattern in self.all_patterns():
-            bound.update(pattern.variables())
+        bound = {v for pattern in triple_patterns(self) for v in pattern.variables()}
         for var in self.projection:
             if var not in bound:
                 raise QueryParseError(
                     "projected variable ?%s does not occur in any pattern" % var
                 )
 
-    def all_patterns(self) -> List[TriplePattern]:
-        out = list(self.required)
-        for group in self.optional_groups:
-            out.extend(group)
-        return out
-
 
 def triple_patterns(query: Query) -> List[TriplePattern]:
-    """All patterns of the query, required and optional, deduplicated."""
+    """All patterns of the query, required then optional, deduplicated."""
     seen = []
-    for pattern in query.all_patterns():
+    for pattern in query.required + [tp for group in query.optional_groups for tp in group]:
         if pattern not in seen:
             seen.append(pattern)
     return seen

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -174,19 +174,22 @@ class FixtureSource:
 
 
 def _decode(body: bytes, content_type: str) -> str:
-    """The body as text in the charset its Content-Type names; UTF-8 when it
-    names none, or one Python cannot decode text with.
+    """The body as text in the charset its Content-Type names, decoded
+    strictly; else as UTF-8, Turtle's own encoding (RDF 1.1 Turtle), with
+    each malformed byte replaced.
 
-    Some codecs Python can look up still refuse to decode (`undefined` always,
-    `idna` with any error handler but 'strict', `punycode` on non-ASCII
-    bytes): they raise UnicodeError, a ValueError, and also fall back.
+    UTF-8 is used when the header names no charset, one Python does not know,
+    or one that refuses the body: a body with a byte invalid in its declared
+    charset is read as UTF-8 (a UTF-8 body labelled us-ascii, say), and so
+    is one whose codec does not decode text (`undefined`, `idna`, `punycode`
+    on non-ASCII bytes). Each of these raises LookupError or a ValueError.
     """
     import email.message  # as requests is, only where live fetching needs it
 
     header = email.message.Message()
     header["Content-Type"] = content_type
     try:
-        return body.decode(header.get_content_charset("utf-8"), "replace")
+        return body.decode(header.get_content_charset("utf-8"))
     except (LookupError, ValueError):
         return body.decode("utf-8", "replace")
 

@@ -17,11 +17,13 @@ from linkquery.guidance import (
     ContentPolicy,
     EffectiveStructure,
     LinkingStructureRegistry,
-    apply_overrides,
+    PoolEntry,
     get_linking_structure,
+    parse_policy,
+    parse_structure_registry,
     triple_relevant,
 )
-from linkquery.query import Query
+from linkquery.query import Query, triple_patterns
 from linkquery.rdf import Graph, Term, Triple, TriplePattern, match_triple, strip_fragment
 from linkquery.turtle import parse_turtle
 from linkquery.webfetch import Document, FixtureSource
@@ -123,6 +125,9 @@ class DrawnRandom:
 
     def random(self) -> float:
         return self.draw(st.integers(0, 999)) / 1000
+
+    def sample(self, seq, k: int) -> list:
+        return self.draw(st.permutations(seq))[:k]
 
 
 @st.composite
@@ -244,6 +249,18 @@ def random_policy_json(rng: random.Random, n_docs: int,
                        "rules": rules})
 
 
+@st.composite
+def registries(draw, n_docs: int) -> LinkingStructureRegistry:
+    """random_registry_json as a strategy, compiled."""
+    return parse_structure_registry(random_registry_json(DrawnRandom(draw), n_docs))
+
+
+@st.composite
+def policies(draw, n_docs: int) -> ContentPolicy:
+    """random_policy_json as a strategy, compiled."""
+    return parse_policy(random_policy_json(DrawnRandom(draw), n_docs))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force oracles. These stay independent of the engine's algorithms.
 
@@ -275,7 +292,7 @@ def closure_c_match(bodies: Dict[str, str], seeds: Sequence[str],
     when its subject occurs in some matching triple of a reached document.
     """
     graphs = parse_web(bodies)
-    patterns = query.all_patterns()
+    patterns = triple_patterns(query)
     reached = {strip_fragment(s) for s in seeds if strip_fragment(s) in graphs}
     while True:
         triples = [t for iri in reached for t in graphs[iri]]
@@ -346,7 +363,7 @@ def closure_guided(bodies: Dict[str, str], seeds: Sequence[str],
     """
     graphs = parse_web(bodies)
     docs = {iri: Document(iri, graph) for iri, graph in graphs.items()}
-    patterns = query.all_patterns()
+    patterns = triple_patterns(query)
     reached = {strip_fragment(s) for s in seeds}
     offered_all = set()
     while True:
@@ -379,7 +396,38 @@ def closure_guided(bodies: Dict[str, str], seeds: Sequence[str],
         reached |= frontier
     found = reached & docs.keys()
     relevant = {(t, iri) for iri in found for t in graphs[iri] if triple_relevant(policy, t, iri)}
-    return found, offered_all - reached, apply_overrides(relevant, policy)
+    return found, offered_all - reached, reference_overrides(relevant, policy)
+
+
+def reference_overrides(pool: Set[PoolEntry], policy: ContentPolicy) -> Set[PoolEntry]:
+    """The pool after the policy's exclusive rules, as apply_overrides's
+    docstring states them, with the rules ranked here: by descending
+    priority, then by place in policy.rules.
+
+    Each exclusive rule, in rank order, takes the (subject, predicate) keys
+    of the surviving entries it matches, then drops each surviving entry
+    with one of those keys whose document its source constraint rejects and
+    whose deciding rule (the first in rank that matches the entry, or the
+    default after all rules) ranks below it.
+    """
+    ranked = [rule for _, rule in sorted(enumerate(policy.rules),
+                                         key=lambda pair: (-pair[1].priority, pair[0]))]
+
+    def decided_at(entry: PoolEntry) -> int:
+        return next((rank for rank, rule in enumerate(ranked) if rule.matches(*entry)),
+                    len(ranked))
+
+    surviving = set(pool)
+    for rank, rule in enumerate(ranked):
+        if rule.exclusive_key is None:
+            continue
+        keys = {(t.subject, t.predicate) for t, src in surviving if rule.matches(t, src)}
+        surviving -= {
+            (t, src) for t, src in surviving
+            if (t.subject, t.predicate) in keys and not rule.source_matches(t, src)
+            and decided_at((t, src)) > rank
+        }
+    return surviving
 
 
 def union_graph(bodies: Dict[str, str], docs: Set[str]) -> Graph:

@@ -269,7 +269,7 @@ def test_8_parser_suite():
 
 def _random_deny_default_policy(rng, sources):
     rules = []
-    for i in range(rng.randint(0, 4)):
+    for _ in range(rng.randint(0, 4)):
         rules.append(
             PolicyRule(
                 rng.choice([ALLOW, DENY]),
@@ -283,7 +283,6 @@ def _random_deny_default_policy(rng, sources):
                 ),
                 rng.choice([WILDCARD, SAME_ORIGIN] + sources),
                 rng.randint(0, 5),
-                index=i,
             )
         )
     return ContentPolicy(rules, DENY)
@@ -309,7 +308,6 @@ def test_9_allow_rule_monotonicity_property():
                 ),
                 rng.choice([WILDCARD, SAME_ORIGIN] + sources),
                 rng.randint(0, 6),
-                index=len(base.rules),
             )
             widened = ContentPolicy(base.rules + [extra], DENY)
             before_pool, _ = traverse_guided(

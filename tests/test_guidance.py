@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import PREDICATES, reference_lambda
+from helpers import PREDICATES, parse_web, policies, reference_lambda, reference_overrides, webs
 from linkquery.guidance import (
     ALLOW,
     DENY,
@@ -342,13 +344,32 @@ class TestTripleRelevant:
         results = {triple_relevant(uma_policy, triple, "https://ann.ex/about/") for _ in range(10)}
         assert results == {True}
 
+    @pytest.mark.parametrize("subject,source,same", [
+        # RFC 6454: the scheme, the lowercased host and the port, the
+        # scheme's default when none is given; userinfo is no part of it
+        ("https://Bob.ex/#me", "https://bob.ex/", True),
+        ("https://bob.ex:443/#me", "https://bob.ex/", True),
+        ("http://bob.ex/#me", "http://bob.ex:80/", True),
+        ("https://u@bob.ex/#me", "https://bob.ex/", True),
+        # a URI without a host, or with a port out of range, has no origin
+        ("urn:a", "urn:b", False),
+        ("urn:a", "urn:a", False),
+        ("mailto:a@x.ex", "mailto:b@y.ex", False),
+        ("https://bob.ex:99999/#me", "https://bob.ex:99999/", False),
+    ])
+    def test_same_origin_is_rfc_6454_origin(self, subject, source, same):
+        policy = parse_policy(json.dumps({"default": "deny", "rules": [
+            {"action": "allow", "pattern": {}, "source": SAME_ORIGIN}]}))
+        triple = t(subject, FOAF + "name", Term.literal("Bob"))
+        assert triple_relevant(policy, triple, source) == same
+
     def test_deny_by_default_matches_rule_enumeration_oracle(self):
         rng = random.Random(17)
         predicates = [FOAF + "name", FOAF + "mbox", FOAF + "img", FOAF + "knows"]
         sources = ["https://a.ex/", "https://b.ex/", "https://a.ex/sub/"]
         for _ in range(20):
             rules = []
-            for i in range(rng.randint(1, 6)):
+            for _ in range(rng.randint(1, 6)):
                 rules.append(
                     PolicyRule(
                         rng.choice([ALLOW, DENY]),
@@ -359,7 +380,6 @@ class TestTripleRelevant:
                         ),
                         rng.choice([WILDCARD, SAME_ORIGIN] + sources),
                         rng.randint(0, 5),
-                        index=i,
                     )
                 )
             policy = ContentPolicy(rules, DENY)
@@ -429,3 +449,13 @@ class TestApplyOverrides:
             "https://ann.ex/about/",
         )
         assert apply_overrides({preferred, other}, uma_policy) == {preferred, other}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_reference_property(self, data):
+        # Every triple of a drawn web of up to 4 documents, from its
+        # document: a (subject, predicate) often comes from several.
+        bodies = data.draw(webs(max_docs=4))
+        policy = data.draw(policies(len(bodies)))
+        pool = {(t, iri) for iri, graph in parse_web(bodies).items() for t in graph}
+        assert apply_overrides(pool, policy) == reference_overrides(pool, policy)

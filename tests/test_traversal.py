@@ -15,10 +15,12 @@ from helpers import (
     closure_guided,
     doc_iri,
     entity_iri,
+    policies,
     random_bgp_query,
     random_policy_json,
     random_registry_json,
     random_web,
+    registries,
     row_fingerprints,
     union_graph,
     web_source,
@@ -405,8 +407,28 @@ class TestProperties:
         for admission in trace.admissions:
             if admission.reason == "link":
                 assert admission.via_pattern == next(
-                    (tp for tp in query.all_patterns()
+                    (tp for tp in triple_patterns(query)
                      if match_triple(admission.via_triple, tp) is not None), None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_guided_fetches_closure_and_pool(self, data):
+        # Drawn registries and policies, exclusive rules among them: the
+        # fetched documents, the pool and the pruned documents that stay
+        # unfetched match the rescanning oracle.
+        bodies = data.draw(webs())
+        query = data.draw(bgp_queries(len(bodies)))
+        registry = data.draw(registries(len(bodies)))
+        policy = data.draw(policies(len(bodies)))
+        seeds = [doc_iri(0)]
+        pool, trace = traverse_guided(seeds, registry, policy, query, web_source(bodies),
+                                      max_documents=1000)
+        expected_docs, expected_pruned, expected_pool = closure_guided(
+            bodies, seeds, registry, policy, query)
+        assert trace.ledger.ok_documents == expected_docs
+        assert pool.entries == expected_pool
+        assert {a.doc_iri for a in trace.admissions if a.reason == "pruned"} \
+            - set(trace.admitted_documents()) == expected_pruned
 
 
 class TestSubtreeReport:

@@ -220,6 +220,8 @@ CHARSET_BODIES = {  # path: (Content-Type, body)
     "/utf8-undefined-charset": ("text/turtle; charset=undefined", NAME_UTF8),
     "/utf8-idna-charset": ("text/turtle; charset=idna", NAME_UTF8),
     "/utf8-punycode-charset": ("text/turtle; charset=punycode", NAME_UTF8),
+    # a charset the body has a byte invalid in
+    "/utf8-us-ascii-charset": ("text/turtle; charset=us-ascii", NAME_UTF8),
 }
 
 
@@ -304,6 +306,7 @@ class TestLiveHttpSource:
         ("/utf8-undefined-charset", "Andr\u00e9"),
         ("/utf8-idna-charset", "Andr\u00e9"),
         ("/utf8-punycode-charset", "Andr\u00e9"),
+        ("/utf8-us-ascii-charset", "Andr\u00e9"),
     ])
     def test_body_decoded_in_content_type_charset(self, http_server, path, name):
         doc = Dereferencer(LiveHttpSource(timeout=5)).dereference(http_server + path)
