@@ -3,19 +3,19 @@ Dereferencing document IRIs into parsed documents.
 
 A source maps fragmentless document IRIs to raw Turtle bodies: either an
 in-process fixture web loaded from a JSON manifest, or live HTTP. The
-Dereferencer wraps a source with fragment stripping, a parse cache, and a
-ledger that records every request so tests (and the CLI) can assert how many
-network fetches a traversal strategy needed. Its parses share one table of
-IRI terms, so each IRI is built and checked once per Dereferencer, that is
-per traversal, and the table goes when the Dereferencer does. Each Document
-carries its sorted triples and its hyperlink table, each computed once on
-first use.
+Dereferencer alone decides what is requested, only http(s) IRIs, and keeps a
+ledger of every IRI it is given, so tests (and the CLI) can assert how many
+network fetches a traversal strategy needed. It has no cache: a traversal
+never asks for a document twice. Its parses share one table of IRI terms, so
+each IRI is built and checked once per Dereferencer, that is per traversal,
+and the table goes when the Dereferencer does. Each Document carries its
+sorted triples and its hyperlink table, each computed once on first use.
 
 A Dereferencer keeps one fetch pool for its whole life (a traversal), made on
-the first wave with more than one uncached IRI and MAX_IN_FLIGHT threads
-wide, so every wave of up to ten documents costs one round of request
-latency. Pool threads only call the source; bodies are parsed on the calling
-thread, because parsing is CPU work that threads would only contend for.
+the first wave with more than one request and MAX_IN_FLIGHT threads wide, so
+every wave of up to ten documents costs one round of request latency. Pool
+threads only call the source; bodies are parsed on the calling thread,
+because parsing is CPU work that threads would only contend for.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rdf import IRI, Graph, IriError, Term, Triple, strip_fragment
 from .turtle import TurtleParseError, parse_turtle
@@ -44,6 +44,11 @@ MAX_IN_FLIGHT = 10
 
 class FixtureError(Exception):
     pass
+
+
+def _requested(doc_iri: str) -> bool:
+    """Whether the IRI's scheme is http or https, ignoring case: the IRIs requested."""
+    return doc_iri.partition(":")[0].lower() in ("http", "https")
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class Document:
 class LedgerEntry:
     iri: str
     outcome: str
-    cache_hit: bool
+    cache_hit = False  # not a field: with no cache, no entry is a hit; perfbench reads it
 
 
 class FetchLedger:
@@ -99,8 +104,8 @@ class FetchLedger:
     def __init__(self):
         self.entries: List[LedgerEntry] = []
 
-    def record(self, iri: str, outcome: str, cache_hit: bool) -> None:
-        self.entries.append(LedgerEntry(iri, outcome, cache_hit))
+    def record(self, iri: str, outcome: str) -> None:
+        self.entries.append(LedgerEntry(iri, outcome))
 
     @property
     def distinct_ok(self) -> int:
@@ -114,10 +119,7 @@ class FetchLedger:
         return {e.iri for e in self.entries}
 
     def to_json_list(self) -> List[Dict]:
-        return [
-            {"iri": e.iri, "outcome": e.outcome, "cacheHit": e.cache_hit}
-            for e in self.entries
-        ]
+        return [{"iri": e.iri, "outcome": e.outcome} for e in self.entries]
 
 
 @dataclass
@@ -127,18 +129,22 @@ class FetchResult:
     final_iri: Optional[str] = None  # differs from the request after redirects
 
 
+_UNREQUESTED = FetchResult(NOT_FOUND)  # the result of an IRI no source is asked for
+
+
 class FixtureSource:
     """In-process web of documents described by a JSON manifest.
 
     Manifest format: {"documents": {"<doc-iri>": "<file path>"}, "notes": ...}
-    with file paths relative to the manifest's directory. Bodies are loaded
-    eagerly so identical manifests always serve identical documents.
+    with http(s) document IRIs without fragments, the only ones a traversal
+    requests, and file paths relative to the manifest's directory. Bodies are
+    loaded eagerly so identical manifests always serve identical documents.
     """
 
     def __init__(self, bodies: Dict[str, str]):
         for iri in bodies:
-            if strip_fragment(iri) != iri:
-                raise FixtureError("fixture document IRI %r has a fragment" % iri)
+            if strip_fragment(iri) != iri or not _requested(iri):
+                raise FixtureError("fixture document IRI %r is not http(s) or has a fragment" % iri)
         self._bodies = dict(bodies)
 
     @classmethod
@@ -197,8 +203,9 @@ def _decode(body: bytes, content_type: str) -> str:
 class LiveHttpSource:
     """Fetch documents over HTTP with a timeout, size cap and redirect limit.
 
-    An IRI whose scheme is not http or https is not found, without a request.
-    A body is decoded in the charset of its Content-Type, by default UTF-8.
+    An IRI that is not http(s) is not found: requests refuses it
+    (InvalidSchema) before it connects. A body is decoded in the charset of
+    its Content-Type, by default UTF-8.
     """
 
     def __init__(self, timeout: float = 10.0, max_body_bytes: int = 1_000_000,
@@ -214,8 +221,6 @@ class LiveHttpSource:
     def fetch(self, doc_iri: str) -> FetchResult:
         import requests
 
-        if doc_iri.partition(":")[0].lower() not in ("http", "https"):
-            return FetchResult(NOT_FOUND)  # such as mailto:, which requests cannot fetch
         try:
             resp = self.session.get(
                 doc_iri,
@@ -242,24 +247,19 @@ class LiveHttpSource:
 
 
 class Dereferencer:
-    """Cache + ledger around a source; parses bodies into Documents.
+    """Ledger around a source; parses bodies into Documents.
 
-    Failed fetches are soft: the document comes back empty and traversal
-    carries on. Repeat requests for the same document IRI (or for IRIs
-    differing only in fragment) hit the cache and do not add to distinct_ok.
-    Call close() when done, so the fetch pool's threads end.
+    Only http(s) IRIs are requested; any other IRI is not found without a
+    request. Failed fetches are soft: the document comes back empty and
+    traversal carries on. Call close() when done, so the fetch pool's
+    threads end.
     """
 
     def __init__(self, source):
         self.source = source
         self.ledger = FetchLedger()
-        self._cache: Dict[str, Tuple[Document, str]] = {}  # with the fetch outcome
         self._terms: Dict[str, Term] = {}  # IRI terms by value, shared by every parse
         self._pool: Optional[ThreadPoolExecutor] = None
-
-    def dereference(self, entity_or_doc_iri: str) -> Document:
-        [doc] = self.fetch_wave([entity_or_doc_iri]).values()
-        return doc
 
     def close(self) -> None:
         """Shut the fetch pool down, waiting for its threads to end."""
@@ -284,21 +284,19 @@ class Dereferencer:
             return Document(final_iri, Graph()), PARSE_ERROR
         return Document(final_iri, graph), OK
 
-    def fetch_wave(self, iris: Iterable[str]) -> Dict[str, Document]:
-        """Dereference a batch of IRIs, fetching uncached ones concurrently.
+    def fetch_wave(self, doc_iris: Sequence[str]) -> Dict[str, Document]:
+        """Dereference distinct fragmentless IRIs, requesting http(s) ones concurrently.
 
         Up to MAX_IN_FLIGHT requests run at once in the fetch pool; the bodies
-        are parsed here, on the calling thread, in request order. Ledger
-        entries are recorded in the given order, not completion order, so
-        instrumented runs stay deterministic under parallel fetching.
+        are parsed here, on the calling thread, in the given order. Ledger
+        entries, not-found for an IRI not requested, are recorded in the given
+        order, not completion order, so instrumented runs stay deterministic
+        under parallel fetching.
         """
-        order = dict.fromkeys(strip_fragment(iri) for iri in iris)
-        todo = [doc_iri for doc_iri in order if doc_iri not in self._cache]
-        fetched = {doc_iri: self._parse(doc_iri, result)
-                   for doc_iri, result in zip(todo, self._fetch_all(todo))}
-        self._cache.update(fetched)
+        requested = [doc_iri for doc_iri in doc_iris if _requested(doc_iri)]
+        results = dict(zip(requested, self._fetch_all(requested)))
         out: Dict[str, Document] = {}
-        for doc_iri in order:
-            out[doc_iri], outcome = self._cache[doc_iri]
-            self.ledger.record(doc_iri, outcome, doc_iri not in fetched)
+        for doc_iri in doc_iris:
+            out[doc_iri], outcome = self._parse(doc_iri, results.get(doc_iri, _UNREQUESTED))
+            self.ledger.record(doc_iri, outcome)
         return out

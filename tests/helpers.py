@@ -64,6 +64,23 @@ def random_web(rng: random.Random, max_docs: int = 20,
     return bodies
 
 
+def link_unrequested(rng: random.Random, bodies: Dict[str, str]) -> Dict[str, str]:
+    """The web with up to three more triples per document, each linking a
+    document's entity to a mailto: or urn: IRI (as subject or object), which
+    no traversal requests."""
+    n = len(bodies)
+    out = {}
+    for iri, body in bodies.items():
+        lines = []
+        for _ in range(rng.randint(0, 3)):
+            other = rng.choice(["mailto:p%d@w.ex", "urn:isbn:%d"]) % rng.randrange(n)
+            ends = (entity_iri(rng.randrange(n)), other)
+            s, o = ends if rng.random() < 0.7 else ends[::-1]
+            lines.append("<%s> <%s> <%s>." % (s, rng.choice(PREDICATES), o))
+        out[iri] = body + "".join(line + "\n" for line in lines)
+    return out
+
+
 def web_source(bodies: Dict[str, str]) -> FixtureSource:
     return FixtureSource(bodies)
 

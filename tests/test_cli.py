@@ -181,8 +181,9 @@ class TestCompare:
         assert "structure pruning alone vs c-all: results changed" in out
 
     def test_each_document_fetched_once(self, capsys, monkeypatch):
-        # The four runs (unguided, guided, c-all, structure-only) request 12
-        # distinct IRIs, 32 times in all; each is fetched once.
+        # The four runs (unguided, guided, c-all, structure-only) request 10
+        # distinct http(s) IRIs, and each is fetched once; the two mailto:
+        # IRIs they admit are never requested.
         calls = []
         original = FixtureSource.fetch
 
@@ -193,7 +194,7 @@ class TestCompare:
         monkeypatch.setattr(FixtureSource, "fetch", counting)
         code, out, _ = run_cli(capsys, ["compare"] + guided_flags())
         assert code == 0
-        assert len(calls) == len(set(calls)) == 12
+        assert len(calls) == len(set(calls)) == 10
         assert out == (
             "unguided (c-match): 5 rows / 7 docs; guided: 2 rows / 4 docs; rows removed: 3\n"
             '  removed: <http://dbpedia.org/resource/Mickey_Mouse>\t"Mickey Mouse"@en\tNULL\tNULL\n'

@@ -15,6 +15,7 @@ from helpers import (
     closure_guided,
     doc_iri,
     entity_iri,
+    link_unrequested,
     policies,
     random_bgp_query,
     random_policy_json,
@@ -370,6 +371,46 @@ class TestRandomWebs:
             )
         assert reached >= 25 and pruned >= 50 and overridden >= 3
 
+    def test_only_http_and_https_iris_reach_the_source(self):
+        # Documents also link mailto: and urn: IRIs. Under c-all, c-match and
+        # guided traversal the source is asked for every admitted https IRI
+        # and for nothing else, and each admitted mailto: or urn: IRI is in
+        # the ledger as not-found.
+        class RecordingSource:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = []
+
+            def fetch(self, doc_iri):
+                self.calls.append(doc_iri)  # list.append is atomic across pool threads
+                return self.inner.fetch(doc_iri)
+
+        rng = random.Random(613)
+        unrequested = 0
+        for _ in range(100):
+            bodies = link_unrequested(rng, random_web(rng))
+            seeds = [doc_iri(0)]
+            query = random_bgp_query(rng, len(bodies))
+            registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
+            policy = parse_policy(random_policy_json(rng, len(bodies)))
+            for semantics in (C_ALL, C_MATCH, "guided"):
+                source = RecordingSource(web_source(bodies))
+                if semantics == "guided":
+                    _, trace = traverse_guided(seeds, registry, policy, query, source,
+                                               max_documents=1000)
+                else:
+                    _, trace = unguided(source, query, semantics, seeds=seeds,
+                                        max_documents=1000)
+                outcomes = {e.iri: e.outcome for e in trace.ledger.entries}
+                assert all(iri.startswith("https://") for iri in source.calls)
+                assert sorted(source.calls) == sorted(
+                    iri for iri in outcomes if iri.startswith("https://"))
+                for iri in trace.admitted_documents():
+                    if not iri.startswith("https://"):
+                        assert outcomes[iri] == NOT_FOUND
+                        unrequested += 1
+        assert unrequested >= 1000
+
     def test_order_independence_under_random_scheduling(self):
         rng = random.Random(131)
         for _ in range(10):
@@ -632,22 +673,25 @@ class TestGuidedWork:
         assert calls <= len(terms) + literals
 
     def test_invalid_iri_is_a_parse_error_that_spoils_no_later_document(self):
-        # Under a urn: base the relative reference <p1> stays relative, so its
-        # term cannot be built: both documents using it are parse errors, and
-        # the document fetched after them parses as on its own.
+        # The term of <http://[x> (a malformed IPv6 host) cannot be built, so
+        # both documents holding it are parse errors. Each first builds the
+        # terms of c.ex's triple, and c.ex, fetched after them, parses as on
+        # its own.
         seed = "https://a.ex/"
+        bad = "<https://c.ex/#it> <https://p.ex/q> <https://a.ex/#me>, <http://[x>."
         bodies = {
-            seed: "<https://a.ex/#me> <https://p.ex/q> <urn:isbn:1>, <urn:isbn:2>, "
+            seed: "<https://a.ex/#me> <https://p.ex/q> <https://x1.ex/#it>, <https://x2.ex/#it>, "
                   "<https://b.ex/#it>.",
-            "urn:isbn:1": "<p1> <https://p.ex/q> <https://c.ex/#it>.",
-            "urn:isbn:2": "<p1> <https://p.ex/q> <https://c.ex/#it>.",
+            "https://x1.ex/": bad,
+            "https://x2.ex/": bad,
             "https://b.ex/": "<https://b.ex/#it> <https://p.ex/q> <https://c.ex/#it>.",
-            "https://c.ex/": "<https://c.ex/#it> <p1> <https://a.ex/#me>.",
+            "https://c.ex/": "<https://c.ex/#it> <https://p.ex/q> <https://a.ex/#me>.",
         }
         _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=[seed])
         outcomes = {e.iri: e.outcome for e in trace.ledger.entries}
-        assert outcomes == {seed: OK, "urn:isbn:1": PARSE_ERROR, "urn:isbn:2": PARSE_ERROR,
-                            "https://b.ex/": OK, "https://c.ex/": OK}
+        assert outcomes == {seed: OK, "https://x1.ex/": PARSE_ERROR,
+                            "https://x2.ex/": PARSE_ERROR, "https://b.ex/": OK,
+                            "https://c.ex/": OK}
         assert trace.documents["https://c.ex/"].triples == parse_turtle(
             bodies["https://c.ex/"], "https://c.ex/")
 

@@ -7,7 +7,6 @@ import pytest
 import requests
 
 from linkquery.fixtures import demo_manifest
-from linkquery.rdf import strip_fragment
 from linkquery.turtle import parse_turtle
 from linkquery.webfetch import (
     Dereferencer,
@@ -60,8 +59,10 @@ class TestFixtureSource:
             FixtureSource.from_manifest(manifest)
 
     def test_fragment_in_manifest_iri_rejected(self):
-        with pytest.raises(FixtureError):
-            FixtureSource({"https://one.ex/#me": ""})
+        # Nor is a document IRI no traversal would request accepted.
+        for iri in ("https://one.ex/#me", "mailto:me@one.ex", "urn:isbn:1", "ftp://one.ex/"):
+            with pytest.raises(FixtureError):
+                FixtureSource({iri: ""})
 
     def test_pure_across_loads(self):
         a = FixtureSource.from_manifest(demo_manifest())
@@ -108,37 +109,21 @@ class TestHyperlinkTable:
 
 
 class TestDereferencer:
-    def test_entity_iri_strips_to_document(self, demo_source):
+    def test_document_iri_yields_its_document(self, demo_source):
         deref = Dereferencer(demo_source)
-        doc = deref.dereference("https://uma.ex/#me")
+        doc = deref.fetch_wave(["https://uma.ex/"])["https://uma.ex/"]
         assert doc.doc_iri == "https://uma.ex/"
         assert len(doc.triples) == 3
 
-    def test_cache_idempotent(self, demo_source):
-        deref = Dereferencer(demo_source)
-        first = deref.dereference("https://uma.ex/#me")
-        second = deref.dereference("https://uma.ex/#me")
-        assert first is second
-        assert deref.ledger.distinct_ok == 1
-        assert [e.cache_hit for e in deref.ledger.entries] == [False, True]
-
-    def test_fragment_variants_share_cache_entry(self, demo_source):
-        deref = Dereferencer(demo_source)
-        a = deref.dereference("https://uma.ex/#me")
-        b = deref.dereference("https://uma.ex/#other")
-        c = deref.dereference("https://uma.ex/")
-        assert a is b is c
-        assert sum(1 for e in deref.ledger.entries if not e.cache_hit) == 1
-
     def test_about_document(self, demo_source):
         deref = Dereferencer(demo_source)
-        doc = deref.dereference("https://ann.ex/about/")
+        doc = deref.fetch_wave(["https://ann.ex/about/"])["https://ann.ex/about/"]
         assert len(doc.triples) == 3
         assert all(t.subject.value == "https://ann.ex/#me" for t in doc.triples)
 
     def test_not_found_is_soft(self, demo_source):
         deref = Dereferencer(demo_source)
-        doc = deref.dereference("https://unknown.ex/")
+        doc = deref.fetch_wave(["https://unknown.ex/"])["https://unknown.ex/"]
         assert len(doc.triples) == 0
         assert deref.ledger.entries[-1].outcome == NOT_FOUND
         assert deref.ledger.distinct_ok == 0
@@ -146,14 +131,14 @@ class TestDereferencer:
     def test_parse_error_contributes_zero_triples(self):
         source = FixtureSource({"https://broken.ex/": "<https://broken.ex/ oops"})
         deref = Dereferencer(source)
-        doc = deref.dereference("https://broken.ex/")
+        doc = deref.fetch_wave(["https://broken.ex/"])["https://broken.ex/"]
         assert len(doc.triples) == 0
         assert deref.ledger.entries[-1].outcome == PARSE_ERROR
         assert deref.ledger.distinct_ok == 0
 
     def test_empty_reference_names_the_document(self):
         deref = Dereferencer(FixtureSource({"https://x.ex/": "<> a <https://v.ex/Doc>."}))
-        doc = deref.dereference("https://x.ex/")
+        doc = deref.fetch_wave(["https://x.ex/"])["https://x.ex/"]
         [triple] = list(doc.triples)
         assert triple.n3() == (
             "<https://x.ex/> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <https://v.ex/Doc>."
@@ -167,33 +152,29 @@ class TestDereferencer:
 
         # The relative reference cannot be resolved against a schemeless base.
         deref = Dereferencer(SchemelessRedirect())
-        doc = deref.dereference("https://x.ex/")
+        doc = deref.fetch_wave(["https://x.ex/"])["https://x.ex/"]
         assert len(doc.triples) == 0
         assert deref.ledger.entries[-1].outcome == PARSE_ERROR
 
     def test_malformed_ipv6_host_is_a_parse_error(self):
         body = "<https://x.ex/> <https://p.ex/q> <http://[x>."
         deref = Dereferencer(FixtureSource({"https://x.ex/": body}))
-        doc = deref.dereference("https://x.ex/")
+        doc = deref.fetch_wave(["https://x.ex/"])["https://x.ex/"]
         assert len(doc.triples) == 0
         assert deref.ledger.entries[-1].outcome == PARSE_ERROR
 
     def test_distinct_ok_matches_definition(self, demo_source):
         deref = Dereferencer(demo_source)
         requests = [
-            "https://uma.ex/#me",
             "https://uma.ex/",
-            "https://ann.ex/#me",
+            "https://uma.ex/",
+            "https://ann.ex/about/",
             "https://missing.ex/",
             "https://ann.ex/",
         ]
         for iri in requests:
-            deref.dereference(iri)
-        expected = {
-            strip_fragment(i)
-            for i in requests
-            if strip_fragment(i) in demo_source.document_iris()
-        }
+            deref.fetch_wave([iri])
+        expected = {i for i in requests if i in demo_source.document_iris()}
         assert deref.ledger.distinct_ok == len(expected)
 
     def test_fetch_wave_orders_ledger(self, demo_source):
@@ -201,6 +182,41 @@ class TestDereferencer:
         iris = ["https://uma.ex/", "https://ann.ex/", "https://bob.ex/"]
         deref.fetch_wave(iris)
         assert [e.iri for e in deref.ledger.entries] == iris
+
+    def test_only_http_and_https_are_requested(self):
+        class RecordingSource:
+            def __init__(self):
+                self.calls = []
+
+            def fetch(self, doc_iri):
+                self.calls.append(doc_iri)
+                return FetchResult(NOT_FOUND)
+
+        class RecordingSession:
+            def __init__(self):
+                self.calls = []
+
+            def get(self, iri, **kwargs):
+                self.calls.append(iri)
+                raise requests.ConnectionError(iri)
+
+        iris = ["mailto:ann@ann.ex", "urn:isbn:0451450523", "ftp://ann.ex/", "file:///x",
+                "http://ann.ex/", "HTTPS://ann.ex/"]
+        recording = RecordingSource()
+        live = LiveHttpSource()
+        live.session = RecordingSession()
+        for source, calls in ((recording, recording.calls), (live, live.session.calls)):
+            deref = Dereferencer(source)
+            try:
+                docs = deref.fetch_wave(iris)
+            finally:
+                deref.close()
+            # Pool threads make the two requests, in either order.
+            assert sorted(calls) == sorted(["http://ann.ex/", "HTTPS://ann.ex/"])
+            assert list(docs) == iris
+            assert all(len(doc.triples) == 0 for doc in docs.values())
+            assert [(e.iri, e.outcome) for e in deref.ledger.entries] == [
+                (iri, NOT_FOUND) for iri in iris]
 
 
 def _free_port():
@@ -274,29 +290,25 @@ class TestLiveHttpSource:
     def test_redirect_final_iri_becomes_base(self, http_server):
         source = LiveHttpSource(timeout=5)
         deref = Dereferencer(source)
-        doc = deref.dereference(http_server + "/redirect")
+        doc = deref.fetch_wave([http_server + "/redirect"])[http_server + "/redirect"]
         assert doc.doc_iri == http_server + "/final"
         assert len(doc.triples) == 1
         # the ledger records the requested IRI
         assert deref.ledger.entries[0].iri == http_server + "/redirect"
 
-    def test_only_http_and_https_are_requested(self):
-        class RecordingSession:
-            def __init__(self):
-                self.calls = []
-
-            def get(self, iri, **kwargs):
-                self.calls.append(iri)
-                raise requests.ConnectionError(iri)
-
+    def test_other_schemes_are_refused_before_any_connection(self, monkeypatch):
+        # Called directly, requests itself refuses the IRI (InvalidSchema):
+        # no transport adapter is ever asked to send it.
+        sent = []
+        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send",
+                            lambda adapter, request, **kwargs: sent.append(request.url))
         source = LiveHttpSource()
-        source.session = session = RecordingSession()
-        for iri in ("mailto:ann@ann.ex", "urn:isbn:0451450523", "ftp://ann.ex/", "file:///x"):
-            assert source.fetch(iri).outcome == NOT_FOUND
-        assert session.calls == []
-        for iri in ("http://ann.ex/", "HTTPS://ann.ex/"):
-            assert source.fetch(iri).outcome == NOT_FOUND
-        assert session.calls == ["http://ann.ex/", "HTTPS://ann.ex/"]
+        try:
+            for iri in ("mailto:ann@ann.ex", "urn:isbn:0451450523", "ftp://ann.ex/", "file:///x"):
+                assert source.fetch(iri).outcome == NOT_FOUND
+        finally:
+            source.session.close()
+        assert sent == []
 
     @pytest.mark.parametrize("path,name", [
         ("/latin1", "Andr\u00e9"),
@@ -309,7 +321,8 @@ class TestLiveHttpSource:
         ("/utf8-us-ascii-charset", "Andr\u00e9"),
     ])
     def test_body_decoded_in_content_type_charset(self, http_server, path, name):
-        doc = Dereferencer(LiveHttpSource(timeout=5)).dereference(http_server + path)
+        doc = Dereferencer(LiveHttpSource(timeout=5)).fetch_wave([http_server + path])[
+            http_server + path]
         [triple] = doc.triples
         assert triple.object.value == name
 
@@ -320,6 +333,6 @@ class TestLiveHttpSource:
     def test_oversize_body_yields_zero_triples(self, http_server):
         source = LiveHttpSource(timeout=5, max_body_bytes=100)
         deref = Dereferencer(source)
-        doc = deref.dereference(http_server + "/big")
+        doc = deref.fetch_wave([http_server + "/big"])[http_server + "/big"]
         assert len(doc.triples) == 0
         assert deref.ledger.distinct_ok == 0
