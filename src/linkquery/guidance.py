@@ -10,6 +10,7 @@ same-predicate triples admitted from other sources by lower-priority rules.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
@@ -194,6 +195,9 @@ class PolicyRule:
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
+# Bounded: each triple of a document is checked against the same source
+# origin, and its subjects name few others.
+@functools.lru_cache(maxsize=1024)
 def _origin(iri: str) -> Optional[Tuple[str, str, Optional[int]]]:
     """The RFC 6454 origin of iri: its scheme, lowercased host and port, the
     scheme's default port when none is given. None without a host or with a

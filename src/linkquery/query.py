@@ -328,14 +328,15 @@ def _join(solutions: List[SolutionMapping], steps: List[_Step], graph: Graph) ->
     return solutions
 
 
-def _row_sort_key(row: Row, projection: List[str]):
-    key = []
-    for var in projection:
-        term = row[var]
-        if term is None:
-            key.append((1, ("", "", "")))
-        else:
-            key.append((0, term.sort_key()))
+_NULL_SORT_KEY = (True, ())  # after every term's (False, sort key)
+
+
+def _row_sort_key(row: Row) -> tuple:
+    """One flat tuple: each cell, in projection order, as a flag and its
+    term's cached sort key, so that NULL sorts after any term."""
+    key = ()
+    for term in row.values():
+        key += _NULL_SORT_KEY if term is None else (False, term.sort_key())
     return key
 
 
@@ -367,7 +368,7 @@ def evaluate(query: Query, graph: Graph) -> List[Row]:
             if terms not in seen:
                 seen.add(terms)
                 rows.append(row)
-    rows.sort(key=lambda r: _row_sort_key(r, query.projection))
+    rows.sort(key=_row_sort_key)  # each row's cells are in projection order
     return rows
 
 

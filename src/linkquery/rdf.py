@@ -74,7 +74,12 @@ def strip_fragment(iri: str) -> str:
 
 @dataclass(frozen=True)
 class Term:
-    """An RDF term: an IRI, a plain literal, or (in patterns) a variable."""
+    """An RDF term: an IRI, a plain literal, or (in patterns) a variable.
+
+    A term caches its hash and its sort key when it is built. Every public
+    constructor checks its fields; only the Turtle parser builds literals
+    through the unchecked `_trusted_literal`, from text its grammar checked.
+    """
 
     kind: str
     value: str
@@ -88,6 +93,7 @@ class Term:
         if self.kind == IRI and not is_absolute_iri(self.value):
             raise IriError("IRI term %r is not absolute" % (self.value,))
         object.__setattr__(self, "_hash", hash((self.kind, self.value, self.language)))
+        object.__setattr__(self, "_sort_key", (self.value, self.language or "", self.kind))
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,7 +115,7 @@ class Term:
         return self.kind == VARIABLE
 
     def sort_key(self) -> Tuple[str, str, str]:
-        return (self.value, self.language or "", self.kind)
+        return self._sort_key
 
     def n3(self) -> str:
         if self.kind == IRI:
@@ -120,6 +126,19 @@ class Term:
         if self.language:
             return '"%s"@%s' % (body, self.language)
         return '"%s"' % body
+
+
+def _trusted_literal(value: str, language: Optional[str]) -> Term:
+    """A literal Term built without `__post_init__`: the Turtle parser's, whose
+    grammar admits only a string value and a well-formed language tag."""
+    term = object.__new__(Term)
+    fields = term.__dict__
+    fields["kind"] = LITERAL
+    fields["value"] = value
+    fields["language"] = language
+    fields["_hash"] = hash((LITERAL, value, language))
+    fields["_sort_key"] = (value, language or "", LITERAL)
+    return term
 
 
 def _escape_literal(text: str) -> str:
@@ -134,7 +153,13 @@ def _escape_literal(text: str) -> str:
 
 @dataclass(frozen=True)
 class Triple:
-    """A ground RDF triple; no component may be a variable."""
+    """A ground RDF triple; no component may be a variable.
+
+    A triple caches its hash, made from its terms' cached hashes; its sort
+    key is built from their cached sort keys. `Triple(...)` checks its
+    terms; only the Turtle parser builds triples through the unchecked
+    `_trusted_triple`, from an IRI subject and predicate it checked.
+    """
 
     subject: Term
     predicate: Term
@@ -147,20 +172,29 @@ class Triple:
             raise ValueError("triple predicate must be an IRI")
         if self.object.kind == VARIABLE:
             raise ValueError("triple object may not be a variable")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+        object.__setattr__(self, "_hash",
+                           hash((self.subject._hash, self.predicate._hash, self.object._hash)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def sort_key(self):
-        return (
-            self.subject.sort_key(),
-            self.predicate.sort_key(),
-            self.object.sort_key(),
-        )
+        return (self.subject._sort_key, self.predicate._sort_key, self.object._sort_key)
 
     def n3(self) -> str:
         return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
+
+
+def _trusted_triple(subject: Term, predicate: Term, obj: Term) -> Triple:
+    """A Triple built without `__post_init__`: the Turtle parser's, which has
+    checked that subject and predicate are IRIs and never builds a variable."""
+    triple = object.__new__(Triple)
+    fields = triple.__dict__
+    fields["subject"] = subject
+    fields["predicate"] = predicate
+    fields["object"] = obj
+    fields["_hash"] = hash((subject._hash, predicate._hash, obj._hash))
+    return triple
 
 
 @dataclass(frozen=True)

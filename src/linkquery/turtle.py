@@ -7,14 +7,19 @@ names, plain literals with an optional @lang tag, predicate-object lists with
 `a` as rdf:type, and `#` comments outside tokens. Relative IRIs are resolved
 against the caller-supplied base.
 
-`tokenize` scans the whole text in one `finditer` pass over one compiled
-alternation per grammar: TURTLE_GRAMMAR, and QUERY_GRAMMAR, which adds
-`?variables` and braces for the query parser. The last alternative of each
-catches any character no token starts with, which is reported at its offset.
-Literal escapes are undone with `str.replace`, never a call per escape.
-Tokens carry offsets; line and column are worked out only when an error is
-raised. The parser then reads statements and `@prefix` declarations in one
-loop over the tokens, driven by what it expects next.
+Text is scanned in one `finditer` pass over one compiled alternation per
+grammar: TURTLE_GRAMMAR, and QUERY_GRAMMAR, which adds `?variables` and
+braces for the query parser. The last alternative of each catches any
+character no token starts with, which is reported at its offset. The Turtle
+parser builds no token objects: it reads statements and `@prefix`
+declarations straight from the scanner's matches, in one loop driven by what
+it expects next. `Token` and `tokenize` serve the query parser only. A scan
+error anywhere in the text is reported before any other error, as if the
+whole text had been scanned first. A literal's escapes are undone in one
+`unicode_escape` codec call. Line and column are worked out only when an
+error is raised. Literal terms and triples are built through rdf's unchecked
+constructors, `_trusted_literal` and `_trusted_triple`: the grammar and the
+parser have already checked what `Term` and `Triple` would check.
 
 A parser resolves each distinct `<…>` reference, and each prefixed name
 between `@prefix` declarations, once per document. It takes its IRI terms,
@@ -35,11 +40,13 @@ Not supported (by design): blank nodes, collections, datatyped literals,
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .rdf import IRI, Graph, Term, Triple, resolve_iri, strip_fragment
+from .rdf import (IRI, Graph, Term, Triple, _trusted_literal, _trusted_triple, resolve_iri,
+                  strip_fragment)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -132,15 +139,21 @@ def _scan_error(text: str, pos: int, grammar: re.Pattern) -> TurtleParseError:
 
 
 def _unescape(value: str) -> str:
-    """Undo a scanned literal's escapes. Splitting at `\\\\` first, from the
-    left, keeps the other four from starting at an escaped backslash."""
-    if "\\\\" in value:
-        return "\\".join(map(_unescape, value.split("\\\\")))
-    return value.replace('\\"', '"').replace("\\n", "\n").replace("\\t", "\t").replace("\\r", "\r")
+    """Undo a scanned literal's escapes in one codec call. The grammar admits
+    only `\\\\`, `\\"`, `\\n`, `\\t` and `\\r`, which `unicode_escape` decodes
+    as Turtle does; Latin-1 characters pass through it as bytes, and any other
+    character goes in and comes back as a `\\u` or `\\U` escape."""
+    return value.encode("latin-1", "backslashreplace").decode("unicode_escape")
+
+
+def _literal_value(m: re.Match) -> str:
+    """The value of a scanned literal, its escapes undone."""
+    value = m["literal"]
+    return _unescape(value) if "\\" in value else value
 
 
 def tokenize(text: str, grammar: re.Pattern) -> List[Token]:
-    """Split text into tokens of TURTLE_GRAMMAR or QUERY_GRAMMAR."""
+    """Split text into tokens of a grammar; the query parser reads QUERY_GRAMMAR's."""
     out: List[Token] = []
     append = out.append
     for m in grammar.finditer(text):
@@ -148,10 +161,7 @@ def tokenize(text: str, grammar: re.Pattern) -> List[Token]:
         if kind is None:
             continue
         if kind == "literal" or kind == "language":
-            value = m["literal"]
-            if "\\" in value:
-                value = _unescape(value)
-            append(Token("literal", value, m["language"], m.start()))
+            append(Token("literal", _literal_value(m), m["language"], m.start()))
         elif kind == "bad":
             raise _scan_error(text, m.start(), grammar)
         else:
@@ -163,15 +173,14 @@ class _Parser:
     def __init__(self, text: str, base: str, prefixes: Dict[str, str],
                  terms: Optional[Dict[str, Term]] = None):
         self.text = text
-        self.tokens = tokenize(text, TURTLE_GRAMMAR)
         self.base = base
         self.prefixes = dict(prefixes)
         self.terms = {} if terms is None else terms  # IRI terms by value, may be shared
         self._iris: Dict[str, Term] = {}  # by reference, as written
         self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
 
-    def _error(self, message: str, tok: Token) -> TurtleParseError:
-        return _error_at(self.text, tok.pos, message)
+    def _error(self, message: str, m: re.Match) -> TurtleParseError:
+        return _error_at(self.text, m.start(), message)
 
     @functools.cached_property
     def _base_prefixes(self) -> Tuple[str, str]:
@@ -198,78 +207,99 @@ class _Parser:
             term = self.terms[value] = Term.iri(value)  # stored only once it is built
         return term
 
-    def _expand(self, tok: Token) -> Term:
-        if tok.type == "iriref":
-            term = self._iris.get(tok.value)
+    def _term(self, m: re.Match, kind: str) -> Term:
+        """The term a token, `m` of group `kind`, stands for in a statement."""
+        if kind == "iriref":
+            reference = m["iriref"]
+            term = self._iris.get(reference)
             if term is None:
-                term = self._iris[tok.value] = self._iri(self._resolve(tok.value))
+                term = self._iris[reference] = self._iri(self._resolve(reference))
             return term
-        if tok.type == "pname":
-            term = self._pnames.get(tok.value)
+        if kind == "pname":
+            name = m["pname"]
+            term = self._pnames.get(name)
             if term is None:
-                prefix, local = tok.value.split(":", 1)
+                prefix, local = name.split(":", 1)
                 if prefix not in self.prefixes:
-                    raise self._error("unknown prefix %r" % prefix, tok)
-                term = self._pnames[tok.value] = self._iri(self.prefixes[prefix] + local)
+                    raise self._error("unknown prefix %r" % prefix, m)
+                term = self._pnames[name] = self._iri(self.prefixes[prefix] + local)
             return term
-        if tok.type == "literal":
-            return Term.literal(tok.value, tok.language)
-        if tok.type == "word" and tok.value == "a":
+        if kind == "language" or kind == "literal":
+            return _trusted_literal(_literal_value(m), m["language"])
+        if kind == "word" and m["word"] == "a":
             return self._iri(RDF_TYPE)
-        raise self._error("unexpected token %r" % tok.value, tok)
+        raise self._error("unexpected token %r" % m[kind], m)
 
     def parse(self) -> Graph:
-        """Read the tokens in one pass; `expect` names what the next one must be."""
+        """Read the scanner's matches in one pass; `expect` names what the next token must be.
+
+        A scan error (a `bad` match) anywhere in the text is reported before
+        any other error, as if the whole text had been scanned first: when
+        reading a token raises, the rest of the text is scanned for one.
+        """
+        text = self.text
+        matches = TURTLE_GRAMMAR.finditer(text)
         triples: List[Triple] = []
-        expand = self._expand
+        append = triples.append
+        term = self._term
         expect = "subject"
-        for tok in self.tokens:
-            kind = tok.type
-            if expect == "object":
-                triples.append(Triple(subject, predicate, expand(tok)))
-                expect = "separator"
-            elif expect == "separator":
-                if kind == "comma":
+        try:
+            for m in matches:
+                kind = m.lastgroup  # a tagged literal's last group is its language
+                if kind is None:  # whitespace or a comment
+                    continue
+                if expect == "object":
+                    append(_trusted_triple(subject, predicate, term(m, kind)))
+                    expect = "separator"
+                elif expect == "separator":
+                    if kind == "comma":
+                        expect = "object"
+                    elif kind == "semi":
+                        expect = "predicate or dot"
+                    elif kind == "dot":
+                        expect = "subject"
+                    else:
+                        raise self._error("expected ',', ';' or '.'", m)
+                elif expect == "predicate" or (expect == "predicate or dot" and kind != "dot"):
+                    predicate = term(m, kind)
+                    if predicate.kind != IRI:
+                        raise self._error("predicate must be an IRI", m)
                     expect = "object"
-                elif kind == "semi":
-                    expect = "predicate or dot"
-                elif kind == "dot":
+                elif expect == "predicate or dot":  # a trailing ';' before the terminator
                     expect = "subject"
-                else:
-                    raise self._error("expected ',', ';' or '.'", tok)
-            elif expect == "predicate" or (expect == "predicate or dot" and kind != "dot"):
-                predicate = expand(tok)
-                if predicate.kind != IRI:
-                    raise self._error("predicate must be an IRI", tok)
-                expect = "object"
-            elif expect == "predicate or dot":  # a trailing ';' before the terminator
-                expect = "subject"
-            elif expect == "subject":
-                if kind == "prefix_kw":
-                    expect = "prefix name"
-                else:
-                    subject = expand(tok)
-                    if subject.kind != IRI:
-                        raise self._error("subject must be an IRI", tok)
-                    expect = "predicate"
-            elif expect == "prefix name":
-                if kind != "pname" or not tok.value.endswith(":"):
-                    raise self._error("expected prefix name", tok)
-                name = tok.value[:-1]
-                expect = "namespace"
-            elif expect == "namespace":
-                if kind != "iriref":
-                    raise self._error("expected namespace IRI", tok)
-                namespace = tok.value
-                expect = "prefix dot"
-            else:  # the '.' that ends a prefix declaration
-                if kind != "dot":
-                    raise self._error("expected '.' after @prefix", tok)
-                self.prefixes[name] = self._resolve(namespace)
-                self._pnames.clear()
-                expect = "subject"
+                elif expect == "subject":
+                    if kind == "prefix_kw":
+                        expect = "prefix name"
+                    else:
+                        subject = term(m, kind)
+                        if subject.kind != IRI:
+                            raise self._error("subject must be an IRI", m)
+                        expect = "predicate"
+                elif expect == "prefix name":
+                    if kind != "pname" or not m["pname"].endswith(":"):
+                        raise self._error("expected prefix name", m)
+                    name = m["pname"][:-1]
+                    expect = "namespace"
+                elif expect == "namespace":
+                    if kind != "iriref":
+                        raise self._error("expected namespace IRI", m)
+                    namespace = m["iriref"]
+                    expect = "prefix dot"
+                else:  # the '.' that ends a prefix declaration
+                    if kind != "dot":
+                        raise self._error("expected '.' after @prefix", m)
+                    self.prefixes[name] = self._resolve(namespace)
+                    self._pnames.clear()
+                    expect = "subject"
+        except (TurtleParseError, ValueError):  # ValueError: IriError, from resolving or Term.iri
+            # No state accepts a `bad` match, so none came before `m`, the one being read.
+            for later in itertools.chain((m,), matches):
+                if later.lastgroup == "bad":
+                    raise _scan_error(text, later.start(), TURTLE_GRAMMAR) from None
+            raise
         if expect != "subject":
-            raise self._error("unterminated statement", self.tokens[-1])
+            last = [m for m in TURTLE_GRAMMAR.finditer(text) if m.lastgroup][-1]
+            raise self._error("unterminated statement", last)
         return Graph(triples)
 
 

@@ -201,6 +201,33 @@ class TestEvaluate:
             ),
         }
 
+    def test_rows_sorted_by_term_with_null_last(self):
+        # Projection (?x, ?s): ?x compares by value, then language tag, then
+        # kind, and an unbound ?x sorts after every term, even "".
+        p, q_ = "https://vocab.ex/p", "https://vocab.ex/q"
+        g = Graph([
+            t("https://g.ex/", p, "https://h.ex/"),
+            t("https://e.ex/", p, "https://f.ex/"),
+            t("https://c.ex/", p, "https://d.ex/"),
+            t("https://a.ex/", p, "https://b.ex/"),
+            t("https://i.ex/", p, "https://j.ex/"),
+            t("https://d.ex/", q_, Term.literal("z", "en")),
+            t("https://b.ex/", q_, Term.literal("z")),
+            t("https://j.ex/", q_, Term.literal("")),
+        ])
+        q = Query(
+            ["x", "s"],
+            [TriplePattern(Term.var("s"), Term.iri(p), Term.var("o"))],
+            [[TriplePattern(Term.var("o"), Term.iri(q_), Term.var("x"))]],
+        )
+        assert [(row["x"] and row["x"].n3(), row["s"].value) for row in evaluate(q, g)] == [
+            ('""', "https://i.ex/"),
+            ('"z"', "https://a.ex/"),
+            ('"z"@en', "https://c.ex/"),
+            (None, "https://e.ex/"),
+            (None, "https://g.ex/"),
+        ]
+
     def test_second_group_sees_both_domains(self):
         # The first group binds ?d for a.ex only. So the second group, on
         # ?d, runs with ?d bound for a.ex, where it finds d.ex's triple, and

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkquery.fixtures import fixture_path
-from linkquery.rdf import Graph, IriError, Term, Triple, to_ntriples
+from linkquery.rdf import LITERAL, Graph, IriError, Term, Triple, _escape_literal, to_ntriples
 from linkquery.turtle import TurtleParseError, parse_turtle
+from test_parser_golden import turtle_cases
 
 FOAF = "http://xmlns.com/foaf/0.1/"
 
@@ -203,6 +206,50 @@ class TestParser:
         assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
         assert (exc.value.line, exc.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "text,column,without",
+        [
+            ("<a> <b> . <c> <d> <e> ^", 23, "unexpected token '.' (line 1, column 9)"),
+            ("<a> <b> <http://[x> . ^", 23, "malformed IRI 'http://[x': Invalid IPv6 URL"),
+            ("x:y <b> <c> . ^", 15, "unknown prefix 'x' (line 1, column 1)"),
+        ],
+    )
+    def test_scan_error_wins_over_an_earlier_error(self, text, column, without):
+        # Each text without its last character fails at an earlier token.
+        with pytest.raises((TurtleParseError, IriError)) as exc:
+            parse_turtle(text[:-1], "https://x.ex/")
+        assert str(exc.value) == without
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(text, "https://x.ex/")
+        assert str(exc.value) == "unexpected character '^' (line 1, column %d)" % column
+
+    def test_unterminated_literal_wins_over_an_earlier_error(self):
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle('<a> <b> <c> ; . <d> "unterminated', "https://x.ex/")
+        assert str(exc.value) == "unterminated literal (line 1, column 21)"
+
+
+def test_parsed_triples_equal_publicly_built_ones():
+    # The parser builds literals and triples without the public constructors'
+    # checks; what it builds must be indistinguishable from what they build.
+    parsed = 0
+    for text, base in turtle_cases():
+        try:
+            graph = parse_turtle(text, base)
+        except (TurtleParseError, IriError):
+            continue
+        for triple in graph:
+            terms = [Term.literal(term.value, term.language) if term.kind == LITERAL
+                     else Term.iri(term.value)
+                     for term in (triple.subject, triple.predicate, triple.object)]
+            rebuilt = Triple(*terms)
+            assert triple == rebuilt and hash(triple) == hash(rebuilt)
+            assert triple.sort_key() == rebuilt.sort_key()
+            for term, public in zip((triple.subject, triple.predicate, triple.object), terms):
+                assert vars(term) == vars(public)  # fields, cached hash and sort key
+            parsed += 1
+    assert parsed >= 1_000
+
 
 @pytest.mark.parametrize(
     "written,value",
@@ -245,3 +292,21 @@ def test_ntriples_round_trip_property():
     for _ in range(20_000):
         graph = _random_graph(rng)
         assert parse_turtle(to_ntriples(graph), "https://base.ex/doc") == graph
+
+
+# Any string: escapes and quotes, raw tab and CR, Latin-1 characters (which the
+# unescape codec passes through as bytes), astral characters and lone surrogates.
+_ANY_CHARACTER = st.one_of(
+    st.characters(),
+    st.characters(max_codepoint=0xFF),
+    st.characters(min_codepoint=0x10000),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+    st.sampled_from('\\"\n\t\r'),
+)
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(st.text(_ANY_CHARACTER))
+def test_escaped_literal_parses_back_property(value):
+    [triple] = parse_turtle('<a> <b> "%s" .' % _escape_literal(value), "https://x.ex/")
+    assert triple.object.value == value
