@@ -12,12 +12,14 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 from urllib.parse import urljoin, urlsplit
 
 IRI = "iri"
 LITERAL = "literal"
 VARIABLE = "variable"
+
+_T = TypeVar("_T")
 
 
 class IriError(ValueError):
@@ -76,7 +78,9 @@ def strip_fragment(iri: str) -> str:
 class Term:
     """An RDF term: an IRI, a plain literal, or (in patterns) a variable.
 
-    A term caches its hash and its sort key when it is built. Every public
+    A term caches its hash, its sort key and its `document` when it is
+    built. An IRI's document is its value cut at the first '#', the document
+    a link to it requests; a literal's or a variable's is None. Every public
     constructor checks its fields; only the Turtle parser builds literals
     through the unchecked `_trusted_literal`, from text its grammar checked.
     """
@@ -92,8 +96,10 @@ class Term:
             raise ValueError("language tag on non-literal term")
         if self.kind == IRI and not is_absolute_iri(self.value):
             raise IriError("IRI term %r is not absolute" % (self.value,))
-        object.__setattr__(self, "_hash", hash((self.kind, self.value, self.language)))
-        object.__setattr__(self, "_sort_key", (self.value, self.language or "", self.kind))
+        fields = self.__dict__  # frozen: the cached values bypass __setattr__
+        fields["_hash"] = hash((self.kind, self.value, self.language))
+        fields["_sort_key"] = (self.value, self.language or "", self.kind)
+        fields["document"] = self.value.partition("#")[0] if self.kind == IRI else None
 
     def __hash__(self) -> int:
         return self._hash
@@ -138,6 +144,7 @@ def _trusted_literal(value: str, language: Optional[str]) -> Term:
     fields["language"] = language
     fields["_hash"] = hash((LITERAL, value, language))
     fields["_sort_key"] = (value, language or "", LITERAL)
+    fields["document"] = None
     return term
 
 
@@ -237,6 +244,30 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
         elif pat != term:
             return None
     return bindings
+
+
+def predicate_table(items: Iterable[_T], pattern: Callable[[_T], TriplePattern]
+                    ) -> Tuple[Dict[str, List[_T]], List[_T]]:
+    """Items with a pattern each, filed by the predicates a triple could match
+    them with, each list in the items' order: each predicate IRI a pattern
+    names gets its items and the variable-predicate ones, which are also the
+    list of any other predicate (the second value). An item whose pattern's
+    predicate is a literal matches no triple and is in no list. Read it with
+    `table.get(triple.predicate.value, unbound)`.
+    """
+    unbound: List[_T] = []
+    table: Dict[str, List[_T]] = {}
+    for item in items:
+        predicate = pattern(item).predicate
+        if predicate.is_variable:
+            unbound.append(item)
+            for filed in table.values():
+                filed.append(item)
+        elif predicate.kind == IRI:
+            if predicate.value not in table:
+                table[predicate.value] = list(unbound)
+            table[predicate.value].append(item)
+    return table, unbound
 
 
 POSITIONS = ("subject", "predicate", "object")

@@ -7,11 +7,14 @@ subject/object IRI, c-match the IRIs of query-matching triples and of triples
 about their entities, and guided the links that the linking structure allows
 for the query's patterns. Every strategy, and λ, reads a document's links
 from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
-computed once per document; c-none never computes it. The content policy
-judges each fetched triple once, reading it from the document's sorted
-triples (`Document.sorted_triples`), the list the hyperlink table is built
-from; the pool keeps the relevant ones, and a trace records why every
-document was admitted or pruned.
+computed once per document; c-none never computes it. c-match compiles the
+query's patterns once per query, into lists by predicate that carry each
+pattern's constant and repeated-variable checks, and builds no bindings. The
+content policy judges each fetched triple once, against only the rules its
+predicate could match, reading it from the document's sorted triples
+(`Document.sorted_triples`), the list the hyperlink table is built from; the
+pool keeps the relevant ones, and a trace records why every document was
+admitted or pruned.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .guidance import (
@@ -33,7 +37,15 @@ from .guidance import (
     triple_relevant,
 )
 from .query import Query, triple_patterns
-from .rdf import Graph, Term, Triple, TriplePattern, match_triple, strip_fragment
+from .rdf import (
+    Graph,
+    Term,
+    Triple,
+    TriplePattern,
+    match_triple,  # not called here; a wrap point of perfbench/tracing.py
+    predicate_table,
+    strip_fragment,
+)
 from .webfetch import Dereferencer, Document, FetchLedger
 
 C_NONE = "c-none"
@@ -153,10 +165,53 @@ class CappedTraversalError(Exception):
         self.trace = trace
 
 
-def _matching_pattern(triple: Triple, patterns: Sequence[TriplePattern]) -> Optional[TriplePattern]:
-    for tp in patterns:
-        if match_triple(triple, tp) is not None:
+# What a triple must hold, beyond the predicate its pattern was looked up by,
+# to match the pattern: each (i, term) says position i (0 subject, 1
+# predicate, 2 object) holds that term, each (i, j) that positions i and j
+# hold the same term, as a repeated variable binds them. None when the
+# lookup by predicate already decides: no constant but the predicate and no
+# repeated variable.
+PatternCheck = Optional[Tuple[Tuple[Tuple[int, Term], ...], Tuple[Tuple[int, int], ...]]]
+CompiledPatterns = List[Tuple[TriplePattern, PatternCheck]]
+
+
+def _pattern_check(tp: TriplePattern) -> PatternCheck:
+    terms = (tp.subject, tp.predicate, tp.object)
+    constants = tuple((i, terms[i]) for i in (0, 2) if not terms[i].is_variable)
+    first: Dict[str, int] = {}
+    repeats = []
+    for j, term in enumerate(terms):
+        if term.is_variable:
+            i = first.setdefault(term.value, j)
+            if i != j:
+                repeats.append((i, j))
+    return (constants, tuple(repeats)) if constants or repeats else None
+
+
+def _compile_patterns(patterns: Sequence[TriplePattern]
+                      ) -> Tuple[Dict[str, CompiledPatterns], CompiledPatterns]:
+    """Each pattern with its check, in query order, in a `predicate_table`."""
+    return predicate_table([(tp, _pattern_check(tp)) for tp in patterns], itemgetter(0))
+
+
+def _matching_pattern(triple: Triple, candidates: CompiledPatterns) -> Optional[TriplePattern]:
+    """The first of the compiled patterns the triple's predicate was looked up
+    by that the triple matches, as match_triple would find, or None."""
+    for tp, check in candidates:
+        if check is None:
             return tp
+        terms = (triple.subject, triple.predicate, triple.object)
+        constants, repeats = check
+        # Plain loops: all() over generators takes twice as long per check.
+        for i, term in constants:
+            if terms[i] != term:
+                break
+        else:
+            for i, j in repeats:
+                if terms[i] != terms[j]:
+                    break
+            else:
+                return tp
     return None
 
 
@@ -199,16 +254,13 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
     """c-match: links of pattern-matching triples and of triples about their entities.
 
     A non-matching triple whose subject is not yet such an entity waits,
-    keyed by that subject, until a matching triple names the subject. A
-    triple is tried only against the patterns its predicate could match,
-    in query order, so the first one that matches is the admission's pattern.
+    keyed by that subject, until a matching triple names the subject. The
+    patterns are compiled once per query: a triple is tried only against the
+    patterns its predicate could match, in query order, each by its own
+    constant and repeated-variable checks, or by none when the predicate
+    decides, and the first one that matches is the admission's pattern.
     """
-    unbound = [tp for tp in patterns if tp.predicate.is_variable]
-    by_predicate: Dict[Term, List[TriplePattern]] = {  # each bound predicate's, and unbound
-        tp.predicate: [other for other in patterns
-                       if other.predicate.is_variable or other.predicate == tp.predicate]
-        for tp in patterns if not tp.predicate.is_variable
-    }
+    by_predicate, unbound = _compile_patterns(patterns)
     entities: Set[str] = set()
     waiting: Dict[str, list] = {}
     ranks = itertools.count()
@@ -218,7 +270,7 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
         for doc in docs:
             rank = next(ranks)
             for i, (t, targets) in enumerate(doc.hyperlinks):
-                tp = _matching_pattern(t, by_predicate.get(t.predicate, unbound))
+                tp = _matching_pattern(t, by_predicate.get(t.predicate.value, unbound))
                 entry = (rank, i, doc, t, targets, tp)
                 if tp is None and t.subject.value not in entities:
                     waiting.setdefault(t.subject.value, []).append(entry)
@@ -231,8 +283,9 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
                         entities.add(term.value)
                         qualifying.extend(waiting.pop(term.value, ()))
         # Admission order, then triple order: the witnesses a rescan of every
-        # fetched document would pick.
-        qualifying.sort(key=lambda e: e[:2])
+        # fetched document would pick. No two entries share (rank, i), so
+        # the tuples compare by those two alone.
+        qualifying.sort()
         for _, _, doc, t, targets, tp in qualifying:
             for iri in targets:
                 if unseen(iri):

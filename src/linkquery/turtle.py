@@ -9,11 +9,15 @@ against the caller-supplied base.
 
 Text is scanned in one `finditer` pass over one compiled alternation per
 grammar: TURTLE_GRAMMAR, and QUERY_GRAMMAR, which adds `?variables` and
-braces for the query parser. The last alternative of each catches any
+braces for the query parser. The last token alternative of each catches any
 character no token starts with, which is reported at its offset. The Turtle
-parser builds no token objects: it reads statements and `@prefix`
-declarations straight from the scanner's matches, in one loop driven by what
-it expects next. `Token` and `tokenize` serve the query parser only. A scan
+parser scans with TURTLE_SCANNER, TURTLE_GRAMMAR's tokens with the
+whitespace and comments before each joined onto it, so each token costs one
+match; the first match with no token is the end of the text. It builds no
+token objects: it reads statements and `@prefix` declarations straight from
+the scanner's matches, in one loop driven by what it expects next. Errors are
+placed at the token's own start, after the whitespace joined onto it.
+`Token` and `tokenize` serve the query parser only. A scan
 error anywhere in the text is reported before any other error, as if the
 whole text had been scanned first. A literal's escapes are undone in one
 `unicode_escape` codec call. Line and column are worked out only when an
@@ -74,9 +78,9 @@ class Token:
 
 
 _LITERAL_CHARS = r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
-_TURTLE_TOKENS = r"""
-    [ \t\r\n]+ | \#[^\n]*
-  | <(?P<iriref>[^>\n]*)>
+_SPACE = r"[ \t\r\n]+ | \#[^\n]*"  # whitespace or a comment
+_TOKEN = r"""
+    <(?P<iriref>[^>\n]*)>
   | "(?P<literal>%s)"(?:@(?P<language>[A-Za-z][A-Za-z0-9\-]*)|(?!@))
   | (?P<prefix_kw>@prefix)(?![A-Za-z0-9_\-])
   | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*)
@@ -84,6 +88,7 @@ _TURTLE_TOKENS = r"""
   | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,)
   | (?P<bad>[\s\S])
 """ % _LITERAL_CHARS
+_TURTLE_TOKENS = _SPACE + " | " + _TOKEN
 
 # One alternation per token language; whitespace and comments match no group,
 # and `bad` is any character no token starts with. A literal directly
@@ -92,6 +97,12 @@ TURTLE_GRAMMAR = re.compile(_TURTLE_TOKENS, re.VERBOSE)
 QUERY_GRAMMAR = re.compile(
     r"\?(?P<var>[A-Za-z_][A-Za-z0-9_]*) | (?P<brace>[{}]) |" + _TURTLE_TOKENS, re.VERBOSE
 )
+# The Turtle parser's scanner: TURTLE_GRAMMAR's tokens, each match one token
+# with the whitespace and comments before it. After the last token, the
+# matches hold no token: the whitespace and comments that end the text, then
+# an empty match at its end when those were not empty.
+_LEADING_SPACE = re.compile("(?:%s)*" % _SPACE, re.VERBOSE)
+TURTLE_SCANNER = re.compile(r"(?:%s)* (?:%s | \Z)" % (_SPACE, _TOKEN), re.VERBOSE)
 
 # A base that urljoin only cuts before a local reference: lowercase http(s), a
 # non-empty authority, and a path without empty inner, '.' or '..' segments,
@@ -118,6 +129,12 @@ def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
     """A TurtleParseError positioned at an offset into text."""
     line = text.count("\n", 0, pos) + 1
     return TurtleParseError(message, line, pos - text.rfind("\n", 0, pos))
+
+
+def _token_start(text: str, m: re.Match) -> int:
+    """Where the token of a TURTLE_SCANNER match starts, past the whitespace
+    and comments before it (the end of the text for the last match)."""
+    return _LEADING_SPACE.match(text, m.start()).end()
 
 
 def _scan_error(text: str, pos: int, grammar: re.Pattern) -> TurtleParseError:
@@ -180,7 +197,8 @@ class _Parser:
         self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
 
     def _error(self, message: str, m: re.Match) -> TurtleParseError:
-        return _error_at(self.text, m.start(), message)
+        """A TurtleParseError at the token of a TURTLE_SCANNER match."""
+        return _error_at(self.text, _token_start(self.text, m), message)
 
     @functools.cached_property
     def _base_prefixes(self) -> Tuple[str, str]:
@@ -238,7 +256,7 @@ class _Parser:
         reading a token raises, the rest of the text is scanned for one.
         """
         text = self.text
-        matches = TURTLE_GRAMMAR.finditer(text)
+        matches = TURTLE_SCANNER.finditer(text)
         triples: List[Triple] = []
         append = triples.append
         term = self._term
@@ -246,8 +264,8 @@ class _Parser:
         try:
             for m in matches:
                 kind = m.lastgroup  # a tagged literal's last group is its language
-                if kind is None:  # whitespace or a comment
-                    continue
+                if kind is None:  # the end of the text
+                    break
                 if expect == "object":
                     append(_trusted_triple(subject, predicate, term(m, kind)))
                     expect = "separator"
@@ -295,10 +313,10 @@ class _Parser:
             # No state accepts a `bad` match, so none came before `m`, the one being read.
             for later in itertools.chain((m,), matches):
                 if later.lastgroup == "bad":
-                    raise _scan_error(text, later.start(), TURTLE_GRAMMAR) from None
+                    raise _scan_error(text, later.start("bad"), TURTLE_SCANNER) from None
             raise
         if expect != "subject":
-            last = [m for m in TURTLE_GRAMMAR.finditer(text) if m.lastgroup][-1]
+            last = [m for m in TURTLE_SCANNER.finditer(text) if m.lastgroup][-1]
             raise self._error("unterminated statement", last)
         return Graph(triples)
 

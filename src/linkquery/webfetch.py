@@ -9,7 +9,8 @@ network fetches a traversal strategy needed. It has no cache: a traversal
 never asks for a document twice. Its parses share one table of IRI terms, so
 each IRI is built and checked once per Dereferencer, that is per traversal,
 and the table goes when the Dereferencer does. Each Document carries its
-sorted triples and its hyperlink table, each computed once on first use.
+sorted triples and its hyperlink table, each computed once on first use; the
+table reads each IRI's document from its term, which cut it once, when built.
 
 A Dereferencer keeps one fetch pool for its whole life (a traversal), made on
 the first wave with more than one request and MAX_IN_FLIGHT threads wide, so
@@ -67,13 +68,13 @@ class Document:
         subject's, then its object's if the object is an IRI. Predicates
         never link.
 
-        An IRI term's value was checked to be absolute when the term was
-        built, so the document is the value cut at its first '#', without
-        checking it again as strip_fragment would.
+        Each IRI term cut its value at the first '#' when it was built
+        (`Term.document`), and the parser builds one term per IRI per
+        traversal, so an IRI is cut once however many triples name it.
         """
         return [
-            (t, tuple(term.value.partition("#")[0] for term in (t.subject, t.object)
-                      if term.kind == IRI))
+            (t, (t.subject.document, t.object.document) if t.object.kind == IRI
+             else (t.subject.document,))
             for t in self.sorted_triples
         ]
 

@@ -415,6 +415,43 @@ class TestExplain:
         assert out == ("not fetched: the request for https://bad.ex/ failed (parse-error)\n"
                        "https://bad.ex/: seed\n")
 
+    def test_row_support_cites_the_first_matching_rule_of_equal_priorities(self, capsys,
+                                                                           tmp_path):
+        # Three entries of one priority: a list over knows and name that
+        # only trusts b.ex, a variable-predicate allow, and a knows allow.
+        # a.ex's knows triple fails the first and is admitted by the second
+        # (#2), ahead of the third; b.ex's name triple by the first (#1).
+        (tmp_path / "a.ttl").write_text(
+            "<https://a.ex/#me> <%sknows> <https://b.ex/#me>." % FOAF)
+        (tmp_path / "b.ttl").write_text('<https://b.ex/#me> <%sname> "B".' % FOAF)
+        manifest = tmp_path / "web.json"
+        manifest.write_text(json.dumps(
+            {"documents": {"https://a.ex/": "a.ttl", "https://b.ex/": "b.ttl"}}))
+        query = tmp_path / "q.rq"
+        query.write_text("PREFIX foaf: <%s> SELECT ?f ?n WHERE "
+                         "{ <https://a.ex/#me> foaf:knows ?f . ?f foaf:name ?n }" % FOAF)
+        structures = tmp_path / "structures.json"
+        structures.write_text(json.dumps({"default": "permissive", "rules": []}))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"default": "deny", "rules": [
+            {"action": "allow", "pattern": {"p": [FOAF + "knows", FOAF + "name"]},
+             "source": "https://b.ex/", "priority": 1},
+            {"action": "allow", "pattern": {"p": "?"}, "priority": 1},
+            {"action": "allow", "pattern": {"p": FOAF + "knows"}, "priority": 1},
+        ]}))
+        code, out, _ = run_cli(capsys, [
+            "explain", "--row", "1", "--query", str(query), "--seed", "https://a.ex/#me",
+            "--fixtures", str(manifest), "--structures", str(structures),
+            "--policy", str(policy)])
+        assert code == 0
+        assert out == (
+            'row 1: ?f=<https://b.ex/#me>, ?n="B"\n'
+            "  <https://a.ex/#me> <%sknows> <https://b.ex/#me>. from https://a.ex/ "
+            "(policy rule #2)\n"
+            '  <https://b.ex/#me> <%sname> "B". from https://b.ex/ (policy rule #1)\n'
+            % (FOAF, FOAF)
+        )
+
     def test_row_support_lists_a_repeated_pattern_once(self, capsys, tmp_path):
         query = tmp_path / "names.rq"
         query.write_text(

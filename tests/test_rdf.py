@@ -169,6 +169,23 @@ class TestTerms:
             assert {a: "found"}[b] == "found"
 
 
+    @pytest.mark.parametrize("iri", [
+        "https://uma.ex/#me", "https://ann.ex/about/", "http://x.ex/a?#me",
+        "https://x.ex/a?q=1#f#g", "https://x.ex/#", "HTTP://X.ex/doc#me", "mailto:a@x.ex",
+        "urn:isbn:1",
+    ])
+    def test_iri_term_caches_its_document(self, iri):
+        assert Term.iri(iri).document == strip_fragment(iri)
+        assert dataclasses.replace(Term.iri("https://o.ex/#x"), value=iri).document \
+            == strip_fragment(iri)
+
+    def test_only_iri_terms_have_a_document(self):
+        assert Term.literal("https://x.ex/#me").document is None
+        assert Term.var("x").document is None
+        [triple] = parse_turtle('<#a> <#b> "c#d".', "https://x.ex/")
+        assert triple.object.document is None
+
+
 class TestMatchTriple:
     def test_positional_binding(self):
         triple = t("https://uma.ex/#me", KNOWS, "https://ann.ex/#me")

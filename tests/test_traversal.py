@@ -472,6 +472,68 @@ class TestProperties:
             - set(trace.admitted_documents()) == expected_pruned
 
 
+# Terms for the compiled c-match check: IRIs that may stand in any position,
+# so a repeated variable can bind a subject and a predicate alike, and
+# literals, one with the same value as an IRI.
+MATCH_IRIS = [rdf.Term.iri(v) for v in ("https://a.ex/#s", "https://v.ex/p", "https://v.ex/q")]
+MATCH_LITERALS = [rdf.Term.literal("a"), rdf.Term.literal("https://v.ex/p")]
+MATCH_VARIABLES = [rdf.Term.var(v) for v in ("x", "y", "p")]
+match_triples = st.builds(
+    rdf.Triple, st.sampled_from(MATCH_IRIS), st.sampled_from(MATCH_IRIS),
+    st.sampled_from(MATCH_IRIS + MATCH_LITERALS))
+match_patterns = st.builds(
+    rdf.TriplePattern, *[st.sampled_from(MATCH_VARIABLES + MATCH_IRIS + MATCH_LITERALS)] * 3)
+
+
+def first_match(triple, patterns):
+    """The first pattern in query order that match_triple binds, or None."""
+    return next((tp for tp in patterns if match_triple(triple, tp) is not None), None)
+
+
+def compiled_first_match(triple, patterns):
+    """The pattern c-match admits a triple through, by its compiled checks."""
+    by_predicate, unbound = traversal._compile_patterns(patterns)
+    return traversal._matching_pattern(triple, by_predicate.get(triple.predicate.value, unbound))
+
+
+class TestCompiledMatch:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(match_patterns, min_size=1, max_size=5), st.lists(match_triples, max_size=12))
+    def test_compiled_checks_pick_the_first_matching_pattern(self, patterns, triples):
+        # Constants in every position, literals included, variable
+        # predicates and variables repeated across any two positions.
+        for triple in triples:
+            assert compiled_first_match(triple, patterns) is first_match(triple, patterns)
+
+    @pytest.mark.parametrize("pattern, matching, other", [
+        ("?x <https://v.ex/p> ?x", "<https://a.ex/#s> <https://v.ex/p> <https://a.ex/#s>",
+         "<https://a.ex/#s> <https://v.ex/p> <https://v.ex/q>"),
+        ("?p ?p ?o", '<https://v.ex/p> <https://v.ex/p> "a"',
+         '<https://a.ex/#s> <https://v.ex/p> "a"'),
+        ("?x ?p ?p", "<https://a.ex/#s> <https://v.ex/q> <https://v.ex/q>",
+         "<https://a.ex/#s> <https://v.ex/q> <https://v.ex/p>"),
+        ("?x ?x ?x", "<https://v.ex/p> <https://v.ex/p> <https://v.ex/p>",
+         "<https://v.ex/p> <https://v.ex/p> <https://v.ex/q>"),
+        ('<https://a.ex/#s> ?p "a"', '<https://a.ex/#s> <https://v.ex/q> "a"',
+         '<https://a.ex/#s> <https://v.ex/q> "https://v.ex/p"'),
+        ("?s <https://v.ex/p> <https://v.ex/q>", "<https://v.ex/q> <https://v.ex/p> <https://v.ex/q>",
+         '<https://v.ex/q> <https://v.ex/p> "https://v.ex/q"'),
+    ])
+    def test_repeated_variables_and_constants(self, pattern, matching, other):
+        variable = pattern[pattern.index("?"):].split()[0]
+        [tp] = triple_patterns(parse_query("SELECT %s WHERE { %s }" % (variable, pattern)))
+        [hit] = parse_turtle(matching + " .", "https://a.ex/")
+        [miss] = parse_turtle(other + " .", "https://a.ex/")
+        assert compiled_first_match(hit, [tp]) is tp
+        assert compiled_first_match(miss, [tp]) is None
+
+    def test_a_literal_predicate_matches_nothing(self):
+        tp = rdf.TriplePattern(rdf.Term.var("s"), MATCH_LITERALS[1], rdf.Term.var("o"))
+        triple = rdf.Triple(MATCH_IRIS[0], MATCH_IRIS[1], MATCH_LITERALS[0])
+        assert traversal._compile_patterns([tp]) == ({}, [])
+        assert compiled_first_match(triple, [tp]) is first_match(triple, [tp]) is None
+
+
 class TestSubtreeReport:
     def test_demo_subtrees(self, demo_query_obj, demo_registry, uma_policy):
         _, match_trace = unguided(web_source_from_demo(), demo_query_obj, C_MATCH)
@@ -635,6 +697,50 @@ class TestGuidedWork:
         unbound = [tp for tp in patterns if tp.predicate.is_variable]
         assert trace.ledger.distinct_ok == people
         assert calls <= len(named) * len(patterns) + len(triples) * len(unbound)
+
+    def test_c_match_offers_each_triple_the_patterns_of_its_predicate(self, monkeypatch):
+        # The compiled patterns a triple is checked against are those naming
+        # its predicate and the variable-predicate ones, in query order; a
+        # triple whose predicate no pattern names gets only the latter.
+        bodies = {
+            "https://a.ex/": "<https://a.ex/#me> <https://p.ex/knows> <https://b.ex/#me> ;\n"
+                             '  <https://p.ex/name> "A" ; <https://noise.ex/n> "1".',
+            "https://b.ex/": '<https://b.ex/#me> <https://p.ex/name> "B" ; '
+                             '<https://noise.ex/n> "marker".',
+        }
+        query = parse_query('SELECT ?b WHERE { ?a <https://p.ex/knows> ?b . ?b ?p "marker" . '
+                            "?b <https://p.ex/name> ?n . ?a <https://p.ex/knows> ?a }")
+        patterns = triple_patterns(query)
+        offered = []
+        original = traversal._matching_pattern
+
+        def recording(triple, candidates):
+            offered.append((triple, [tp for tp, _ in candidates]))
+            return original(triple, candidates)
+
+        monkeypatch.setattr(traversal, "_matching_pattern", recording)
+        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=["https://a.ex/"])
+        assert trace.ledger.distinct_ok == 2
+        assert len(offered) == sum(len(d.triples) for d in trace.documents.values()) == 5
+        for triple, candidates in offered:
+            assert candidates == [tp for tp in patterns if tp.predicate.is_variable
+                                  or tp.predicate == triple.predicate]
+
+    def test_hyperlink_table_reads_each_terms_document(self):
+        # The documents a triple links to are the ones its terms cut when
+        # they were built, not cut again per triple.
+        bodies = {"https://a.ex/": "<#me> <https://p.ex/knows> <b#me>, <https://c.ex/d>, "
+                                   '"x#y" .\n<b#me> <https://p.ex/knows> <#me> .'}
+        _, trace = unguided(web_source(bodies), ANY_QUERY, C_NONE, seeds=["https://a.ex/"])
+        doc = trace.documents["https://a.ex/"]
+        assert [targets for _, targets in doc.hyperlinks] == [
+            ("https://a.ex/", "https://a.ex/b"), ("https://a.ex/", "https://c.ex/d"),
+            ("https://a.ex/",), ("https://a.ex/b", "https://a.ex/")]
+        for t, targets in doc.hyperlinks:
+            assert targets[0] is t.subject.document
+            assert targets[1:] == ((t.object.document,) if t.object.kind == rdf.IRI else ())
+            if t.object.kind == rdf.IRI:
+                assert targets[1] is t.object.document
 
     def test_each_iri_term_built_once_per_traversal(self, monkeypatch):
         # Every document names the same 40 predicates and its neighbours:

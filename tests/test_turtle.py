@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from linkquery.fixtures import fixture_path
 from linkquery.rdf import LITERAL, Graph, IriError, Term, Triple, _escape_literal, to_ntriples
-from linkquery.turtle import TurtleParseError, parse_turtle
+from linkquery.turtle import (TURTLE_GRAMMAR, TURTLE_SCANNER, TurtleParseError, _token_start,
+                              parse_turtle)
 from test_parser_golden import turtle_cases
 
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -227,6 +228,66 @@ class TestParser:
         with pytest.raises(TurtleParseError) as exc:
             parse_turtle('<a> <b> <c> ; . <d> "unterminated', "https://x.ex/")
         assert str(exc.value) == "unterminated literal (line 1, column 21)"
+
+
+class TestScannerEdges:
+    # The whitespace and comments before a token are scanned with it, and
+    # those at the end of the text by a last match of their own; the
+    # messages, lines and columns are the ones of one match per token.
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            ("# note\n^", "unexpected character '^'", 2, 1),
+            ("<s> <p> <o>.\n# c\n  ^ <x>", "unexpected character '^'", 3, 3),
+            ("<s> <p> <o> # c\n\u00e9", "unexpected character '\u00e9'", 2, 1),
+            ("<s> <p>\n# no object", "unterminated statement", 1, 5),
+            ("<s> <p> <o> ;\n  # more to come", "unterminated statement", 1, 13),
+            ("<s> <p> <o> # c\n  # d", "unterminated statement", 1, 9),
+            ("@prefix ex: <http://e/> # c", "unterminated statement", 1, 13),
+            ("<s> <p> <o>", "unterminated statement", 1, 9),
+            ("<s> <p> <o>  \n ", "unterminated statement", 1, 9),
+        ],
+    )
+    def test_error_positions(self, text, message, line, column):
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(text, "https://x.ex/")
+        assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text,count", [
+        ("<s> <p> <o>. \n\t", 1), ("<s> <p> <o>.# end", 1), ("<s> <p> <o>.\n# end\n", 1),
+        ("", 0), ("# only a comment", 0), ("# one\n\n  # two\n", 0), ("   \n\t ", 0), ("#", 0),
+    ])
+    def test_texts_ending_in_whitespace_or_comments(self, text, count):
+        assert len(parse_turtle(text, "https://x.ex/")) == count
+
+
+def scanned_tokens(grammar, text):
+    """(kind, value, token offset) of each token a grammar scans in text."""
+    out = []
+    for m in grammar.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        value = (m["literal"], m["language"]) if kind in ("literal", "language") else m[kind]
+        start = _token_start(text, m) if grammar is TURTLE_SCANNER else m.start()
+        out.append((kind, value, start))
+    return out
+
+
+def test_scanner_yields_the_grammars_tokens():
+    # On every golden Turtle text, the scanner that joins whitespace and
+    # comments onto the next token sees TURTLE_GRAMMAR's tokens at their
+    # offsets, and its matches cover the text: one per token, then one or
+    # two with no token (what ends the text, and an empty match at its end).
+    for text, _ in turtle_cases():
+        tokens = scanned_tokens(TURTLE_SCANNER, text)
+        assert tokens == scanned_tokens(TURTLE_GRAMMAR, text)
+        matches = list(TURTLE_SCANNER.finditer(text))
+        assert [m.start() for m in matches] == [0] + [m.end() for m in matches[:-1]]
+        assert [bool(m.lastgroup) for m in matches[:len(tokens)]] == [True] * len(tokens)
+        assert 1 <= len(matches) - len(tokens) <= 2 and matches[-1].end() == len(text)
+        assert not any(m.lastgroup for m in matches[len(tokens):])
 
 
 def test_parsed_triples_equal_publicly_built_ones():
