@@ -7,16 +7,13 @@ patterns. A content policy decides which triples from which source documents
 may contribute to results at all, with priorities, a same-origin source
 constraint, and exclusive rules whose admitted triples displace same-subject
 same-predicate triples admitted from other sources by lower-priority rules.
-A policy files its rules by predicate once, when built, so each triple is
-tried only against the rules its predicate could match, in priority order.
 """
 from __future__ import annotations
 
 import functools
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
 
 from .rdf import (
@@ -25,7 +22,6 @@ from .rdf import (
     Triple,
     TriplePattern,
     match_triple,
-    predicate_table,
     strip_fragment,  # not called here; a wrap point of perfbench/tracing.py
 )
 from .webfetch import Document
@@ -224,24 +220,12 @@ def _same_origin(subject_iri: str, source_iri: str) -> bool:
 
 @dataclass
 class ContentPolicy:
-    """Rules and a default action. When built, the policy sorts its rules
-    once and files them by predicate once, in a `predicate_table`: each
-    predicate IRI a rule names gets its own rules and the variable-predicate
-    ones, in priority order, and any other predicate only the
-    variable-predicate ones. `relevance_decision` walks only the list of the
-    triple's predicate, so a rule-less policy checks nothing.
-    """
-
     rules: List[PolicyRule] = field(default_factory=list)
     default_action: str = ALLOW
     _ordered: List[PolicyRule] = field(init=False, repr=False, compare=False)
-    _by_predicate: Dict[str, List[PolicyRule]] = field(init=False, repr=False, compare=False)
-    _unbound: List[PolicyRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ordered = sorted(self.rules, key=lambda r: -r.priority)
-        self._by_predicate, self._unbound = predicate_table(self._ordered,
-                                                            attrgetter("pattern"))
 
     def ordered_rules(self) -> List[PolicyRule]:
         """The rules by descending priority, sorted once, when built. The sort is
@@ -320,9 +304,8 @@ def parse_policy(text: str) -> ContentPolicy:
 
 def relevance_decision(policy: ContentPolicy, triple: Triple,
                        source_doc_iri: str) -> Tuple[bool, Optional[PolicyRule]]:
-    """Evaluate rules in descending priority; the first match decides. Only
-    the rules the triple's predicate could match are tried."""
-    for rule in policy._by_predicate.get(triple.predicate.value, policy._unbound):
+    """Evaluate rules in descending priority; the first match decides."""
+    for rule in policy.ordered_rules():
         if rule.matches(triple, source_doc_iri):
             return rule.action == ALLOW, rule
     return policy.default_action == ALLOW, None

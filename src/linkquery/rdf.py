@@ -12,14 +12,12 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
 
 IRI = "iri"
 LITERAL = "literal"
 VARIABLE = "variable"
-
-_T = TypeVar("_T")
 
 
 class IriError(ValueError):
@@ -244,30 +242,6 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
         elif pat != term:
             return None
     return bindings
-
-
-def predicate_table(items: Iterable[_T], pattern: Callable[[_T], TriplePattern]
-                    ) -> Tuple[Dict[str, List[_T]], List[_T]]:
-    """Items with a pattern each, filed by the predicates a triple could match
-    them with, each list in the items' order: each predicate IRI a pattern
-    names gets its items and the variable-predicate ones, which are also the
-    list of any other predicate (the second value). An item whose pattern's
-    predicate is a literal matches no triple and is in no list. Read it with
-    `table.get(triple.predicate.value, unbound)`.
-    """
-    unbound: List[_T] = []
-    table: Dict[str, List[_T]] = {}
-    for item in items:
-        predicate = pattern(item).predicate
-        if predicate.is_variable:
-            unbound.append(item)
-            for filed in table.values():
-                filed.append(item)
-        elif predicate.kind == IRI:
-            if predicate.value not in table:
-                table[predicate.value] = list(unbound)
-            table[predicate.value].append(item)
-    return table, unbound
 
 
 POSITIONS = ("subject", "predicate", "object")

@@ -10,11 +10,10 @@ from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
 computed once per document; c-none never computes it. c-match compiles the
 query's patterns once per query, into lists by predicate that carry each
 pattern's constant and repeated-variable checks, and builds no bindings. The
-content policy judges each fetched triple once, against only the rules its
-predicate could match, reading it from the document's sorted triples
-(`Document.sorted_triples`), the list the hyperlink table is built from; the
-pool keeps the relevant ones, and a trace records why every document was
-admitted or pruned.
+content policy judges each fetched triple once, reading it from the document's
+sorted triples (`Document.sorted_triples`), the list the hyperlink table is
+built from; the pool keeps the relevant ones, and a trace records why every
+document was admitted or pruned.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .guidance import (
@@ -38,12 +36,12 @@ from .guidance import (
 )
 from .query import Query, triple_patterns
 from .rdf import (
+    IRI,
     Graph,
     Term,
     Triple,
     TriplePattern,
     match_triple,  # not called here; a wrap point of perfbench/tracing.py
-    predicate_table,
     strip_fragment,
 )
 from .webfetch import Dereferencer, Document, FetchLedger
@@ -190,8 +188,23 @@ def _pattern_check(tp: TriplePattern) -> PatternCheck:
 
 def _compile_patterns(patterns: Sequence[TriplePattern]
                       ) -> Tuple[Dict[str, CompiledPatterns], CompiledPatterns]:
-    """Each pattern with its check, in query order, in a `predicate_table`."""
-    return predicate_table([(tp, _pattern_check(tp)) for tp in patterns], itemgetter(0))
+    """Each pattern with its check, in query order, filed by the predicate IRI
+    a triple could match it with: each predicate a pattern names gets its own
+    patterns and the variable-predicate ones, which are also the list of any
+    other predicate (the second value). A pattern whose predicate is a literal
+    matches no triple and is in no list.
+    """
+    by_predicate: Dict[str, CompiledPatterns] = {}
+    unbound: CompiledPatterns = []
+    for tp in patterns:
+        compiled = (tp, _pattern_check(tp))
+        if tp.predicate.is_variable:
+            unbound.append(compiled)
+            for filed in by_predicate.values():
+                filed.append(compiled)
+        elif tp.predicate.kind == IRI:
+            by_predicate.setdefault(tp.predicate.value, list(unbound)).append(compiled)
+    return by_predicate, unbound
 
 
 def _matching_pattern(triple: Triple, candidates: CompiledPatterns) -> Optional[TriplePattern]:

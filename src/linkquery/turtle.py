@@ -10,15 +10,15 @@ against the caller-supplied base.
 Text is scanned in one `finditer` pass over one compiled alternation per
 grammar: TURTLE_GRAMMAR, and QUERY_GRAMMAR, which adds `?variables` and
 braces for the query parser. The last token alternative of each catches any
-character no token starts with, which is reported at its offset. The Turtle
-parser scans with TURTLE_SCANNER, TURTLE_GRAMMAR's tokens with the
-whitespace and comments before each joined onto it, so each token costs one
-match; the first match with no token is the end of the text. It builds no
-token objects: it reads statements and `@prefix` declarations straight from
-the scanner's matches, in one loop driven by what it expects next. Errors are
-placed at the token's own start, after the whitespace joined onto it.
-`Token` and `tokenize` serve the query parser only. A scan
-error anywhere in the text is reported before any other error, as if the
+character no token starts with, which is reported at its offset.
+TURTLE_GRAMMAR joins the whitespace and comments before a token onto it, so
+each token costs one match, and the first match with no token is the end of
+the text; QUERY_GRAMMAR matches them on their own. The Turtle parser builds
+no token objects: it reads statements and `@prefix` declarations straight
+from the scanner's matches, in one loop driven by what it expects next, and
+places an error at the token's own start, after the whitespace joined onto
+it. `Token` and `tokenize` serve the query parser only. A scan error
+anywhere in the text is reported before any other error, as if the
 whole text had been scanned first. A literal's escapes are undone in one
 `unicode_escape` codec call. Line and column are worked out only when an
 error is raised. Literal terms and triples are built through rdf's unchecked
@@ -90,19 +90,18 @@ _TOKEN = r"""
 """ % _LITERAL_CHARS
 _TURTLE_TOKENS = _SPACE + " | " + _TOKEN
 
-# One alternation per token language; whitespace and comments match no group,
-# and `bad` is any character no token starts with. A literal directly
-# followed by '@' must carry a well-formed language tag.
-TURTLE_GRAMMAR = re.compile(_TURTLE_TOKENS, re.VERBOSE)
+# One alternation per token language; `bad` is any character no token starts
+# with, and a literal directly followed by '@' must carry a well-formed
+# language tag. In QUERY_GRAMMAR, whitespace and comments match no group. In
+# TURTLE_GRAMMAR, each match is one token with the whitespace and comments
+# before it; after the last token, the matches hold no token: the whitespace
+# and comments that end the text, then an empty match at its end when those
+# were not empty.
+TURTLE_GRAMMAR = re.compile(r"(?:%s)* (?:%s | \Z)" % (_SPACE, _TOKEN), re.VERBOSE)
 QUERY_GRAMMAR = re.compile(
     r"\?(?P<var>[A-Za-z_][A-Za-z0-9_]*) | (?P<brace>[{}]) |" + _TURTLE_TOKENS, re.VERBOSE
 )
-# The Turtle parser's scanner: TURTLE_GRAMMAR's tokens, each match one token
-# with the whitespace and comments before it. After the last token, the
-# matches hold no token: the whitespace and comments that end the text, then
-# an empty match at its end when those were not empty.
 _LEADING_SPACE = re.compile("(?:%s)*" % _SPACE, re.VERBOSE)
-TURTLE_SCANNER = re.compile(r"(?:%s)* (?:%s | \Z)" % (_SPACE, _TOKEN), re.VERBOSE)
 
 # A base that urljoin only cuts before a local reference: lowercase http(s), a
 # non-empty authority, and a path without empty inner, '.' or '..' segments,
@@ -132,7 +131,7 @@ def _error_at(text: str, pos: int, message: str) -> TurtleParseError:
 
 
 def _token_start(text: str, m: re.Match) -> int:
-    """Where the token of a TURTLE_SCANNER match starts, past the whitespace
+    """Where the token of a TURTLE_GRAMMAR match starts, past the whitespace
     and comments before it (the end of the text for the last match)."""
     return _LEADING_SPACE.match(text, m.start()).end()
 
@@ -197,7 +196,7 @@ class _Parser:
         self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
 
     def _error(self, message: str, m: re.Match) -> TurtleParseError:
-        """A TurtleParseError at the token of a TURTLE_SCANNER match."""
+        """A TurtleParseError at the token of a TURTLE_GRAMMAR match."""
         return _error_at(self.text, _token_start(self.text, m), message)
 
     @functools.cached_property
@@ -256,7 +255,7 @@ class _Parser:
         reading a token raises, the rest of the text is scanned for one.
         """
         text = self.text
-        matches = TURTLE_SCANNER.finditer(text)
+        matches = TURTLE_GRAMMAR.finditer(text)
         triples: List[Triple] = []
         append = triples.append
         term = self._term
@@ -313,10 +312,10 @@ class _Parser:
             # No state accepts a `bad` match, so none came before `m`, the one being read.
             for later in itertools.chain((m,), matches):
                 if later.lastgroup == "bad":
-                    raise _scan_error(text, later.start("bad"), TURTLE_SCANNER) from None
+                    raise _scan_error(text, later.start("bad"), TURTLE_GRAMMAR) from None
             raise
         if expect != "subject":
-            last = [m for m in TURTLE_SCANNER.finditer(text) if m.lastgroup][-1]
+            last = [m for m in TURTLE_GRAMMAR.finditer(text) if m.lastgroup][-1]
             raise self._error("unterminated statement", last)
         return Graph(triples)
 

@@ -411,53 +411,6 @@ class TestTripleRelevant:
                 assert triple_relevant(policy, triple, src) == expected
 
 
-def first_matching_rule(policy, triple, src):
-    """The first rule of `ordered_rules()` that matches, by scanning them all."""
-    return next((rule for rule in policy.ordered_rules() if rule.matches(triple, src)), None)
-
-
-class TestPolicyDispatch:
-    @settings(max_examples=500, deadline=None)
-    @given(st.data())
-    def test_decision_is_the_first_matching_rule_property(self, data):
-        # Drawn policies have variable-predicate rules, list-expanded
-        # predicates and equal priorities; every triple of a drawn web is
-        # judged from every document of it.
-        bodies = data.draw(webs(max_docs=5))
-        policy = data.draw(policies(len(bodies)))
-        triples = {t for graph in parse_web(bodies).values() for t in graph}
-        for triple in triples:
-            for src in bodies:
-                rule = first_matching_rule(policy, triple, src)
-                default = policy.default_action == ALLOW
-                assert relevance_decision(policy, triple, src) == (
-                    rule.action == ALLOW if rule else default, rule)
-                assert relevance_decision(policy, triple, src)[1] is rule
-
-    def test_equal_priorities_interleave_variable_predicate_rules(self):
-        # One priority for all: a list over name and knows that only trusts
-        # b.ex, a variable-predicate deny, then a knows allow that the deny
-        # always shadows. A literal-predicate rule matches nothing.
-        knows, name, mbox = FOAF + "knows", FOAF + "name", FOAF + "mbox"
-        policy = parse_policy(json.dumps({"default": "allow", "rules": [
-            {"action": "allow", "pattern": {"p": [knows, name]}, "source": "https://b.ex/",
-             "priority": 1},
-            {"action": "deny", "pattern": {"p": "?"}, "priority": 1},
-            {"action": "allow", "pattern": {"p": knows}, "priority": 1},
-            {"action": "deny", "pattern": {"p": '"%s"' % name}, "priority": 2},
-        ]}))
-        cases = [
-            (name, "https://b.ex/", True, 0), (knows, "https://b.ex/", True, 0),
-            (name, "https://a.ex/", False, 1), (knows, "https://a.ex/", False, 1),
-            (mbox, "https://b.ex/", False, 1),
-        ]
-        for predicate, src, relevant, entry in cases:
-            triple = t("https://b.ex/#me", predicate, Term.literal("x"))
-            verdict, rule = relevance_decision(policy, triple, src)
-            assert (verdict, rule.entry) == (relevant, entry)
-            assert rule is first_matching_rule(policy, triple, src)
-
-
 class TestApplyOverrides:
     def test_uma_picture_displaces_bobs_own(self, uma_policy):
         preferred = (

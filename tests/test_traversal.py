@@ -726,6 +726,42 @@ class TestGuidedWork:
             assert candidates == [tp for tp in patterns if tp.predicate.is_variable
                                   or tp.predicate == triple.predicate]
 
+    def test_c_match_checks_triples_against_patterns_with_their_predicate(self, monkeypatch):
+        # The scale case of the test above, counted where c-match now checks:
+        # over a chain of 30 people with 40 noise triples each, the compiled
+        # patterns offered number at most the patterns naming each triple's
+        # predicate plus the variable-predicate ones, each triple offered in
+        # one wave only. Offering every pattern makes about three times the
+        # bound, and offering every fetched triple each wave about fifteen.
+        people, noise = 30, 40
+        knows, name = "https://p.ex/knows", "https://p.ex/name"
+        bodies = {}
+        for i in range(people):
+            me = "https://p%d.ex/#me" % i
+            lines = ['<%s> <%s> "P%d".' % (me, name, i)]
+            if i + 1 < people:
+                lines.append("<%s> <%s> <https://p%d.ex/#me>." % (me, knows, i + 1))
+            lines += ['<%s> <https://noise.ex/n%d> "%d".' % (me, j, j) for j in range(noise)]
+            bodies["https://p%d.ex/" % i] = "\n".join(lines)
+        query = parse_query('SELECT ?b WHERE { ?a <%s> ?b . ?b <%s> ?n . ?b ?p "marker" }'
+                            % (knows, name))
+        patterns = triple_patterns(query)
+        offered = 0
+        original = traversal._matching_pattern
+
+        def counting(triple, candidates):
+            nonlocal offered
+            offered += len(candidates)
+            return original(triple, candidates)
+
+        monkeypatch.setattr(traversal, "_matching_pattern", counting)
+        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=["https://p0.ex/"])
+        triples = [t for d in trace.documents.values() for t in d.triples]
+        named = [t for t in triples if t.predicate in {tp.predicate for tp in patterns}]
+        unbound = [tp for tp in patterns if tp.predicate.is_variable]
+        assert trace.ledger.distinct_ok == people
+        assert 0 < offered <= len(named) * len(patterns) + len(triples) * len(unbound)
+
     def test_hyperlink_table_reads_each_terms_document(self):
         # The documents a triple links to are the ones its terms cut when
         # they were built, not cut again per triple.

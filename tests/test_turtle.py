@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from linkquery.fixtures import fixture_path
 from linkquery.rdf import LITERAL, Graph, IriError, Term, Triple, _escape_literal, to_ntriples
-from linkquery.turtle import (TURTLE_GRAMMAR, TURTLE_SCANNER, TurtleParseError, _token_start,
+from linkquery.turtle import (_TURTLE_TOKENS, TURTLE_GRAMMAR, TurtleParseError, _token_start,
                               parse_turtle)
 from test_parser_golden import turtle_cases
 
@@ -262,6 +263,12 @@ class TestScannerEdges:
         assert len(parse_turtle(text, "https://x.ex/")) == count
 
 
+# Turtle's tokens with whitespace and comments matched on their own, as
+# QUERY_GRAMMAR scans them: the oracle for TURTLE_GRAMMAR, which joins them
+# onto the next token.
+SEPARATE_TOKENS = re.compile(_TURTLE_TOKENS, re.VERBOSE)
+
+
 def scanned_tokens(grammar, text):
     """(kind, value, token offset) of each token a grammar scans in text."""
     out = []
@@ -270,20 +277,20 @@ def scanned_tokens(grammar, text):
         if kind is None:
             continue
         value = (m["literal"], m["language"]) if kind in ("literal", "language") else m[kind]
-        start = _token_start(text, m) if grammar is TURTLE_SCANNER else m.start()
+        start = _token_start(text, m) if grammar is TURTLE_GRAMMAR else m.start()
         out.append((kind, value, start))
     return out
 
 
-def test_scanner_yields_the_grammars_tokens():
-    # On every golden Turtle text, the scanner that joins whitespace and
-    # comments onto the next token sees TURTLE_GRAMMAR's tokens at their
-    # offsets, and its matches cover the text: one per token, then one or
-    # two with no token (what ends the text, and an empty match at its end).
+def test_scanner_yields_the_separate_tokens():
+    # On every golden Turtle text, TURTLE_GRAMMAR sees the tokens of the
+    # separate scan at their offsets, and its matches cover the text: one
+    # per token, then one or two with no token (what ends the text, and an
+    # empty match at its end).
     for text, _ in turtle_cases():
-        tokens = scanned_tokens(TURTLE_SCANNER, text)
-        assert tokens == scanned_tokens(TURTLE_GRAMMAR, text)
-        matches = list(TURTLE_SCANNER.finditer(text))
+        tokens = scanned_tokens(TURTLE_GRAMMAR, text)
+        assert tokens == scanned_tokens(SEPARATE_TOKENS, text)
+        matches = list(TURTLE_GRAMMAR.finditer(text))
         assert [m.start() for m in matches] == [0] + [m.end() for m in matches[:-1]]
         assert [bool(m.lastgroup) for m in matches[:len(tokens)]] == [True] * len(tokens)
         assert 1 <= len(matches) - len(tokens) <= 2 and matches[-1].end() == len(text)
