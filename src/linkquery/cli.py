@@ -19,9 +19,6 @@ from typing import List, Optional
 from .guidance import (
     GuidanceParseError,
     PERMISSIVE_POLICY,
-    considered_links,
-    get_linking_structure,
-    lambda_allows,
     parse_policy,
     parse_structure_registry,
     relevance_decision,
@@ -68,6 +65,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive(convert):
+    """An argparse type: convert's value when it is above zero (so not NaN)."""
+    def parse(text):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError("must be positive, not %r" % text)
+        return value
+    parse.__name__ = convert.__name__  # as argparse names it: "invalid float value"
+    return parse
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query", required=True, metavar="FILE")
     p.add_argument("--seed", action="append", default=[], metavar="IRI")
@@ -78,8 +86,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--live", action="store_true")
     p.add_argument("--max-docs", type=int, default=DEFAULT_MAX_DOCUMENTS)
     # Named as LiveHttpSource's parameters, whose defaults apply when absent.
-    p.add_argument("--timeout", type=float)
-    p.add_argument("--max-body-bytes", type=int)
+    p.add_argument("--timeout", type=_positive(float))
+    p.add_argument("--max-body-bytes", type=_positive(int))
     p.add_argument("--accept")
 
 
@@ -226,7 +234,7 @@ def _cmd_compare(args, out) -> int:
     return EXIT_OK
 
 
-def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
+def _explain_doc(args, out, guidance, semantics, trace) -> int:
     doc_iri = strip_fragment(args.doc)
     current = trace.admission_of(doc_iri)
     if current is not None:
@@ -247,7 +255,9 @@ def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
         out.write("%s: seed\n" % current.doc_iri)
         return EXIT_OK
     # Not admitted: find linking triples in fetched documents and say why
-    # each link did not lead to a fetch.
+    # each link did not lead to a fetch. Under guidance, the document was
+    # unseen whenever a fetched document offered it, so λ pruned each triple
+    # that offered it (the trace records which) and the policy denied the rest.
     findings = []
     for from_iri in sorted(trace.documents):
         doc = trace.documents[from_iri]
@@ -257,50 +267,26 @@ def _explain_doc(args, out, query, guidance, semantics, trace) -> int:
         if guidance is None:
             findings.extend(
                 "not fetched: linking triple %s from %s did not qualify "
-                "under %s semantics" % (t.n3(), doc.doc_iri, semantics)
+                "under %s semantics" % (t.n3(), from_iri, semantics)
                 for t in linking
             )
             continue
-        # The guided strategy's own candidate scan and λ decide, so this
-        # explanation names the cause the trace records.
-        registry, policy = guidance
-        structure = get_linking_structure(registry, doc.doc_iri)
-        considered = {
-            t for t, iris in considered_links(
-                doc, structure, lambda t: relevance_decision(policy, t, doc.doc_iri)[0])
-            if doc_iri in iris
-        }
-        sanctioned = any(
-            lambda_allows(structure, doc, doc_iri, tp) for tp in triple_patterns(query)
-        )
+        policy = guidance[1]
         for t in linking:
-            if t in considered:
-                if not sanctioned:
-                    findings.append(
-                        "not fetched: link %s from %s not sanctioned by any "
-                        "structure rule" % (t.n3(), doc.doc_iri)
-                    )
+            if (from_iri, t, doc_iri) in trace.pruned_links:
+                findings.append("not fetched: link %s from %s not sanctioned by any "
+                                "structure rule" % (t.n3(), from_iri))
                 continue
             _, rule = relevance_decision(policy, t, doc.doc_iri)
             if rule is None:
-                # Denied by default.  If some rule's pattern covers the
-                # triple but its source constraint rejected this document,
-                # cite that rule: it is the one whose restriction blocked
-                # the link.
-                rule = next(
-                    (r for r in policy.ordered_rules()
-                     if match_triple(t, r.pattern) is not None),
-                    None,
-                )
-            label = (
-                "policy rule #%d" % (rule.entry + 1)
-                if rule is not None
-                else "the policy default"
-            )
-            findings.append(
-                "not fetched: linking triple %s from %s denied by %s"
-                % (t.n3(), doc.doc_iri, label)
-            )
+                # Denied by default. If some rule's pattern covers the triple
+                # but its source constraint rejected this document, cite that
+                # rule: its restriction blocked the link.
+                rule = next((r for r in policy.ordered_rules()
+                             if match_triple(t, r.pattern) is not None), None)
+            label = "the policy default" if rule is None else "policy rule #%d" % (rule.entry + 1)
+            findings.append("not fetched: linking triple %s from %s denied by %s"
+                            % (t.n3(), from_iri, label))
     if not findings:
         sys.stderr.write("unknown document: no fetched document links to %s\n" % doc_iri)
         return EXIT_USAGE
@@ -348,7 +334,7 @@ def _cmd_explain(args, out) -> int:
     source = _make_source(args)
     pool, trace = _traverse(args, source, query, guidance, semantics)
     if args.doc is not None:
-        return _explain_doc(args, out, query, guidance, semantics, trace)
+        return _explain_doc(args, out, guidance, semantics, trace)
     rows = evaluate(query, pool.graph())
     return _explain_row(args, out, query, guidance, rows, pool)
 

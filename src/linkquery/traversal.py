@@ -12,8 +12,10 @@ query's patterns once per query, into lists by predicate that carry each
 pattern's constant and repeated-variable checks, and builds no bindings. The
 content policy judges each fetched triple once, reading it from the document's
 sorted triples (`Document.sorted_triples`), the list the hyperlink table is
-built from; the pool keeps the relevant ones, and a trace records why every
-document was admitted or pruned.
+built from; the pool keeps the relevant ones. A trace records why every
+document was admitted or pruned, and every link λ pruned, which
+`explain --doc` reads rather than deciding again. A referring document is
+named by the IRI it was admitted under, not its final IRI after a redirect.
 """
 from __future__ import annotations
 
@@ -104,6 +106,9 @@ class TraversalTrace:
     pool: Optional[TriplePool] = None
     ledger: Optional[FetchLedger] = None
     documents: Dict[str, Document] = field(default_factory=dict)
+    # Every link λ pruned, as (referring document, triple, target); admissions
+    # keep only the first pruned admission of each target.
+    pruned_links: Set[Tuple[str, Triple, str]] = field(default_factory=set, init=False)
     # Each admitted document's first non-pruned admission, in admission order.
     _admitted: Dict[str, Admission] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
@@ -241,13 +246,13 @@ def _seed_iris(seeds: Sequence[str]) -> List[str]:
     return sorted({strip_fragment(s) for s in seeds})
 
 
-# A link strategy gets each fetched document once, in admission order, with a
-# test for IRIs not yet fetched or admitted and the (triple, document) pairs
-# the content policy finds relevant, and yields link or "pruned" admissions
-# for the links it reads from `Document.hyperlinks`. A link not followed from
-# a document is never followed from it later, so no strategy needs to see a
-# document twice.
-LinkStrategy = Callable[[List[Document], Callable[[str], bool], Set[PoolEntry]],
+# A link strategy gets each fetched document once, in admission order, paired
+# with the IRI it was admitted under, with a test for IRIs not yet fetched or
+# admitted and the (triple, document) pairs the content policy finds
+# relevant, and yields link or "pruned" admissions for the links it reads
+# from `Document.hyperlinks`. A link not followed from a document is never
+# followed from it later, so no strategy needs to see a document twice.
+LinkStrategy = Callable[[List[Tuple[str, Document]], Callable[[str], bool], Set[PoolEntry]],
                         Iterable[Admission]]
 
 
@@ -256,11 +261,11 @@ def _no_links(docs, unseen, relevant):
 
 
 def _all_links(docs, unseen, relevant):
-    for doc in docs:
+    for referrer, doc in docs:
         for t, targets in doc.hyperlinks:
             for iri in targets:
                 if unseen(iri):
-                    yield Admission(iri, "link", doc.doc_iri, t)
+                    yield Admission(iri, "link", referrer, t)
 
 
 def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
@@ -280,11 +285,11 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
 
     def follow(docs, unseen, relevant):
         qualifying = []
-        for doc in docs:
+        for referrer, doc in docs:
             rank = next(ranks)
             for i, (t, targets) in enumerate(doc.hyperlinks):
                 tp = _matching_pattern(t, by_predicate.get(t.predicate.value, unbound))
-                entry = (rank, i, doc, t, targets, tp)
+                entry = (rank, i, referrer, t, targets, tp)
                 if tp is None and t.subject.value not in entities:
                     waiting.setdefault(t.subject.value, []).append(entry)
                     continue
@@ -299,25 +304,27 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
         # fetched document would pick. No two entries share (rank, i), so
         # the tuples compare by those two alone.
         qualifying.sort()
-        for _, _, doc, t, targets, tp in qualifying:
+        for _, _, referrer, t, targets, tp in qualifying:
             for iri in targets:
                 if unseen(iri):
-                    yield Admission(iri, "link", doc.doc_iri, t, tp)
+                    yield Admission(iri, "link", referrer, t, tp)
 
     return follow
 
 
 def _guided_links(registry: LinkingStructureRegistry, patterns: Sequence[TriplePattern],
                   docs, unseen, relevant):
-    """Guided: candidates the referring document's linking structure allows (λ)."""
-    for doc in docs:
+    """Guided: candidates the referring document's linking structure allows (λ),
+    each through the first triple that offers it; a pruned one yields a pruned
+    admission for every such triple."""
+    for referrer, doc in docs:
         structure = get_linking_structure(registry, doc.doc_iri)
-        candidates: Dict[str, Triple] = {}
+        candidates: Dict[str, List[Triple]] = {}
         for t, iris in considered_links(doc, structure,
                                         lambda t: (t, doc.doc_iri) in relevant):
             for iri in iris:
-                candidates.setdefault(iri, t)
-        for candidate, witness in candidates.items():
+                candidates.setdefault(iri, []).append(t)
+        for candidate, offered_by in candidates.items():
             if not unseen(candidate):
                 continue
             admitting_tp = next(
@@ -325,9 +332,10 @@ def _guided_links(registry: LinkingStructureRegistry, patterns: Sequence[TripleP
                 None,
             )
             if admitting_tp is not None:
-                yield Admission(candidate, "link", doc.doc_iri, witness, admitting_tp)
-            else:
-                yield Admission(candidate, "pruned", doc.doc_iri, witness,
+                yield Admission(candidate, "link", referrer, offered_by[0], admitting_tp)
+                continue
+            for t in offered_by:
+                yield Admission(candidate, "pruned", referrer, t,
                                 cause="no structure rule permits following this link")
 
 
@@ -365,10 +373,13 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
             for iri in wave:
                 trace.record(reasons[iri])
             reasons = {}
-            for admission in follow(list(wave.values()), unseen, relevant):
+            for admission in follow(list(wave.items()), unseen, relevant):
                 if admission.reason != "pruned":
                     reasons[admission.doc_iri] = admission
-                elif admission.doc_iri not in pruned:
+                    continue
+                trace.pruned_links.add(
+                    (admission.from_doc, admission.via_triple, admission.doc_iri))
+                if admission.doc_iri not in pruned:
                     pruned.add(admission.doc_iri)
                     trace.record(admission)
             order = _order(set(reasons), rng)

@@ -74,7 +74,6 @@ class Token:
     type: str  # iriref | pname | literal | dot | semi | comma | prefix_kw | word | var | brace
     value: str
     language: Optional[str]
-    pos: int  # offset into the scanned text
 
 
 _LITERAL_CHARS = r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
@@ -177,11 +176,11 @@ def tokenize(text: str, grammar: re.Pattern) -> List[Token]:
         if kind is None:
             continue
         if kind == "literal" or kind == "language":
-            append(Token("literal", _literal_value(m), m["language"], m.start()))
+            append(Token("literal", _literal_value(m), m["language"]))
         elif kind == "bad":
             raise _scan_error(text, m.start(), grammar)
         else:
-            append(Token(kind, m[kind], None, m.start()))
+            append(Token(kind, m[kind], None))
     return out
 
 

@@ -7,7 +7,7 @@ from linkquery.fixtures import demo_manifest, demo_policy, demo_query, demo_stru
 from linkquery.guidance import parse_policy, parse_structure_registry
 from linkquery.query import parse_query
 from linkquery.traversal import traverse_guided
-from linkquery.webfetch import FixtureSource
+from linkquery.webfetch import OK, FetchResult, FixtureSource
 
 SEED = "https://uma.ex/#me"
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -163,6 +163,61 @@ class TestRun:
         assert code == 0
         assert "documents fetched: 7" in out
         assert calls == [given]
+
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--timeout", "0"), ("--timeout", "-1.5"), ("--timeout", "nan"),
+        ("--max-body-bytes", "0"), ("--max-body-bytes", "-10"),
+    ])
+    def test_live_flags_must_be_positive(self, capsys, monkeypatch, flag, value):
+        # Rejected while parsing, before any source is made: a zero timeout
+        # made the HTTP client raise in a fetch thread, and a zero size cap
+        # turned every live document into not-found.
+        monkeypatch.setattr("linkquery.cli.LiveHttpSource", None)
+        code, out, err = run_cli(capsys, [
+            "run", "--query", str(demo_query()), "--seed", SEED, "--live", flag, value])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument %s: must be positive, not %r"
+                              % (flag, value))
+
+    def test_redirected_seed_keeps_its_admission_chain(self, capsys, monkeypatch, tmp_path):
+        # The seed https://a.ex/ answers from https://www.a.ex/. Admissions
+        # name it as it was admitted, so explain walks from b.ex back to the
+        # seed, and compare counts b.ex under its own subtree.
+        bodies = {
+            "https://a.ex/": "<https://a.ex/#me> <%sknows> <https://b.ex/#me>." % FOAF,
+            "https://b.ex/": '<https://b.ex/#me> <%sname> "B".' % FOAF,
+        }
+
+        class RedirectingSource:
+            def __init__(self, **kwargs):
+                pass
+
+            def fetch(self, iri):
+                if iri not in bodies:
+                    return FetchResult("not-found")
+                return FetchResult(OK, bodies[iri], iri.replace("a.ex", "www.a.ex"))
+
+        monkeypatch.setattr("linkquery.cli.LiveHttpSource", RedirectingSource)
+        query = tmp_path / "q.rq"
+        query.write_text("PREFIX foaf: <%s> SELECT ?f ?n WHERE "
+                         "{ ?x foaf:knows ?f . ?f foaf:name ?n }" % FOAF)
+        structures = tmp_path / "structures.json"
+        structures.write_text(json.dumps({"default": "permissive", "rules": []}))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"default": "allow", "rules": []}))
+        flags = ["--query", str(query), "--seed", "https://a.ex/", "--live"]
+        guidance = ["--structures", str(structures), "--policy", str(policy)]
+        for extra in ([], guidance):
+            code, out, _ = run_cli(capsys, ["explain", "--doc", "https://b.ex/"] + flags + extra)
+            assert code == 0
+            assert out.endswith("https://b.ex/: linked from https://a.ex/ via "
+                                "<https://a.ex/#me> <%sknows> <https://b.ex/#me>. "
+                                "(pattern ?x <%sknows> ?f.)\nhttps://a.ex/: seed\n"
+                                % (FOAF, FOAF))
+        code, out, _ = run_cli(capsys, ["compare"] + flags + guidance)
+        assert code == 0
+        assert "fetched under https://b.ex/: 1 -> 1\n" in out
 
 
 class TestCompare:
@@ -373,6 +428,58 @@ class TestExplain:
             "<https://ann.ex/about/>. from https://ann.ex/ not sanctioned by any "
             "structure rule\n" % FOAF
         )
+
+    def test_target_pruned_from_two_documents(self, capsys, tmp_path):
+        # a.ex and b.ex both link t.ex through seeAlso, which the only
+        # structure rule does not follow, and b.ex also through a predicate
+        # the policy denies. explain cites every pruned link the trace
+        # records, and the policy for the denied one; the admissions keep
+        # one pruned admission for t.ex.
+        see_also = "http://www.w3.org/2000/01/rdf-schema#seeAlso"
+        (tmp_path / "s.ttl").write_text(
+            "<https://s.ex/#me> <%sknows> <https://a.ex/#me>, <https://b.ex/#me>." % FOAF)
+        (tmp_path / "a.ttl").write_text(
+            "<https://a.ex/#me> <%s> <https://t.ex/#x>." % see_also)
+        (tmp_path / "b.ttl").write_text(
+            "<https://b.ex/#me> <%s> <https://t.ex/#y> ; <https://p.ex/rumour> <https://t.ex/#z>."
+            % see_also)
+        (tmp_path / "t.ttl").write_text('<https://t.ex/#x> <%sname> "T".' % FOAF)
+        manifest = tmp_path / "web.json"
+        manifest.write_text(json.dumps({"documents": {
+            "https://%s.ex/" % name: "%s.ttl" % name for name in "sabt"}}))
+        query = tmp_path / "q.rq"
+        query.write_text("PREFIX foaf: <%s> SELECT ?f WHERE { ?x foaf:knows ?f }" % FOAF)
+        structures = tmp_path / "structures.json"
+        structures.write_text(json.dumps({"default": "restrictive", "rules": [
+            {"scope": "https://", "patternPredicates": "*", "follow": [FOAF + "knows"]}]}))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"default": "allow", "rules": [
+            {"action": "deny", "pattern": {"p": "https://p.ex/rumour"}}]}))
+        _, trace = traverse_guided(
+            ["https://s.ex/"], parse_structure_registry(structures.read_text()),
+            parse_policy(policy.read_text()), parse_query(query.read_text()),
+            FixtureSource.from_manifest(manifest))
+        [pruned] = [a for a in trace.admissions if a.doc_iri == "https://t.ex/"]
+        assert (pruned.reason, pruned.from_doc) == ("pruned", "https://a.ex/")
+        assert {(f, t.n3(), d) for f, t, d in trace.pruned_links} == {
+            ("https://a.ex/", "<https://a.ex/#me> <%s> <https://t.ex/#x>." % see_also,
+             "https://t.ex/"),
+            ("https://b.ex/", "<https://b.ex/#me> <%s> <https://t.ex/#y>." % see_also,
+             "https://t.ex/"),
+        }
+        code, out, _ = run_cli(capsys, [
+            "explain", "--doc", "https://t.ex/", "--query", str(query), "--seed",
+            "https://s.ex/", "--fixtures", str(manifest), "--structures", str(structures),
+            "--policy", str(policy)])
+        assert code == 0
+        assert out == (
+            "not fetched: link <https://a.ex/#me> <{s}> <https://t.ex/#x>. from "
+            "https://a.ex/ not sanctioned by any structure rule\n"
+            "not fetched: link <https://b.ex/#me> <{s}> <https://t.ex/#y>. from "
+            "https://b.ex/ not sanctioned by any structure rule\n"
+            "not fetched: linking triple <https://b.ex/#me> <https://p.ex/rumour> "
+            "<https://t.ex/#z>. from https://b.ex/ denied by policy rule #1\n"
+        ).format(s=see_also)
 
     def test_unguided_unfetched_doc(self, capsys):
         code, out, _ = run_cli(capsys, ["explain", "--doc", "https://ann.ex/"] + base_flags()

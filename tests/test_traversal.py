@@ -16,11 +16,13 @@ from helpers import (
     doc_iri,
     entity_iri,
     link_unrequested,
+    parse_web,
     policies,
     random_bgp_query,
     random_policy_json,
     random_registry_json,
     random_web,
+    reference_lambda,
     registries,
     row_fingerprints,
     union_graph,
@@ -31,7 +33,9 @@ from linkquery import rdf, traversal
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
     RESTRICTIVE,
+    SELF,
     LinkingStructureRegistry,
+    get_linking_structure,
     parse_policy,
     parse_structure_registry,
     triple_relevant,
@@ -411,6 +415,47 @@ class TestRandomWebs:
                         unrequested += 1
         assert unrequested >= 1000
 
+    def test_redirected_documents_keep_admission_chains(self):
+        # Every document answers from a final IRI of its own, as after a
+        # redirect, and names only absolute IRIs. A referring document is
+        # named by the IRI it was admitted under, so c-all and c-match admit
+        # exactly as without redirects, and every guided admission and
+        # pruned link starts from an admitted document.
+        class MovedSource:
+            def __init__(self, bodies):
+                self.inner = web_source(bodies)
+
+            def fetch(self, iri):
+                result = self.inner.fetch(iri)
+                if result.outcome != OK:
+                    return result
+                return FetchResult(OK, result.body, iri.replace("https://", "https://www."))
+
+        rng = random.Random(389)
+        pruned = 0
+        for _ in range(60):
+            bodies = random_web(rng)
+            seeds = [doc_iri(0)]
+            query = random_bgp_query(rng, len(bodies))
+            for semantics in (C_ALL, C_MATCH):
+                _, plain = unguided(web_source(bodies), query, semantics, seeds=seeds,
+                                    max_documents=1000)
+                _, moved = unguided(MovedSource(bodies), query, semantics, seeds=seeds,
+                                    max_documents=1000)
+                assert moved.admissions == plain.admissions
+                assert moved.fetched_per_subtree() == plain.fetched_per_subtree()
+            registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
+            policy = parse_policy(random_policy_json(rng, len(bodies)))
+            _, trace = traverse_guided(seeds, registry, policy, query, MovedSource(bodies),
+                                       max_documents=1000)
+            for admission in trace.admissions:
+                if admission.reason != "seed":
+                    assert trace.admission_of(admission.from_doc) is not None
+            assert {f for f, _, _ in trace.pruned_links} <= set(trace.admitted_documents())
+            trace.fetched_per_subtree()
+            pruned += bool(trace.pruned_links)
+        assert pruned >= 10
+
     def test_order_independence_under_random_scheduling(self):
         rng = random.Random(131)
         for _ in range(10):
@@ -471,6 +516,39 @@ class TestProperties:
         assert {a.doc_iri for a in trace.admissions if a.reason == "pruned"} \
             - set(trace.admitted_documents()) == expected_pruned
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_guided_records_every_link_lambda_pruned(self, data):
+        # For each fetched document F and each triple t of F that links to a
+        # document D never admitted, (F, t, D) is a pruned link exactly when
+        # t offers D (the policy finds t relevant in F, or a rule of F's
+        # linking structure follows t's predicate and D is its object's
+        # document) and no query pattern's reference λ admits D from F.
+        bodies = data.draw(webs())
+        query = data.draw(bgp_queries(len(bodies)))
+        registry = data.draw(registries(len(bodies)))
+        policy = data.draw(policies(len(bodies)))
+        _, trace = traverse_guided([doc_iri(0)], registry, policy, query, web_source(bodies),
+                                   max_documents=1000)
+        graphs = parse_web(bodies)
+        admitted = set(trace.admitted_documents())
+        expected = set()
+        for f in trace.ledger.ok_documents:
+            structure = get_linking_structure(registry, f)
+            followed = set()
+            if isinstance(structure, list):
+                followed = {p for rule in structure if rule.follow != SELF for p in rule.follow}
+            for t in graphs[f]:
+                object_doc = strip_fragment(t.object.value) if t.object.kind == "iri" else None
+                for d in {strip_fragment(t.subject.value), object_doc} - {None} - admitted:
+                    offers = triple_relevant(policy, t, f) or (
+                        t.predicate.value in followed and d == object_doc)
+                    if offers and not any(
+                            reference_lambda(structure, Document(f, graphs[f]), d, tp)
+                            for tp in triple_patterns(query)):
+                        expected.add((f, t, d))
+        assert {link for link in trace.pruned_links if link[2] not in admitted} == expected
 
 # Terms for the compiled c-match check: IRIs that may stand in any position,
 # so a repeated variable can bind a subject and a predicate alike, and
@@ -663,41 +741,6 @@ class TestGuidedWork:
         assert trace.documents
         assert not any("hyperlinks" in d.__dict__ for d in trace.documents.values())
 
-    def test_c_match_tries_triples_against_patterns_with_their_predicate(self, monkeypatch):
-        # A chain of 30 people, each document with 40 triples whose
-        # predicates no pattern names. A triple is tried against the
-        # patterns naming its predicate and the variable-predicate ones;
-        # trying every triple against every pattern makes about three times
-        # the bound.
-        people, noise = 30, 40
-        knows, name = "https://p.ex/knows", "https://p.ex/name"
-        bodies = {}
-        for i in range(people):
-            me = "https://p%d.ex/#me" % i
-            lines = ['<%s> <%s> "P%d".' % (me, name, i)]
-            if i + 1 < people:
-                lines.append("<%s> <%s> <https://p%d.ex/#me>." % (me, knows, i + 1))
-            lines += ['<%s> <https://noise.ex/n%d> "%d".' % (me, j, j) for j in range(noise)]
-            bodies["https://p%d.ex/" % i] = "\n".join(lines)
-        query = parse_query('SELECT ?b WHERE { ?a <%s> ?b . ?b <%s> ?n . ?b ?p "marker" }'
-                            % (knows, name))
-        patterns = triple_patterns(query)
-        calls = 0
-        original = traversal.match_triple
-
-        def counting(triple, pattern):
-            nonlocal calls
-            calls += 1
-            return original(triple, pattern)
-
-        monkeypatch.setattr(traversal, "match_triple", counting)
-        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=["https://p0.ex/"])
-        triples = [t for d in trace.documents.values() for t in d.triples]
-        named = [t for t in triples if t.predicate in {tp.predicate for tp in patterns}]
-        unbound = [tp for tp in patterns if tp.predicate.is_variable]
-        assert trace.ledger.distinct_ok == people
-        assert calls <= len(named) * len(patterns) + len(triples) * len(unbound)
-
     def test_c_match_offers_each_triple_the_patterns_of_its_predicate(self, monkeypatch):
         # The compiled patterns a triple is checked against are those naming
         # its predicate and the variable-predicate ones, in query order; a
@@ -727,12 +770,12 @@ class TestGuidedWork:
                                   or tp.predicate == triple.predicate]
 
     def test_c_match_checks_triples_against_patterns_with_their_predicate(self, monkeypatch):
-        # The scale case of the test above, counted where c-match now checks:
-        # over a chain of 30 people with 40 noise triples each, the compiled
-        # patterns offered number at most the patterns naming each triple's
-        # predicate plus the variable-predicate ones, each triple offered in
-        # one wave only. Offering every pattern makes about three times the
-        # bound, and offering every fetched triple each wave about fifteen.
+        # The scale case of the test above: over a chain of 30 people with 40
+        # noise triples each, the compiled patterns offered number at most
+        # the patterns naming each triple's predicate plus the
+        # variable-predicate ones, each triple offered in one wave only.
+        # Offering every pattern makes about three times the bound, and
+        # offering every fetched triple each wave about fifteen.
         people, noise = 30, 40
         knows, name = "https://p.ex/knows", "https://p.ex/name"
         bodies = {}
