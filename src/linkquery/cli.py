@@ -60,6 +60,10 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -84,7 +88,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", metavar="FILE")
     p.add_argument("--fixtures", metavar="FILE")
     p.add_argument("--live", action="store_true")
-    p.add_argument("--max-docs", type=int, default=DEFAULT_MAX_DOCUMENTS)
+    p.add_argument("--max-docs", type=_positive(int), default=DEFAULT_MAX_DOCUMENTS)
     # Named as LiveHttpSource's parameters, whose defaults apply when absent.
     p.add_argument("--timeout", type=_positive(float))
     p.add_argument("--max-body-bytes", type=_positive(int))
@@ -120,13 +124,21 @@ def _make_source(args):
     return FixtureSource.from_manifest(args.fixtures)
 
 
+def _read(path: str) -> str:
+    """A UTF-8 input file's text; one that cannot be read or decoded is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError("cannot read %s: %s" % (path, exc)) from exc
+
+
 def _load_inputs(args):
     """The query, and the guidance: (registry, policy) when --structures and
     --policy are both given, None when neither is. compare requires it.
     """
     if not args.seed:
         raise _UsageError("at least one --seed is required")
-    query = parse_query(Path(args.query).read_text(encoding="utf-8"))
+    query = parse_query(_read(args.query))
     if args.structures is None and args.policy is None and args.command != "compare":
         return query, None
     if args.structures is None or args.policy is None:
@@ -134,8 +146,8 @@ def _load_inputs(args):
     if args.semantics is not None and args.command != "compare":
         raise _UsageError("--semantics does not apply to a guided run "
                           "(--structures and --policy given)")
-    registry = parse_structure_registry(Path(args.structures).read_text(encoding="utf-8"))
-    policy = parse_policy(Path(args.policy).read_text(encoding="utf-8"))
+    registry = parse_structure_registry(_read(args.structures))
+    policy = parse_policy(_read(args.policy))
     return query, (registry, policy)
 
 
@@ -363,7 +375,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         GuidanceParseError,
         FixtureError,
         IriError,
-        FileNotFoundError,
+        _InputError,
     ) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT

@@ -125,6 +125,20 @@ def considered_links(doc: Document, structure: EffectiveStructure,
             yield t, targets[1:]
 
 
+def _load_rules(text: str, what: str) -> Tuple[dict, List[dict]]:
+    """A guidance file's JSON object and its "rules", a list of objects."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GuidanceParseError("%s is not valid JSON: %s" % (what, exc)) from exc
+    if not isinstance(data, dict):
+        raise GuidanceParseError("%s is not a JSON object" % what)
+    rules = data.get("rules", [])
+    if not isinstance(rules, list) or not all(isinstance(raw, dict) for raw in rules):
+        raise GuidanceParseError("%s rules are not a list of objects" % what)
+    return data, rules
+
+
 def parse_structure_registry(text: str) -> LinkingStructureRegistry:
     """Compile a registry from its JSON form.
 
@@ -133,15 +147,12 @@ def parse_structure_registry(text: str) -> LinkingStructureRegistry:
                 "patternPredicates": [iri, ...] | "*",
                 "follow": "self" | [iri, ...]}, ...]}
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GuidanceParseError("structure registry is not valid JSON: %s" % exc) from exc
+    data, raw_rules = _load_rules(text, "structure registry")
     default = data.get("default", PERMISSIVE)
     if default not in (PERMISSIVE, RESTRICTIVE):
         raise GuidanceParseError("unknown default mode %r" % default)
     rules = []
-    for i, raw in enumerate(data.get("rules", [])):
+    for i, raw in enumerate(raw_rules):
         where = "rule %d" % i
         scope = raw.get("scope")
         if not isinstance(scope, str) or "://" not in scope:
@@ -238,6 +249,8 @@ PERMISSIVE_POLICY = ContentPolicy([], ALLOW)
 
 
 def _parse_policy_term(raw: str, position: str) -> Term:
+    if not isinstance(raw, str):
+        raise GuidanceParseError("policy pattern term %r is not a string" % (raw,))
     if raw == "?":
         return Term.var("any_%s" % position)
     if raw.startswith('"'):
@@ -261,15 +274,12 @@ def parse_policy(text: str) -> ContentPolicy:
 
     A list in the "p" field is shorthand for one sibling rule per predicate.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GuidanceParseError("policy is not valid JSON: %s" % exc) from exc
+    data, raw_rules = _load_rules(text, "policy")
     default = data.get("default", ALLOW)
     if default not in (ALLOW, DENY):
         raise GuidanceParseError("unknown default action %r" % default)
     rules: List[PolicyRule] = []
-    for i, raw in enumerate(data.get("rules", [])):
+    for i, raw in enumerate(raw_rules):
         where = "rule %d" % i
         action = raw.get("action")
         if action not in (ALLOW, DENY):

@@ -72,32 +72,33 @@ def strip_fragment(iri: str) -> str:
     return iri.partition("#")[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Term:
     """An RDF term: an IRI, a plain literal, or (in patterns) a variable.
 
-    A term caches its hash, its sort key and its `document` when it is
-    built. An IRI's document is its value cut at the first '#', the document
-    a link to it requests; a literal's or a variable's is None. Every public
-    constructor checks its fields; only the Turtle parser builds literals
-    through the unchecked `_trusted_literal`, from text its grammar checked.
+    Building a term checks its fields and caches its hash, its sort key and
+    its `document`. An IRI's document is its value cut at the first '#', the
+    document a link to it requests; a literal's or a variable's is None.
     """
 
     kind: str
     value: str
     language: Optional[str] = None
 
-    def __post_init__(self):
-        if self.kind not in (IRI, LITERAL, VARIABLE):
-            raise ValueError("unknown term kind %r" % (self.kind,))
-        if self.language is not None and self.kind != LITERAL:
+    def __init__(self, kind: str, value: str, language: Optional[str] = None):
+        if kind not in (IRI, LITERAL, VARIABLE):
+            raise ValueError("unknown term kind %r" % (kind,))
+        if language is not None and kind != LITERAL:
             raise ValueError("language tag on non-literal term")
-        if self.kind == IRI and not is_absolute_iri(self.value):
-            raise IriError("IRI term %r is not absolute" % (self.value,))
-        fields = self.__dict__  # frozen: the cached values bypass __setattr__
-        fields["_hash"] = hash((self.kind, self.value, self.language))
-        fields["_sort_key"] = (self.value, self.language or "", self.kind)
-        fields["document"] = self.value.partition("#")[0] if self.kind == IRI else None
+        if kind == IRI and not is_absolute_iri(value):
+            raise IriError("IRI term %r is not absolute" % (value,))
+        fields = self.__dict__  # frozen: fields are stored past __setattr__
+        fields["kind"] = kind
+        fields["value"] = value
+        fields["language"] = language
+        fields["_hash"] = hash((kind, value, language))
+        fields["_sort_key"] = (value, language or "", kind)
+        fields["document"] = value.partition("#")[0] if kind == IRI else None
 
     def __hash__(self) -> int:
         return self._hash
@@ -132,20 +133,6 @@ class Term:
         return '"%s"' % body
 
 
-def _trusted_literal(value: str, language: Optional[str]) -> Term:
-    """A literal Term built without `__post_init__`: the Turtle parser's, whose
-    grammar admits only a string value and a well-formed language tag."""
-    term = object.__new__(Term)
-    fields = term.__dict__
-    fields["kind"] = LITERAL
-    fields["value"] = value
-    fields["language"] = language
-    fields["_hash"] = hash((LITERAL, value, language))
-    fields["_sort_key"] = (value, language or "", LITERAL)
-    fields["document"] = None
-    return term
-
-
 def _escape_literal(text: str) -> str:
     return (
         text.replace("\\", "\\\\")
@@ -156,29 +143,29 @@ def _escape_literal(text: str) -> str:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Triple:
-    """A ground RDF triple; no component may be a variable.
-
-    A triple caches its hash, made from its terms' cached hashes; its sort
-    key is built from their cached sort keys. `Triple(...)` checks its
-    terms; only the Turtle parser builds triples through the unchecked
-    `_trusted_triple`, from an IRI subject and predicate it checked.
+    """A ground RDF triple: an IRI subject and predicate, and an object that
+    is not a variable. Building a triple checks its terms and caches its
+    hash, made from theirs; its sort key is built from their sort keys.
     """
 
     subject: Term
     predicate: Term
     object: Term
 
-    def __post_init__(self):
-        if self.subject.kind != IRI:
+    def __init__(self, subject: Term, predicate: Term, object: Term):
+        if subject.kind != IRI:
             raise ValueError("triple subject must be an IRI")
-        if self.predicate.kind != IRI:
+        if predicate.kind != IRI:
             raise ValueError("triple predicate must be an IRI")
-        if self.object.kind == VARIABLE:
+        if object.kind == VARIABLE:
             raise ValueError("triple object may not be a variable")
-        object.__setattr__(self, "_hash",
-                           hash((self.subject._hash, self.predicate._hash, self.object._hash)))
+        fields = self.__dict__  # frozen: fields are stored past __setattr__
+        fields["subject"] = subject
+        fields["predicate"] = predicate
+        fields["object"] = object
+        fields["_hash"] = hash((subject._hash, predicate._hash, object._hash))
 
     def __hash__(self) -> int:
         return self._hash
@@ -188,18 +175,6 @@ class Triple:
 
     def n3(self) -> str:
         return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
-
-
-def _trusted_triple(subject: Term, predicate: Term, obj: Term) -> Triple:
-    """A Triple built without `__post_init__`: the Turtle parser's, which has
-    checked that subject and predicate are IRIs and never builds a variable."""
-    triple = object.__new__(Triple)
-    fields = triple.__dict__
-    fields["subject"] = subject
-    fields["predicate"] = predicate
-    fields["object"] = obj
-    fields["_hash"] = hash((subject._hash, predicate._hash, obj._hash))
-    return triple
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,7 @@ it. `Token` and `tokenize` serve the query parser only. A scan error
 anywhere in the text is reported before any other error, as if the
 whole text had been scanned first. A literal's escapes are undone in one
 `unicode_escape` codec call. Line and column are worked out only when an
-error is raised. Literal terms and triples are built through rdf's unchecked
-constructors, `_trusted_literal` and `_trusted_triple`: the grammar and the
-parser have already checked what `Term` and `Triple` would check.
+error is raised.
 
 A parser resolves each distinct `<…>` reference, and each prefixed name
 between `@prefix` declarations, once per document. It takes its IRI terms,
@@ -49,8 +47,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .rdf import (IRI, Graph, Term, Triple, _trusted_literal, _trusted_triple, resolve_iri,
-                  strip_fragment)
+from .rdf import IRI, LITERAL, Graph, Term, Triple, resolve_iri, strip_fragment
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -241,7 +238,7 @@ class _Parser:
                 term = self._pnames[name] = self._iri(self.prefixes[prefix] + local)
             return term
         if kind == "language" or kind == "literal":
-            return _trusted_literal(_literal_value(m), m["language"])
+            return Term(LITERAL, _literal_value(m), m["language"])
         if kind == "word" and m["word"] == "a":
             return self._iri(RDF_TYPE)
         raise self._error("unexpected token %r" % m[kind], m)
@@ -265,7 +262,7 @@ class _Parser:
                 if kind is None:  # the end of the text
                     break
                 if expect == "object":
-                    append(_trusted_triple(subject, predicate, term(m, kind)))
+                    append(Triple(subject, predicate, term(m, kind)))
                     expect = "separator"
                 elif expect == "separator":
                     if kind == "comma":

@@ -153,19 +153,23 @@ class FixtureSource:
         path = Path(manifest_path)
         try:
             manifest = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise FixtureError("cannot load manifest %s: %s" % (path, exc)) from exc
-        documents = manifest.get("documents")
-        if not isinstance(documents, dict):
-            raise FixtureError("manifest %s lacks a 'documents' object" % path)
+        documents = manifest.get("documents") if isinstance(manifest, dict) else None
+        if not isinstance(documents, dict) or not all(isinstance(rel, str)
+                                                      for rel in documents.values()):
+            raise FixtureError("manifest %s lacks a 'documents' object of file paths" % path)
         bodies = {}
         missing = []
         for iri, rel in documents.items():
             body_path = path.parent / rel
             if not body_path.is_file():
                 missing.append(str(body_path))
-            else:
+                continue
+            try:
                 bodies[iri] = body_path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise FixtureError("cannot read fixture body %s: %s" % (body_path, exc)) from exc
         if missing:
             raise FixtureError("missing fixture bodies: %s" % ", ".join(missing))
         return cls(bodies)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +74,30 @@ class TestRun:
         _, first, _ = run_cli(capsys, ["run"] + guided_flags())
         _, second, _ = run_cli(capsys, ["run"] + guided_flags())
         assert first == second
+
+    def test_byte_identical_across_hash_seeds(self):
+        # Each process salts str hashes with its own seed, so set and dict
+        # orders that leak into the output differ between processes.
+        invocations = [
+            ["run"] + base_flags(),
+            ["run"] + guided_flags() + ["--format", "json"],
+            ["run"] + base_flags() + ["--semantics", "c-all", "--format", "tsv"],
+            ["compare"] + guided_flags(),
+            ["explain", "--doc", "https://bob.ex/"] + guided_flags(),
+            ["explain", "--row", "2"] + guided_flags(),
+        ]
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        outputs = {}
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            outputs[seed] = [subprocess.run([sys.executable, "-m", "linkquery.cli"] + argv,
+                                            env=env, capture_output=True, text=True, timeout=60)
+                             for argv in invocations]
+        for first, second in zip(outputs["0"], outputs["1"]):
+            assert first.returncode == 0 and first.stdout
+            assert (first.returncode, first.stdout, first.stderr) \
+                == (second.returncode, second.stdout, second.stderr)
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["run", "--seed", SEED])
@@ -179,6 +207,38 @@ class TestRun:
         assert (code, out) == (1, "")
         assert err.startswith("usage error: argument %s: must be positive, not %r"
                               % (flag, value))
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_docs_must_be_positive(self, capsys, value):
+        code, out, err = run_cli(capsys, ["run"] + base_flags() + ["--max-docs", value])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --max-docs: must be positive, not %r"
+                              % value)
+
+    @pytest.mark.parametrize("flag", ["--query", "--structures", "--policy"])
+    @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+    def test_unreadable_input_file_is_an_input_error(self, capsys, tmp_path, flag, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff")
+        argv = ["run"] + guided_flags()
+        argv[argv.index(flag) + 1] = str(bad)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("input error: cannot read %s: " % bad)
+        assert ("Is a directory" if kind == "directory" else "'utf-8' codec") in err
+
+    def test_fixture_body_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        manifest = tmp_path / "web.json"
+        manifest.write_text(json.dumps({"documents": {"https://uma.ex/": "uma.ttl"}}))
+        (tmp_path / "uma.ttl").write_bytes(b'<#me> <%sname> "\xff".' % FOAF.encode())
+        argv = ["run"] + base_flags()
+        argv[argv.index("--fixtures") + 1] = str(manifest)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("input error: cannot read fixture body ")
 
     def test_redirected_seed_keeps_its_admission_chain(self, capsys, monkeypatch, tmp_path):
         # The seed https://a.ex/ answers from https://www.a.ex/. Admissions

@@ -103,6 +103,9 @@ class TestRegistry:
     @pytest.mark.parametrize("text,message", [
         ('{"rules": [', "structure registry is not valid JSON"),
         ('{"default": "open"}', "unknown default mode 'open'"),
+        ('[1]', "structure registry is not a JSON object"),
+        ('{"rules": 5}', "structure registry rules are not a list of objects"),
+        ('{"rules": ["x"]}', "structure registry rules are not a list of objects"),
     ])
     def test_malformed_registry(self, text, message):
         with pytest.raises(GuidanceParseError, match=message):
@@ -286,6 +289,13 @@ class TestPolicyParsing:
          "rule 0: priority must be an integer"),
         ('{"rules": [{"action": "allow", "pattern": {"o": "\\"Ann"}}]}',
          "rule 0: malformed literal"),
+        ('[1]', "policy is not a JSON object"),
+        ('{"rules": 5}', "policy rules are not a list of objects"),
+        ('{"rules": ["x"]}', "policy rules are not a list of objects"),
+        ('{"rules": [{"action": "allow", "pattern": {"s": 5}}]}',
+         "rule 0: policy pattern term 5 is not a string"),
+        ('{"rules": [{"action": "allow", "pattern": {"p": ["%sname", null]}}]}' % FOAF,
+         "rule 0: policy pattern term None is not a string"),
     ])
     def test_malformed_policy(self, text, message):
         with pytest.raises(GuidanceParseError, match=message):

@@ -168,6 +168,36 @@ class TestTerms:
             assert a == b and hash(a) == hash(b)
             assert {a: "found"}[b] == "found"
 
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown term kind"):
+            Term("blank", "b0")
+
+    @pytest.mark.parametrize("position", ["subject", "predicate"])
+    def test_triple_rejects_a_literal_subject_or_predicate(self, position):
+        terms = {"subject": Term.iri("https://a.ex/#s"), "predicate": Term.iri(KNOWS),
+                 "object": Term.literal("o")}
+        terms[position] = Term.literal("x")
+        with pytest.raises(ValueError, match="triple %s must be an IRI" % position):
+            Triple(**terms)
+
+    def test_keyword_construction(self):
+        term = Term(kind="literal", value="Mickey", language="en")
+        public = Term.literal("Mickey", "en")
+        assert term == public and hash(term) == hash(public)
+        assert term.sort_key() == ("Mickey", "en", "literal") and term.document is None
+        triple = Triple(subject=Term.iri(NAME), predicate=Term.iri(NAME), object=term)
+        assert triple == Triple(Term.iri(NAME), Term.iri(NAME), term)
+
+    @pytest.mark.parametrize("value,field", [
+        (Term.literal("x", "en"), "kind"), (Term.literal("x", "en"), "value"),
+        (Term.literal("x", "en"), "language"), (Term.iri(KNOWS), "document"),
+        (t("https://a.ex/#s", KNOWS, "https://b.ex/#o"), "subject"),
+        (t("https://a.ex/#s", KNOWS, "https://b.ex/#o"), "predicate"),
+        (t("https://a.ex/#s", KNOWS, "https://b.ex/#o"), "object"),
+    ])
+    def test_fields_are_frozen(self, value, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, Term.iri(NAME))
 
     @pytest.mark.parametrize("iri", [
         "https://uma.ex/#me", "https://ann.ex/about/", "http://x.ex/a?#me",

@@ -834,14 +834,14 @@ class TestGuidedWork:
                       for k in (1, 2)]
             bodies["https://p%d.ex/" % i] = "\n".join(lines)
         calls = 0
-        original = rdf.Term.__post_init__
+        original = rdf.Term.__init__
 
-        def counting(term):
+        def counting(term, *args, **kwargs):
             nonlocal calls
             calls += 1
-            return original(term)
+            return original(term, *args, **kwargs)
 
-        monkeypatch.setattr(rdf.Term, "__post_init__", counting)
+        monkeypatch.setattr(rdf.Term, "__init__", counting)
         _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=["https://p0.ex/"])
         monkeypatch.undo()
         terms = {}

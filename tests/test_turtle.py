@@ -298,8 +298,8 @@ def test_scanner_yields_the_separate_tokens():
 
 
 def test_parsed_triples_equal_publicly_built_ones():
-    # The parser builds literals and triples without the public constructors'
-    # checks; what it builds must be indistinguishable from what they build.
+    # The parser builds literals and triples with `Term(LITERAL, ...)` and
+    # `Triple(...)`; what it builds must equal what the public spellings build.
     parsed = 0
     for text, base in turtle_cases():
         try:

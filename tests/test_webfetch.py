@@ -51,11 +51,23 @@ class TestFixtureSource:
         ('{"documents": ', "cannot load manifest"),
         ('{"notes": "no documents"}', "lacks a 'documents' object"),
         ('{"documents": ["a.ttl"]}', "lacks a 'documents' object"),
+        ('[1]', "lacks a 'documents' object"),
+        ('{"documents": {"https://a.ex/": 5}}', "lacks a 'documents' object of file paths"),
     ])
     def test_malformed_manifest(self, tmp_path, text, message):
         manifest = tmp_path / "web.json"
         manifest.write_text(text)
         with pytest.raises(FixtureError, match=message):
+            FixtureSource.from_manifest(manifest)
+
+    def test_manifest_or_body_not_utf8(self, tmp_path):
+        manifest = tmp_path / "web.json"
+        manifest.write_bytes(b'{"documents": {"https://a.ex/": "a.ttl"}}\xff')
+        with pytest.raises(FixtureError, match="cannot load manifest .*utf-8"):
+            FixtureSource.from_manifest(manifest)
+        manifest.write_text(json.dumps({"documents": {"https://a.ex/": "a.ttl"}}))
+        (tmp_path / "a.ttl").write_bytes(b'<https://a.ex/#s> <https://p.ex/p> "\xff".')
+        with pytest.raises(FixtureError, match="cannot read fixture body .*a.ttl.*utf-8"):
             FixtureSource.from_manifest(manifest)
 
     def test_fragment_in_manifest_iri_rejected(self):
