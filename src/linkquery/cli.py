@@ -199,8 +199,8 @@ def _cmd_compare(args, out) -> int:
     semantics = args.semantics or C_MATCH
     # A source that fetches each IRI once and answers repeats from memory, so
     # the four runs make one request per document. Within a run, a wave asks
-    # for distinct IRIs not fetched before, so no two pool threads miss on
-    # the same IRI at once.
+    # for distinct IRIs not fetched before, so no two fetching threads miss
+    # on the same IRI at once.
     source = SimpleNamespace(fetch=functools.cache(_make_source(args).fetch))
 
     def solve(run_guidance, run_semantics):

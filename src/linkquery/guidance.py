@@ -290,11 +290,14 @@ def parse_policy(text: str) -> ContentPolicy:
         predicates = pattern_raw.get("p", "?")
         if not isinstance(predicates, list):
             predicates = [predicates]
+        if not predicates:
+            raise GuidanceParseError("%s: pattern p must be an IRI, '?' or a non-empty IRI list"
+                                     % where)
         source = raw.get("source", WILDCARD)
         if not isinstance(source, str):
             raise GuidanceParseError("%s: malformed source constraint" % where)
         priority = raw.get("priority", 0)
-        if not isinstance(priority, int):
+        if not isinstance(priority, int) or isinstance(priority, bool):
             raise GuidanceParseError("%s: priority must be an integer" % where)
         exclusive = raw.get("exclusive")
         if exclusive not in (None, SUBJECT_PREDICATE):

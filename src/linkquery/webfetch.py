@@ -12,17 +12,22 @@ and the table goes when the Dereferencer does. Each Document carries its
 sorted triples and its hyperlink table, each computed once on first use; the
 table reads each IRI's document from its term, which cut it once, when built.
 
-A Dereferencer keeps one fetch pool for its whole life (a traversal), made on
-the first wave with more than one request and MAX_IN_FLIGHT threads wide, so
-every wave of up to ten documents costs one round of request latency. Pool
-threads only call the source; bodies are parsed on the calling thread,
-because parsing is CPU work that threads would only contend for.
+The thread that asks for a wave fetches it, and helper threads from the
+Dereferencer's pool join in only while a request blocks: before each request
+it claims with more left, a thread makes sure one helper stands ready. A
+source that blocks has up to MAX_IN_FLIGHT requests in flight within
+microseconds, so every wave of up to ten documents costs one round of request
+latency; a source that answers at once is served on the calling thread, with
+one helper hand-off per wave. The pool lives as long as the Dereferencer (a
+traversal). Helpers only call the source; bodies are parsed on the calling
+thread, because parsing is CPU work that threads would only contend for.
 """
 from __future__ import annotations
 
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -37,7 +42,8 @@ PARSE_ERROR = "parse-error"
 # Redirects LiveHttpSource follows for one request.
 MAX_REDIRECTS = 5
 
-# Requests a Dereferencer keeps in flight. Ten is requests'
+# Requests a Dereferencer keeps in flight at most: the calling thread's and
+# one per helper thread of its pool. Ten is requests'
 # adapters.DEFAULT_POOLSIZE, the connections LiveHttpSource's session keeps
 # open per host.
 MAX_IN_FLIGHT = 10
@@ -256,8 +262,9 @@ class Dereferencer:
 
     Only http(s) IRIs are requested; any other IRI is not found without a
     request. Failed fetches are soft: the document comes back empty and
-    traversal carries on. Call close() when done, so the fetch pool's
-    threads end.
+    traversal carries on. The calling thread makes a wave's requests, helped
+    by a pool of MAX_IN_FLIGHT - 1 threads while requests block. Call close()
+    when done, so the pool's threads end.
     """
 
     def __init__(self, source):
@@ -273,11 +280,55 @@ class Dereferencer:
             self._pool = None
 
     def _fetch_all(self, doc_iris: List[str]) -> List[FetchResult]:
-        if len(doc_iris) < 2:
-            return [self.source.fetch(doc_iri) for doc_iri in doc_iris]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT)
-        return list(self._pool.map(self.source.fetch, doc_iris))
+        """Each IRI's fetch result, in the given order.
+
+        The calling thread and helpers take the requests in order from one
+        counter, under one lock. A thread that claims a request while others
+        stay unclaimed first submits a helper to the pool, unless a submitted
+        one has yet to start. So each blocked request has a helper take the
+        next; the pool's width bounds the helpers. The caller waits for every
+        helper it started, then re-raises a helper's exception; a failed
+        request stops further claims.
+        """
+        results: List[Optional[FetchResult]] = [None] * len(doc_iris)
+        lock = threading.Lock()
+        claimed = 0  # requests taken
+        starting = 0  # helpers submitted that have not started
+        helpers: List[Future] = []
+
+        def work() -> None:
+            nonlocal claimed, starting
+            while True:
+                with lock:
+                    i = claimed
+                    if i == len(doc_iris):
+                        return
+                    claimed += 1
+                    if claimed < len(doc_iris) and not starting:
+                        if self._pool is None:
+                            self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT - 1)
+                        starting += 1
+                        helpers.append(self._pool.submit(help_out))
+                try:
+                    results[i] = self.source.fetch(doc_iris[i])
+                except BaseException:
+                    with lock:
+                        claimed = len(doc_iris)
+                    raise
+
+        def help_out() -> None:
+            nonlocal starting
+            with lock:
+                starting -= 1
+            work()
+
+        try:
+            work()
+        finally:
+            wait(helpers)  # complete: no claim is left, so none is submitted
+        for helper in helpers:
+            helper.result()
+        return results
 
     def _parse(self, doc_iri: str, result: FetchResult) -> Tuple[Document, str]:
         if result.outcome != OK:
@@ -292,11 +343,12 @@ class Dereferencer:
     def fetch_wave(self, doc_iris: Sequence[str]) -> Dict[str, Document]:
         """Dereference distinct fragmentless IRIs, requesting http(s) ones concurrently.
 
-        Up to MAX_IN_FLIGHT requests run at once in the fetch pool; the bodies
-        are parsed here, on the calling thread, in the given order. Ledger
-        entries, not-found for an IRI not requested, are recorded in the given
-        order, not completion order, so instrumented runs stay deterministic
-        under parallel fetching.
+        This thread makes the requests, with up to MAX_IN_FLIGHT in flight
+        once helpers join blocked ones; the bodies are parsed here, on the
+        calling thread, in the given order. Ledger entries, not-found for an
+        IRI not requested, are recorded in the given order, not completion
+        order, so instrumented runs stay deterministic under parallel
+        fetching.
         """
         requested = [doc_iri for doc_iri in doc_iris if _requested(doc_iri)]
         results = dict(zip(requested, self._fetch_all(requested)))

@@ -287,6 +287,12 @@ class TestPolicyParsing:
          "rule 0: malformed source constraint"),
         ('{"rules": [{"action": "allow", "pattern": {}, "priority": "high"}]}',
          "rule 0: priority must be an integer"),
+        ('{"rules": [{"action": "allow", "pattern": {}, "priority": true}]}',
+         "rule 0: priority must be an integer"),
+        ('{"rules": [{"action": "allow", "pattern": {}, "priority": false}]}',
+         "rule 0: priority must be an integer"),
+        ('{"rules": [{"action": "allow", "pattern": {"p": []}}]}',
+         "rule 0: pattern p must be an IRI, '\\?' or a non-empty IRI list"),
         ('{"rules": [{"action": "allow", "pattern": {"o": "\\"Ann"}}]}',
          "rule 0: malformed literal"),
         ('[1]', "policy is not a JSON object"),

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import threading
 import time
 from pathlib import Path
@@ -966,6 +967,136 @@ class TestFetchPool:
         with pytest.raises(RuntimeError):
             unguided(failing, ANY_QUERY, C_ALL, seeds=(HUB,))
         assert set(threading.enumerate()) <= before
+
+    def test_in_flight_requests_reach_and_never_pass_the_cap(self):
+        # One wave of 25 documents. Each request waits until MAX_IN_FLIGHT
+        # are in flight (until 2 s pass once), then sleeps 10 ms, so a thread
+        # beyond the cap would be counted while the first ones still sleep.
+        inner = chains_web(25, 1)
+        lock = threading.Condition()
+        in_flight, peak, timed_out = 0, 0, False
+
+        class GatedSource:
+            def fetch(self, doc_iri):
+                nonlocal in_flight, peak, timed_out
+                with lock:
+                    in_flight += 1
+                    peak = max(peak, in_flight)
+                    lock.notify_all()
+                    if not lock.wait_for(lambda: peak >= MAX_IN_FLIGHT or timed_out, timeout=2):
+                        timed_out = True
+                        lock.notify_all()
+                time.sleep(0.01)
+                with lock:
+                    in_flight -= 1
+                return inner.fetch(doc_iri)
+
+        _, trace = unguided(GatedSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 26
+        assert peak == MAX_IN_FLIGHT
+
+    def test_calling_thread_makes_requests_of_every_wave(self):
+        # Waves of 1, 8, 8 and 8 documents over a source that sleeps 10 ms:
+        # helpers join, and the traversal thread still makes a request of each.
+        source = ThreadRecordingSource(chains_web(8, 3))
+        calls = []
+        fetch = source.fetch
+
+        def recording_fetch(doc_iri):
+            calls.append((doc_iri, threading.current_thread()))  # atomic across threads
+            return fetch(doc_iri)
+
+        source.fetch = recording_fetch
+        _, trace = unguided(source, ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 25
+        for level in range(3):
+            wave = {"https://c%d.ex/%d" % (i, level) for i in range(8)}
+            assert any(iri in wave and thread is threading.current_thread()
+                       for iri, thread in calls)
+
+    def test_a_helper_failure_raises_out_of_the_traversal(self):
+        # The calling thread's request of the 8-document wave waits until a
+        # helper has made one, and a helper's request raises.
+        before = set(threading.enumerate())
+        caller = threading.current_thread()
+        inner = chains_web(8, 1)
+        helped = threading.Event()
+
+        class HelperFailingSource:
+            def fetch(self, doc_iri):
+                if doc_iri == HUB:
+                    return inner.fetch(doc_iri)
+                if threading.current_thread() is caller:
+                    helped.wait(timeout=2)
+                    return inner.fetch(doc_iri)
+                helped.set()
+                raise RuntimeError("helper failed on %s" % doc_iri)
+
+        with pytest.raises(RuntimeError, match="helper failed"):
+            unguided(HelperFailingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert helped.is_set()
+        assert set(threading.enumerate()) <= before
+
+    def test_oracles_hold_when_threads_switch_every_microsecond(self):
+        # Each request computes for 50 µs and never blocks, so at the default
+        # switch interval (5 ms) the calling thread makes nearly all of them,
+        # and at 1 µs helpers take many. Each request is made once, and the
+        # ledger, admissions and pool of c-all, c-match and guided runs equal
+        # those of runs at the default interval and the closure oracles.
+        class RecordingSource:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = []
+
+            def fetch(self, doc_iri):
+                self.calls.append((doc_iri, threading.current_thread()))  # atomic
+                end = time.perf_counter() + 5e-5
+                while time.perf_counter() < end:
+                    pass
+                return self.inner.fetch(doc_iri)
+
+        seeds = [doc_iri(0)]
+
+        def run_all(bodies, query, registry, policy):
+            runs = {}
+            for semantics in (C_ALL, C_MATCH, "guided"):
+                source = RecordingSource(web_source(bodies))
+                if semantics == "guided":
+                    pool, trace = traverse_guided(seeds, registry, policy, query, source,
+                                                  max_documents=1000)
+                else:
+                    pool, trace = unguided(source, query, semantics, seeds=seeds,
+                                           max_documents=1000)
+                assert sorted(iri for iri, _ in source.calls) == sorted(
+                    e.iri for e in trace.ledger.entries)
+                runs[semantics] = (trace, pool, source.calls)
+            return runs
+
+        rng = random.Random(977)
+        helper_requests = 0
+        default_interval = sys.getswitchinterval()
+        for _ in range(40):
+            bodies = random_web(rng)
+            query = random_bgp_query(rng, len(bodies))
+            registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
+            policy = parse_policy(random_policy_json(rng, len(bodies)))
+            expected = run_all(bodies, query, registry, policy)
+            sys.setswitchinterval(1e-6)
+            try:
+                shaken = run_all(bodies, query, registry, policy)
+            finally:
+                sys.setswitchinterval(default_interval)
+            for semantics, (trace, pool, calls) in shaken.items():
+                assert trace.to_json_dict() == expected[semantics][0].to_json_dict()
+                assert pool.entries == expected[semantics][1].entries
+                helper_requests += sum(t is not threading.current_thread() for _, t in calls)
+            assert shaken[C_ALL][0].ledger.ok_documents == closure_c_all(bodies, seeds)
+            assert shaken[C_MATCH][0].ledger.ok_documents == closure_c_match(
+                bodies, seeds, query)
+            docs, _, entries = closure_guided(bodies, seeds, registry, policy, query)
+            assert shaken["guided"][0].ledger.ok_documents == docs
+            assert shaken["guided"][1].entries == entries
+        assert helper_requests >= 50
 
 
 GOLDEN_DEMO_TRACES = Path(__file__).parent / "demo_traces.json"

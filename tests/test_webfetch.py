@@ -223,7 +223,8 @@ class TestDereferencer:
                 docs = deref.fetch_wave(iris)
             finally:
                 deref.close()
-            # Pool threads make the two requests, in either order.
+            # The calling thread or a helper makes each of the two requests, in
+            # either order.
             assert sorted(calls) == sorted(["http://ann.ex/", "HTTPS://ann.ex/"])
             assert list(docs) == iris
             assert all(len(doc.triples) == 0 for doc in docs.values())
