@@ -147,7 +147,7 @@ def _escape_literal(text: str) -> str:
 class Triple:
     """A ground RDF triple: an IRI subject and predicate, and an object that
     is not a variable. Building a triple checks its terms and caches its
-    hash, made from theirs; its sort key is built from their sort keys.
+    hash, made from theirs, and its sort key, the tuple of theirs.
     """
 
     subject: Term
@@ -166,12 +166,13 @@ class Triple:
         fields["predicate"] = predicate
         fields["object"] = object
         fields["_hash"] = hash((subject._hash, predicate._hash, object._hash))
+        fields["_sort_key"] = (subject._sort_key, predicate._sort_key, object._sort_key)
 
     def __hash__(self) -> int:
         return self._hash
 
     def sort_key(self):
-        return (self.subject._sort_key, self.predicate._sort_key, self.object._sort_key)
+        return self._sort_key
 
     def n3(self) -> str:
         return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
@@ -220,6 +221,7 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
 
 
 POSITIONS = ("subject", "predicate", "object")
+_SORT_KEY = attrgetter("_sort_key")
 
 
 class Graph:
@@ -234,6 +236,17 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = set(triples)
         self._indexes: Dict[Tuple[str, ...], Dict[object, List[Triple]]] = {}
+
+    @classmethod
+    def union(cls, graphs: Iterable["Graph"]) -> "Graph":
+        """A new graph of every triple in the given graphs, none of whose sets
+        it shares. The sets are merged with the hashes they store, so no
+        triple is hashed again.
+        """
+        out = cls()
+        for graph in graphs:
+            out._triples |= graph._triples
+        return out
 
     def add(self, triple: Triple) -> None:
         self._triples.add(triple)
@@ -250,7 +263,11 @@ class Graph:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=Triple.sort_key))
+        return iter(sorted(self._triples, key=_SORT_KEY))
+
+    def unordered(self) -> Iterator[Triple]:
+        """The triples in no particular order, without the sort `__iter__` makes."""
+        return iter(self._triples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

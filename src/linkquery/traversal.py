@@ -2,7 +2,8 @@
 Reachability fixed points over a web of documents.
 
 One semi-naive fixed point serves all four modes. Each wave hands the newly
-fetched documents to a link strategy: c-none follows no links, c-all every
+fetched documents that have triples (a failed fetch has none, and links
+nowhere) to a link strategy: c-none follows no links, c-all every
 subject/object IRI, c-match the IRIs of query-matching triples and of triples
 about their entities, and guided the links that the linking structure allows
 for the query's patterns. Every strategy, and λ, reads a document's links
@@ -10,10 +11,14 @@ from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
 computed once per document; c-none never computes it. c-match compiles the
 query's patterns once per query, into lists by predicate that carry each
 pattern's constant and repeated-variable checks, and builds no bindings. The
-content policy judges each fetched triple once, reading it from the document's
-sorted triples (`Document.sorted_triples`), the list the hyperlink table is
-built from; the pool keeps the relevant ones. A trace records why every
-document was admitted or pruned, and every link λ pruned, which
+content policy decides each fetched document's relevant triples once: a
+policy without rules, such as the permissive one of every unguided run, by
+its default, all or none, judging no triple; one with rules by judging each
+triple once, read from the document's sorted triples
+(`Document.sorted_triples`), the list the hyperlink table is built from. The
+pool keeps each source document's relevant triples as one Graph, and the
+guided strategy asks that graph whether a triple is relevant. A trace records
+why every document was admitted or pruned, and every link λ pruned, which
 `explain --doc` reads rather than deciding again. A referring document is
 named by the IRI it was admitted under, not its final IRI after a redirect.
 """
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .guidance import (
+    ALLOW,
     PERMISSIVE_POLICY,
     ContentPolicy,
     LinkingStructureRegistry,
@@ -62,7 +68,7 @@ class TraversalConfig:
     max_documents: int = DEFAULT_MAX_DOCUMENTS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Admission:
     doc_iri: str
     reason: str  # seed | link | pruned
@@ -70,6 +76,17 @@ class Admission:
     via_triple: Optional[Triple] = None
     via_pattern: Optional[TriplePattern] = None
     cause: Optional[str] = None
+
+    def __init__(self, doc_iri: str, reason: str, from_doc: Optional[str] = None,
+                 via_triple: Optional[Triple] = None,
+                 via_pattern: Optional[TriplePattern] = None, cause: Optional[str] = None):
+        fields = self.__dict__  # frozen: fields are stored past __setattr__
+        fields["doc_iri"] = doc_iri
+        fields["reason"] = reason
+        fields["from_doc"] = from_doc
+        fields["via_triple"] = via_triple
+        fields["via_pattern"] = via_pattern
+        fields["cause"] = cause
 
     def to_json_dict(self) -> Dict:
         out: Dict = {"doc": self.doc_iri, "reason": self.reason}
@@ -85,18 +102,35 @@ class Admission:
 
 
 class TriplePool:
-    """Triples with per-source provenance, plus a plain union-graph view."""
+    """Each source document's relevant triples, one Graph per document.
 
-    def __init__(self, entries=()):
-        self.entries: Set[Tuple[Triple, str]] = set(entries)
+    The union graph is merged from the documents' sets with the hashes they
+    store, so building it hashes no triple. The (triple, source) entries and
+    the provenance are read from the same sets, in no order, with no sort.
+    """
+
+    def __init__(self, sources: Dict[str, Graph]):
+        self.sources = sources
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[PoolEntry]) -> "TriplePool":
+        triples: Dict[str, List[Triple]] = {}
+        for t, src in entries:
+            triples.setdefault(src, []).append(t)
+        return cls({src: Graph(ts) for src, ts in triples.items()})
+
+    @property
+    def entries(self) -> Set[PoolEntry]:
+        return {(t, src) for src, g in self.sources.items() for t in g.unordered()}
 
     def graph(self) -> Graph:
-        return Graph(t for t, _ in self.entries)
+        return Graph.union(self.sources.values())
 
     def provenance(self) -> Dict[Triple, Set[str]]:
         out: Dict[Triple, Set[str]] = {}
-        for t, src in self.entries:
-            out.setdefault(t, set()).add(src)
+        for src, g in self.sources.items():
+            for t in g.unordered():
+                out.setdefault(t, set()).add(src)
         return out
 
 
@@ -246,13 +280,14 @@ def _seed_iris(seeds: Sequence[str]) -> List[str]:
     return sorted({strip_fragment(s) for s in seeds})
 
 
-# A link strategy gets each fetched document once, in admission order, paired
-# with the IRI it was admitted under, with a test for IRIs not yet fetched or
-# admitted and the (triple, document) pairs the content policy finds
-# relevant, and yields link or "pruned" admissions for the links it reads
-# from `Document.hyperlinks`. A link not followed from a document is never
-# followed from it later, so no strategy needs to see a document twice.
-LinkStrategy = Callable[[List[Tuple[str, Document]], Callable[[str], bool], Set[PoolEntry]],
+# A link strategy gets each fetched document that has triples once, in
+# admission order, paired with the IRI it was admitted under, with a test for
+# IRIs not yet fetched or admitted and the triples the content policy finds
+# relevant, one Graph per document IRI, and yields link or "pruned"
+# admissions for the links it reads from `Document.hyperlinks`. A link not
+# followed from a document is never followed from it later, so no strategy
+# needs to see a document twice.
+LinkStrategy = Callable[[List[Tuple[str, Document]], Callable[[str], bool], Dict[str, Graph]],
                         Iterable[Admission]]
 
 
@@ -320,8 +355,7 @@ def _guided_links(registry: LinkingStructureRegistry, patterns: Sequence[TripleP
     for referrer, doc in docs:
         structure = get_linking_structure(registry, doc.doc_iri)
         candidates: Dict[str, List[Triple]] = {}
-        for t, iris in considered_links(doc, structure,
-                                        lambda t: (t, doc.doc_iri) in relevant):
+        for t, iris in considered_links(doc, structure, relevant[doc.doc_iri].__contains__):
             for iri in iris:
                 candidates.setdefault(iri, []).append(t)
         for candidate, offered_by in candidates.items():
@@ -339,22 +373,38 @@ def _guided_links(registry: LinkingStructureRegistry, patterns: Sequence[TripleP
                                 cause="no structure rule permits following this link")
 
 
+def _relevant_triples(policy: ContentPolicy, doc: Document) -> Graph:
+    """The document's triples the policy finds relevant, in a Graph that shares
+    no set with the document's. A policy without rules decides the whole
+    document by its default, every triple or none, and judges no triple; one
+    with rules judges each triple once, read from `Document.sorted_triples`.
+    """
+    if policy.rules:
+        return Graph(t for t in doc.sorted_triples if triple_relevant(policy, t, doc.doc_iri))
+    if policy.default_action == ALLOW:
+        return Graph.union((doc.triples,))
+    return Graph()
+
+
 def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                  policy: ContentPolicy, max_documents: int,
                  rng: Optional[random.Random]) -> Tuple[TriplePool, TraversalTrace]:
     """Semi-naive reachability: each wave hands only the new documents to follow.
 
-    The policy judges each fetched triple once, when its document arrives,
-    taking the triples from `Document.sorted_triples`, which the hyperlink
-    table also reads, so each document is sorted once. The pool is every
-    relevant triple, after the policy's exclusive rules are enforced. The
-    Dereferencer's fetch pool and IRI term table serve every wave, and the
-    pool is shut down when the traversal ends, also when it raises.
+    The policy decides each fetched document's relevant triples once, when
+    it arrives, and the pool keeps them as one Graph per source document:
+    the final IRI, so documents admitted under two IRIs that redirect to one
+    share it. Only a policy with rules reads `Document.sorted_triples`, which
+    the hyperlink table also reads, so each document is sorted at most once.
+    (triple, source) entries are built only when an exclusive rule must be
+    enforced over the whole pool. The Dereferencer's fetch pool and IRI term
+    table serve every wave, and the fetch pool is shut down when the
+    traversal ends, also when it raises.
     """
     deref = Dereferencer(source)
     trace = TraversalTrace(ledger=deref.ledger)
     docs: Dict[str, Document] = {}
-    relevant: Set[PoolEntry] = set()
+    relevant: Dict[str, Graph] = {}
     pruned: Set[str] = set()
     order = _seed_iris(seeds)
     reasons = {s: Admission(s, "seed") for s in order}
@@ -368,12 +418,18 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
                 raise CappedTraversalError(max_documents, trace)
             wave = deref.fetch_wave(order)
             docs.update(wave)
-            relevant.update((t, doc.doc_iri) for doc in wave.values() for t in doc.sorted_triples
-                            if triple_relevant(policy, t, doc.doc_iri))
+            # A document without triples, such as a failed fetch, adds none to
+            # the pool and links nowhere: neither the policy nor follow sees it.
+            linking = [(iri, doc) for iri, doc in wave.items() if doc.triples]
+            for _, doc in linking:
+                kept = _relevant_triples(policy, doc)
+                if doc.doc_iri in relevant:  # another admitted IRI redirected here
+                    kept = Graph.union((relevant[doc.doc_iri], kept))
+                relevant[doc.doc_iri] = kept
             for iri in wave:
                 trace.record(reasons[iri])
             reasons = {}
-            for admission in follow(list(wave.items()), unseen, relevant):
+            for admission in follow(linking, unseen, relevant):
                 if admission.reason != "pruned":
                     reasons[admission.doc_iri] = admission
                     continue
@@ -386,7 +442,9 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     finally:
         deref.close()
 
-    trace.pool = TriplePool(apply_overrides(relevant, policy))
+    trace.pool = TriplePool(relevant)
+    if any(rule.exclusive_key for rule in policy.rules):
+        trace.pool = TriplePool.from_entries(apply_overrides(trace.pool.entries, policy))
     trace.documents = docs
     return trace.pool, trace
 

@@ -11,6 +11,8 @@ each IRI is built and checked once per Dereferencer, that is per traversal,
 and the table goes when the Dereferencer does. Each Document carries its
 sorted triples and its hyperlink table, each computed once on first use; the
 table reads each IRI's document from its term, which cut it once, when built.
+The hyperlink table reads the sorted triples, and so does the content policy
+when it has rules; a traversal that reads neither sorts no document.
 
 The thread that asks for a wave fetches it, and helper threads from the
 Dereferencer's pool join in only while a request blocks: before each request
@@ -58,10 +60,15 @@ def _requested(doc_iri: str) -> bool:
     return doc_iri.partition(":")[0].lower() in ("http", "https")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Document:
     doc_iri: str
     triples: Graph
+
+    def __init__(self, doc_iri: str, triples: Graph):
+        fields = self.__dict__  # frozen: fields are stored past __setattr__
+        fields["doc_iri"] = doc_iri
+        fields["triples"] = triples
 
     @functools.cached_property
     def sorted_triples(self) -> List[Triple]:
@@ -95,11 +102,16 @@ class Document:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LedgerEntry:
     iri: str
     outcome: str
     cache_hit = False  # not a field: with no cache, no entry is a hit; perfbench reads it
+
+    def __init__(self, iri: str, outcome: str):
+        fields = self.__dict__  # frozen: fields are stored past __setattr__
+        fields["iri"] = iri
+        fields["outcome"] = outcome
 
 
 class FetchLedger:

@@ -199,6 +199,15 @@ class TestTerms:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, Term.iri(NAME))
 
+    @pytest.mark.parametrize("obj", [
+        Term.iri("https://b.ex/#o"), Term.literal("x"), Term.literal("x", "en")])
+    def test_triple_sort_key_is_its_terms_sort_keys(self, obj):
+        triple = t("https://a.ex/#s", KNOWS, obj)
+        assert triple.sort_key() == (
+            triple.subject.sort_key(), triple.predicate.sort_key(), obj.sort_key())
+        assert dataclasses.replace(triple, subject=Term.iri(NAME)).sort_key() == (
+            Term.iri(NAME).sort_key(), triple.predicate.sort_key(), obj.sort_key())
+
     @pytest.mark.parametrize("iri", [
         "https://uma.ex/#me", "https://ann.ex/about/", "http://x.ex/a?#me",
         "https://x.ex/a?q=1#f#g", "https://x.ex/#", "HTTP://X.ex/doc#me", "mailto:a@x.ex",

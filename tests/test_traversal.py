@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -24,6 +25,7 @@ from helpers import (
     random_registry_json,
     random_web,
     reference_lambda,
+    reference_overrides,
     registries,
     row_fingerprints,
     union_graph,
@@ -33,6 +35,7 @@ from helpers import (
 from linkquery import rdf, traversal
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
+    ContentPolicy,
     RESTRICTIVE,
     SELF,
     LinkingStructureRegistry,
@@ -42,9 +45,10 @@ from linkquery.guidance import (
     triple_relevant,
 )
 from linkquery.query import evaluate, parse_query, triple_patterns
-from linkquery.rdf import match_triple, strip_fragment
+from linkquery.rdf import Graph, match_triple, strip_fragment
 from linkquery.turtle import parse_turtle
 from linkquery.traversal import (
+    Admission,
     C_ALL,
     C_MATCH,
     C_NONE,
@@ -53,7 +57,15 @@ from linkquery.traversal import (
     traverse_guided,
     traverse_unguided,
 )
-from linkquery.webfetch import MAX_IN_FLIGHT, NOT_FOUND, OK, PARSE_ERROR, Document, FetchResult
+from linkquery.webfetch import (
+    MAX_IN_FLIGHT,
+    NOT_FOUND,
+    OK,
+    PARSE_ERROR,
+    Document,
+    FetchResult,
+    LedgerEntry,
+)
 
 SEED = "https://uma.ex/#me"
 PERMISSIVE_REGISTRY = LinkingStructureRegistry([], "permissive")
@@ -551,6 +563,50 @@ class TestProperties:
                         expected.add((f, t, d))
         assert {link for link in trace.pruned_links if link[2] not in admitted} == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pool_is_each_documents_relevant_triples(self, data):
+        # Under a rule-less allow or deny policy, or one with exclusive rules,
+        # guided and unguided, the pool holds the triples the policy finds
+        # relevant in the document they were fetched from, named by its final
+        # IRI, after the exclusive rules: also when admitted IRIs redirect to
+        # one final IRI, as the seeds may.
+        bodies = data.draw(webs())
+        query = data.draw(bgp_queries(len(bodies)))
+        seeds = sorted({doc_iri(0), doc_iri(min(1, len(bodies) - 1))})
+        moved = data.draw(st.sets(st.sampled_from(sorted(bodies))))
+
+        class MergingSource:
+            inner = web_source(bodies)
+
+            def fetch(self, iri):
+                result = self.inner.fetch(iri)
+                if iri in moved and result.outcome == OK:
+                    return FetchResult(OK, result.body, "https://merged.ex/")
+                return result
+
+        mode = data.draw(st.sampled_from([C_NONE, C_ALL, C_MATCH, "guided"]))
+        if mode == "guided":
+            policy = data.draw(st.one_of(
+                st.sampled_from([ContentPolicy([], "allow"), ContentPolicy([], "deny")]),
+                policies(len(bodies)).filter(lambda p: any(r.exclusive_key for r in p.rules))))
+            pool, trace = traverse_guided(seeds, data.draw(registries(len(bodies))), policy,
+                                          query, MergingSource(), max_documents=1000)
+        else:
+            policy = PERMISSIVE_POLICY
+            pool, trace = unguided(MergingSource(), query, mode, seeds=seeds,
+                                   max_documents=1000)
+        expected = reference_overrides(
+            {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples
+             if triple_relevant(policy, t, d.doc_iri)}, policy)
+        provenance = {}
+        for t, src in expected:
+            provenance.setdefault(t, set()).add(src)
+        assert pool.entries == expected
+        assert pool.provenance() == provenance
+        assert pool.graph() == Graph(t for t, _ in expected)
+
+
 # Terms for the compiled c-match check: IRIs that may stand in any position,
 # so a repeated variable can bind a subject and a predicate alike, and
 # literals, one with the same value as an IRI.
@@ -672,8 +728,10 @@ class TestGuidedWork:
     @pytest.mark.parametrize("mode", [C_NONE, C_ALL, C_MATCH, "guided"])
     def test_each_document_sorted_once(self, monkeypatch, mode, demo_query_obj,
                                        demo_registry, uma_policy):
-        # The policy pass and link discovery both read the hyperlink table,
-        # which sorts its document once.
+        # The policy pass and link discovery both read the document's sorted
+        # triples, sorted once. c-none follows no link, and under the
+        # permissive policy, which has no rules, judges no triple: it sorts
+        # nothing.
         calls = 0
         original = rdf.Graph.__iter__
 
@@ -689,15 +747,19 @@ class TestGuidedWork:
             )
         else:
             _, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
-        assert 0 < calls <= len(trace.documents)
+        if mode == C_NONE:
+            assert calls == 0
+        else:
+            assert 0 < calls <= len(trace.documents)
 
     def test_hub_link_discovery_reads_bounded(self, monkeypatch):
         # A hub document knows 400 people, each in their own document. Each
-        # document's sorted triples are read twice (the policy pass and the
-        # hyperlink table's build) and its hyperlink table twice (candidate
-        # links and the link-predicate table λ reads), so the rows read are
-        # at most four per triple: 3,200. Rescanning the hub for each of its
-        # 400 candidates would read 160,000.
+        # document's sorted triples are read at most twice (the policy pass,
+        # which a policy without rules skips, and the hyperlink table's
+        # build) and its hyperlink table twice (candidate links and the
+        # link-predicate table λ reads), so the rows read are at most four
+        # per triple: 3,200. Rescanning the hub for each of its 400
+        # candidates would read 160,000.
         people = 400
         knows, name = "https://p.ex/knows", "https://p.ex/name"
         bodies = {"https://hub.ex/": "".join(
@@ -736,6 +798,58 @@ class TestGuidedWork:
             assert trace.ledger.distinct_ok == people + 1
             assert len(evaluate(query, pool.graph())) == people
             assert 0 < reads <= 4 * triples
+
+    @pytest.mark.parametrize("mode", [C_ALL, C_MATCH])
+    def test_permissive_policy_judges_no_triple(self, monkeypatch, mode, demo_query_obj):
+        # A policy without rules decides each document whole, by its default,
+        # so every fetched triple is in the pool without a verdict of its own.
+        calls = []
+        original = traversal.triple_relevant
+
+        def counting(policy, triple, source_doc_iri):
+            calls.append((triple, source_doc_iri))
+            return original(policy, triple, source_doc_iri)
+
+        monkeypatch.setattr(traversal, "triple_relevant", counting)
+        pool, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
+        assert calls == []
+        entries = {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples}
+        assert pool.entries == entries
+        # The pool shares no set with a document: adding to one changes no pool entry.
+        for d in trace.documents.values():
+            d.triples.add(A_TRIPLE)
+        assert pool.entries == entries
+
+    @pytest.mark.parametrize("mode", [C_ALL, C_MATCH])
+    def test_pool_graph_hashes_no_triple(self, monkeypatch, mode, demo_query_obj):
+        # The union graph is merged from the per-document sets with the
+        # hashes they store.
+        pool, _ = unguided(web_source_from_demo(), demo_query_obj, mode)
+        expected = Graph(t for t, _ in pool.entries)
+        calls = 0
+        original = rdf.Triple.__hash__
+
+        def counting(triple):
+            nonlocal calls
+            calls += 1
+            return original(triple)
+
+        monkeypatch.setattr(rdf.Triple, "__hash__", counting)
+        graph = pool.graph()
+        monkeypatch.undo()
+        assert calls == 0
+        assert len(graph) > 0 and graph == expected
+
+    @pytest.mark.parametrize("mode", [C_ALL, C_MATCH])
+    def test_documents_without_triples_are_not_read(self, mode, demo_query_obj):
+        # A failed fetch, such as that of a mailto: IRI, gives a document
+        # without triples: it links nowhere and adds nothing to the pool, so
+        # neither the policy nor the link strategy reads it.
+        pool, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
+        empty = [d for d in trace.documents.values() if not d.triples]
+        assert empty
+        assert not any({"sorted_triples", "hyperlinks"} & d.__dict__.keys() for d in empty)
+        assert not {d.doc_iri for d in empty} & pool.sources.keys()
 
     def test_c_none_builds_no_hyperlink_table(self, demo_query_obj):
         _, trace = unguided(web_source_from_demo(), demo_query_obj, C_NONE)
@@ -1097,6 +1211,63 @@ class TestFetchPool:
             assert shaken["guided"][0].ledger.ok_documents == docs
             assert shaken["guided"][1].entries == entries
         assert helper_requests >= 50
+
+
+A_TRIPLE = rdf.Triple(rdf.Term.iri("https://a.ex/#s"), rdf.Term.iri("https://v.ex/p"),
+                      rdf.Term.iri("https://b.ex/#o"))
+RECORDS = [
+    Admission("https://b.ex/", "link", "https://a.ex/", A_TRIPLE,
+              rdf.TriplePattern(rdf.Term.var("s"), rdf.Term.iri("https://v.ex/p"),
+                                rdf.Term.var("o"))),
+    LedgerEntry("https://a.ex/", OK),
+    Document("https://a.ex/", Graph([A_TRIPLE])),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("value,field", [
+        (record, f.name) for record in RECORDS for f in dataclasses.fields(record)])
+    def test_fields_are_frozen(self, value, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, "https://c.ex/")
+
+    def test_admission_defaults_equality_hash_and_repr(self):
+        seed = Admission("https://a.ex/", "seed")
+        assert seed == Admission(doc_iri="https://a.ex/", reason="seed", from_doc=None)
+        assert hash(seed) == hash(("https://a.ex/", "seed", None, None, None, None))
+        assert seed != Admission("https://a.ex/", "seed", cause="x")
+        assert repr(seed) == ("Admission(doc_iri='https://a.ex/', reason='seed', from_doc=None, "
+                              "via_triple=None, via_pattern=None, cause=None)")
+        link = RECORDS[0]
+        assert hash(link) == hash(tuple(getattr(link, f.name)
+                                        for f in dataclasses.fields(link)))
+        pruned = dataclasses.replace(link, reason="pruned", cause="no rule")
+        assert (pruned.doc_iri, pruned.from_doc, pruned.via_triple, pruned.via_pattern) == (
+            link.doc_iri, link.from_doc, link.via_triple, link.via_pattern)
+        assert (pruned.reason, pruned.cause) == ("pruned", "no rule")
+
+    def test_ledger_entry_equality_hash_and_repr(self):
+        entry = LedgerEntry("https://a.ex/", OK)
+        assert entry == LedgerEntry(iri="https://a.ex/", outcome=OK) != LedgerEntry(
+            "https://a.ex/", NOT_FOUND)
+        assert hash(entry) == hash(("https://a.ex/", OK))
+        assert repr(entry) == "LedgerEntry(iri='https://a.ex/', outcome='ok')"
+        assert entry.cache_hit is False
+        assert [f.name for f in dataclasses.fields(entry)] == ["iri", "outcome"]
+        assert dataclasses.replace(entry, outcome=NOT_FOUND) == LedgerEntry(
+            "https://a.ex/", NOT_FOUND)
+
+    def test_document_equality_hash_repr_and_tables(self):
+        doc = Document("https://a.ex/", Graph([A_TRIPLE]))
+        assert doc == Document(doc_iri="https://a.ex/", triples=Graph([A_TRIPLE]))
+        assert doc != Document("https://a.ex/", Graph())
+        with pytest.raises(TypeError):
+            hash(doc)  # its graph is mutable, so unhashable
+        assert repr(doc) == "Document(doc_iri='https://a.ex/', triples=Graph(1 triples))"
+        assert doc.sorted_triples == [A_TRIPLE]
+        moved = dataclasses.replace(doc, doc_iri="https://www.a.ex/")
+        assert moved.doc_iri == "https://www.a.ex/" and moved.triples is doc.triples
+        assert "sorted_triples" not in moved.__dict__
 
 
 GOLDEN_DEMO_TRACES = Path(__file__).parent / "demo_traces.json"
