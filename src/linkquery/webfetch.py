@@ -14,15 +14,17 @@ table reads each IRI's document from its term, which cut it once, when built.
 The hyperlink table reads the sorted triples, and so does the content policy
 when it has rules; a traversal that reads neither sorts no document.
 
-The thread that asks for a wave fetches it, and helper threads from the
-Dereferencer's pool join in only while a request blocks: before each request
-it claims with more left, a thread makes sure one helper stands ready. A
-source that blocks has up to MAX_IN_FLIGHT requests in flight within
+The thread that asks for a wave fetches it. Until one request of the
+traversal has waited, off the CPU, for longer than WAITED_S, it makes every
+request itself and starts no thread, so a source that answers at once (a
+fixture web) pays no helper hand-off. From then on, helper threads from
+the Dereferencer's pool join in while requests block: before each request it
+claims with more left, a thread makes sure one helper stands ready. A source
+that blocks then has up to MAX_IN_FLIGHT requests in flight within
 microseconds, so every wave of up to ten documents costs one round of request
-latency; a source that answers at once is served on the calling thread, with
-one helper hand-off per wave. The pool lives as long as the Dereferencer (a
-traversal). Helpers only call the source; bodies are parsed on the calling
-thread, because parsing is CPU work that threads would only contend for.
+latency. The pool lives as long as the Dereferencer (a traversal). Helpers
+only call the source; bodies are parsed on the calling thread, because
+parsing is CPU work that threads would only contend for.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter, thread_time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rdf import IRI, Graph, IriError, Term, Triple, strip_fragment
@@ -44,11 +47,16 @@ PARSE_ERROR = "parse-error"
 # Redirects LiveHttpSource follows for one request.
 MAX_REDIRECTS = 5
 
-# Requests a Dereferencer keeps in flight at most: the calling thread's and
-# one per helper thread of its pool. Ten is requests'
+# Requests a Dereferencer keeps in flight at most, once a request has waited:
+# the calling thread's and one per helper thread of its pool. Ten is requests'
 # adapters.DEFAULT_POOLSIZE, the connections LiveHttpSource's session keeps
 # open per host.
 MAX_IN_FLIGHT = 10
+
+# Off-CPU time (wall less the thread's CPU time) past which a request has
+# waited, so helpers overlap the requests after it: about one helper hand-off,
+# measured at 40-50 µs a wave (_fetch_all of 2-5 instant requests, one CPU).
+WAITED_S = 5e-5
 
 
 class FixtureError(Exception):
@@ -275,7 +283,8 @@ class Dereferencer:
     Only http(s) IRIs are requested; any other IRI is not found without a
     request. Failed fetches are soft: the document comes back empty and
     traversal carries on. The calling thread makes a wave's requests, helped
-    by a pool of MAX_IN_FLIGHT - 1 threads while requests block. Call close()
+    by a pool of MAX_IN_FLIGHT - 1 threads while requests block, once one of
+    its requests has waited; before that the pool is not made. Call close()
     when done, so the pool's threads end.
     """
 
@@ -284,6 +293,7 @@ class Dereferencer:
         self.ledger = FetchLedger()
         self._terms: Dict[str, Term] = {}  # IRI terms by value, shared by every parse
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._waited = False  # whether a request has been off the CPU past WAITED_S
 
     def close(self) -> None:
         """Shut the fetch pool down, waiting for its threads to end."""
@@ -295,10 +305,14 @@ class Dereferencer:
         """Each IRI's fetch result, in the given order.
 
         The calling thread and helpers take the requests in order from one
-        counter, under one lock. A thread that claims a request while others
-        stay unclaimed first submits a helper to the pool, unless a submitted
-        one has yet to start. So each blocked request has a helper take the
-        next; the pool's width bounds the helpers. The caller waits for every
+        counter, under one lock, and time each. Once a request of this
+        Dereferencer has been off the CPU past WAITED_S, a thread that claims
+        a request while others stay unclaimed first submits a helper to the
+        pool, unless a submitted one has yet to start; before that, the
+        caller makes every request. So each blocked request has a helper
+        take the next; the pool's width bounds the helpers. The worst case is
+        a first waiting request in a wave of several: it runs alone, losing
+        one request's latency once per traversal. The caller waits for every
         helper it started, then re-raises a helper's exception; a failed
         request stops further claims.
         """
@@ -316,13 +330,17 @@ class Dereferencer:
                     if i == len(doc_iris):
                         return
                     claimed += 1
-                    if claimed < len(doc_iris) and not starting:
+                    if self._waited and claimed < len(doc_iris) and not starting:
                         if self._pool is None:
                             self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT - 1)
                         starting += 1
                         helpers.append(self._pool.submit(help_out))
                 try:
+                    start, cpu = perf_counter(), thread_time()
                     results[i] = self.source.fetch(doc_iris[i])
+                    wall = perf_counter() - start  # thread_time, 0.45 µs, only past WAITED_S
+                    if wall > WAITED_S and wall - (thread_time() - cpu) > WAITED_S:
+                        self._waited = True
                 except BaseException:
                     with lock:
                         claimed = len(doc_iris)
@@ -355,8 +373,9 @@ class Dereferencer:
     def fetch_wave(self, doc_iris: Sequence[str]) -> Dict[str, Document]:
         """Dereference distinct fragmentless IRIs, requesting http(s) ones concurrently.
 
-        This thread makes the requests, with up to MAX_IN_FLIGHT in flight
-        once helpers join blocked ones; the bodies are parsed here, on the
+        This thread makes the requests: alone until one of the
+        Dereferencer's requests has waited, then with up to MAX_IN_FLIGHT in
+        flight as helpers join blocked ones. The bodies are parsed here, on the
         calling thread, in the given order. Ledger entries, not-found for an
         IRI not requested, are recorded in the given order, not completion
         order, so instrumented runs stay deterministic under parallel

@@ -32,7 +32,7 @@ from helpers import (
     web_source,
     webs,
 )
-from linkquery import rdf, traversal
+from linkquery import rdf, traversal, webfetch
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
     ContentPolicy,
@@ -62,6 +62,7 @@ from linkquery.webfetch import (
     NOT_FOUND,
     OK,
     PARSE_ERROR,
+    WAITED_S,
     Document,
     FetchResult,
     LedgerEntry,
@@ -1041,14 +1042,17 @@ class ThreadRecordingSource:
 
 class TestFetchPool:
     def test_wave_requests_overlap(self):
-        # The hub's 8 linked documents are answered only once all 8 requests
-        # are in flight at the same time.
+        # The hub's request sleeps 10 ms, so the traversal has seen a request
+        # wait and helpers join the next wave. The hub's 8 linked documents
+        # are answered only once all 8 requests are in flight at the same time.
         inner = chains_web(8, 1)
         barrier = threading.Barrier(8, timeout=2)
 
         class BarrierSource:
             def fetch(self, doc_iri):
-                if doc_iri != HUB:
+                if doc_iri == HUB:
+                    time.sleep(0.01)
+                else:
                     try:
                         barrier.wait()
                     except threading.BrokenBarrierError:
@@ -1129,32 +1133,144 @@ class TestFetchPool:
                        for iri, thread in calls)
 
     def test_a_helper_failure_raises_out_of_the_traversal(self):
-        # The calling thread's request of the 8-document wave waits until a
-        # helper has made one, and a helper's request raises.
+        # The hub's request sleeps 10 ms, so helpers join the 8-document wave.
+        # The calling thread's request of that wave waits until a helper has
+        # made one, and a helper's request raises.
         before = set(threading.enumerate())
         caller = threading.current_thread()
         inner = chains_web(8, 1)
         helped = threading.Event()
+        caller_waits = []  # whether each of the caller's waits saw a helper's request
 
         class HelperFailingSource:
             def fetch(self, doc_iri):
                 if doc_iri == HUB:
+                    time.sleep(0.01)
                     return inner.fetch(doc_iri)
                 if threading.current_thread() is caller:
-                    helped.wait(timeout=2)
+                    caller_waits.append(helped.wait(timeout=2))
                     return inner.fetch(doc_iri)
                 helped.set()
                 raise RuntimeError("helper failed on %s" % doc_iri)
 
         with pytest.raises(RuntimeError, match="helper failed"):
             unguided(HelperFailingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
-        assert helped.is_set()
+        assert caller_waits and all(caller_waits)
         assert set(threading.enumerate()) <= before
 
+    def test_a_source_that_never_waits_starts_no_thread(self, monkeypatch, demo_query_obj,
+                                                         demo_registry, uma_policy):
+        # The demo web answers from memory, in waves of 1, 3, 5 and 1
+        # requests under c-all and c-match and of 1, 2 and 1 under guided. No
+        # request waits, so the calling thread makes every one and no thread
+        # starts, during the run or after it. The traces and pools equal those
+        # of the same web served by a source that sleeps 1 ms per request,
+        # whose waves helpers overlap. The operating system may take the CPU
+        # from the thread mid-request, which counts as a wait (about once in
+        # 300 runs on a busy 2-CPU VM); the runs from memory read the thread's
+        # CPU clock as their wall clock, so that no request waits.
+        caller = threading.current_thread()
+
+        class RecordingSource:
+            def __init__(self, delay):
+                self.inner = web_source_from_demo()
+                self.delay = delay
+                self.calls = []
+
+            def fetch(self, doc_iri):
+                self.calls.append((doc_iri, threading.current_thread(),
+                                   set(threading.enumerate())))
+                if self.delay:
+                    time.sleep(self.delay)
+                return self.inner.fetch(doc_iri)
+
+        def run(semantics, source):
+            if semantics == "guided":
+                return traverse_guided([SEED], demo_registry, uma_policy, demo_query_obj, source)
+            return unguided(source, demo_query_obj, semantics)
+
+        for semantics in (C_ALL, C_MATCH, "guided"):
+            at_once = RecordingSource(0)
+            before = set(threading.enumerate())
+            with monkeypatch.context() as patch:
+                patch.setattr(webfetch, "perf_counter", time.thread_time)
+                pool, trace = run(semantics, at_once)
+            assert set(threading.enumerate()) == before
+            assert sorted(iri for iri, _, _ in at_once.calls) == sorted(
+                e.iri for e in trace.ledger.entries if e.iri.startswith(("http:", "https:")))
+            assert all(thread is caller and threads == before
+                       for _, thread, threads in at_once.calls)
+            slow_pool, slow_trace = run(semantics, RecordingSource(0.001))
+            assert trace.to_json_dict() == slow_trace.to_json_dict()
+            assert pool.entries == slow_pool.entries
+
+    @pytest.mark.parametrize("busy,off,helped", [
+        (1e-3, 0.0, False),  # a request that computes for 1 ms has not waited
+        (0.0, WAITED_S / 2, False),
+        (0.0, 2 * WAITED_S, True),
+    ])
+    def test_only_time_off_the_cpu_counts_as_waiting(self, monkeypatch, busy, off, helped):
+        # Fake clocks: each request moves the wall clock on by busy + off
+        # and the CPU clock by busy. Waves of 1, 4 and 4 documents; helper
+        # threads start once a request has been off the CPU past WAITED_S.
+        inner = chains_web(4, 2)
+        clock = {"wall": 0.0, "cpu": 0.0}
+        monkeypatch.setattr(webfetch, "perf_counter", lambda: clock["wall"])
+        monkeypatch.setattr(webfetch, "thread_time", lambda: clock["cpu"])
+        before = set(threading.enumerate())
+        seen = []
+
+        class ClockedSource:
+            def fetch(self, doc_iri):
+                seen.append(set(threading.enumerate()))
+                clock["wall"] += busy + off
+                clock["cpu"] += busy
+                return inner.fetch(doc_iri)
+
+        _, trace = unguided(ClockedSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 9
+        assert any(threads != before for threads in seen) is helped
+
+    def test_a_first_waiting_request_runs_alone_then_its_wave_overlaps(self):
+        # The hub answers at once. Each request of its 8-document wave waits
+        # until 7 are in flight: the first for 0.1 s, the others for up to
+        # 2 s. That first request is the traversal's first to wait, so the
+        # calling thread makes it alone, and only then do helpers start: the
+        # other 7 reach exactly 7 in flight. So a source that waits from its
+        # second wave on loses one request's latency, once.
+        caller = threading.current_thread()
+        inner = chains_web(8, 1)
+        lock = threading.Condition()
+        in_flight, peak, arrivals = 0, 0, []
+        first_alone = None  # whether no other request arrived while the first was in flight
+
+        class GatedSource:
+            def fetch(self, doc_iri):
+                nonlocal in_flight, peak, first_alone
+                if doc_iri == HUB:
+                    return inner.fetch(doc_iri)
+                with lock:
+                    arrivals.append(threading.current_thread())
+                    first = len(arrivals) == 1
+                    in_flight += 1
+                    peak = max(peak, in_flight)
+                    lock.notify_all()
+                    lock.wait_for(lambda: in_flight >= 7, timeout=0.1 if first else 2)
+                    if first:
+                        first_alone = len(arrivals) == 1
+                    in_flight -= 1
+                return inner.fetch(doc_iri)
+
+        _, trace = unguided(GatedSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 9
+        assert arrivals[0] is caller and first_alone
+        assert peak == 7
+
     def test_oracles_hold_when_threads_switch_every_microsecond(self):
-        # Each request computes for 50 µs and never blocks, so at the default
-        # switch interval (5 ms) the calling thread makes nearly all of them,
-        # and at 1 µs helpers take many. Each request is made once, and the
+        # Each request computes for 50 µs, holding the GIL, then sleeps
+        # 0.2 ms, past WAITED_S, so helpers join every wave after the first
+        # and at a 1 µs switch interval they contend for the GIL with the
+        # calling thread mid-request. Each request is made once, and the
         # ledger, admissions and pool of c-all, c-match and guided runs equal
         # those of runs at the default interval and the closure oracles.
         class RecordingSource:
@@ -1167,6 +1283,7 @@ class TestFetchPool:
                 end = time.perf_counter() + 5e-5
                 while time.perf_counter() < end:
                     pass
+                time.sleep(2e-4)
                 return self.inner.fetch(doc_iri)
 
         seeds = [doc_iri(0)]
