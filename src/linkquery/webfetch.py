@@ -14,15 +14,13 @@ table reads each IRI's document from its term, which cut it once, when built.
 The hyperlink table reads the sorted triples, and so does the content policy
 when it has rules; a traversal that reads neither sorts no document.
 
-The thread that asks for a wave fetches it. Until one request of the
-traversal has waited, off the CPU, for longer than WAITED_S, it makes every
-request itself and starts no thread, so a source that answers at once (a
-fixture web) pays no helper hand-off. From then on, helper threads from
-the Dereferencer's pool join in while requests block: before each request it
-claims with more left, a thread makes sure one helper stands ready. A source
-that blocks then has up to MAX_IN_FLIGHT requests in flight within
-microseconds, so every wave of up to ten documents costs one round of request
-latency. The pool lives as long as the Dereferencer (a traversal). Helpers
+The thread that asks for a wave fetches it, by one rule: it makes and times
+each request itself until one of the traversal's requests has been off the
+CPU for longer than WAITED_S, so a source that answers at once (a fixture
+web) starts no thread. From then on every remaining request goes through
+Executor.map on the Dereferencer's pool of MAX_IN_FLIGHT threads, made at
+that first wait and living as long as the Dereferencer (a traversal), so a
+wave of up to ten documents costs one round of request latency. Pool threads
 only call the source; bodies are parsed on the calling thread, because
 parsing is CPU work that threads would only contend for.
 """
@@ -30,8 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter, thread_time
@@ -48,14 +45,14 @@ PARSE_ERROR = "parse-error"
 MAX_REDIRECTS = 5
 
 # Requests a Dereferencer keeps in flight at most, once a request has waited:
-# the calling thread's and one per helper thread of its pool. Ten is requests'
-# adapters.DEFAULT_POOLSIZE, the connections LiveHttpSource's session keeps
-# open per host.
+# one per thread of its pool. Ten is requests' adapters.DEFAULT_POOLSIZE, the
+# connections LiveHttpSource's session keeps open per host.
 MAX_IN_FLIGHT = 10
 
 # Off-CPU time (wall less the thread's CPU time) past which a request has
-# waited, so helpers overlap the requests after it: about one helper hand-off,
-# measured at 40-50 µs a wave (_fetch_all of 2-5 instant requests, one CPU).
+# waited, so the pool makes the requests after it: about one hand-off to a
+# pool thread, measured at 40-50 µs a wave (_fetch_all of 2-5 instant
+# requests, one CPU).
 WAITED_S = 5e-5
 
 
@@ -253,28 +250,26 @@ class LiveHttpSource:
         import requests
 
         try:
-            resp = self.session.get(
+            with self.session.get(
                 doc_iri,
                 headers={"Accept": self.accept},
                 timeout=self.timeout,
                 stream=True,
                 allow_redirects=True,
-            )
-        except requests.RequestException:
+            ) as resp:
+                if resp.status_code != 200:
+                    return FetchResult(NOT_FOUND)
+                chunks = []
+                size = 0
+                for chunk in resp.iter_content(chunk_size=65536):
+                    size += len(chunk)
+                    if size > self.max_body_bytes:
+                        return FetchResult(NOT_FOUND)  # oversize body
+                    chunks.append(chunk)
+        except requests.RequestException:  # also a body that breaks off or stalls
             return FetchResult(NOT_FOUND)
-        with resp:
-            if resp.status_code != 200:
-                return FetchResult(NOT_FOUND)
-            chunks = []
-            size = 0
-            for chunk in resp.iter_content(chunk_size=65536):
-                size += len(chunk)
-                if size > self.max_body_bytes:
-                    return FetchResult(NOT_FOUND)  # oversize body
-                chunks.append(chunk)
-            final = strip_fragment(resp.url)
-            body = _decode(b"".join(chunks), resp.headers.get("Content-Type", ""))
-            return FetchResult(OK, body, final)
+        body = _decode(b"".join(chunks), resp.headers.get("Content-Type", ""))
+        return FetchResult(OK, body, strip_fragment(resp.url))
 
 
 class Dereferencer:
@@ -282,18 +277,16 @@ class Dereferencer:
 
     Only http(s) IRIs are requested; any other IRI is not found without a
     request. Failed fetches are soft: the document comes back empty and
-    traversal carries on. The calling thread makes a wave's requests, helped
-    by a pool of MAX_IN_FLIGHT - 1 threads while requests block, once one of
-    its requests has waited; before that the pool is not made. Call close()
-    when done, so the pool's threads end.
+    traversal carries on. The calling thread makes the requests until one
+    has waited; then it makes its pool of MAX_IN_FLIGHT threads, which makes
+    every later request. Call close() when done, so the pool's threads end.
     """
 
     def __init__(self, source):
         self.source = source
         self.ledger = FetchLedger()
         self._terms: Dict[str, Term] = {}  # IRI terms by value, shared by every parse
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._waited = False  # whether a request has been off the CPU past WAITED_S
+        self._pool: Optional[ThreadPoolExecutor] = None  # made when a request first waits
 
     def close(self) -> None:
         """Shut the fetch pool down, waiting for its threads to end."""
@@ -304,60 +297,24 @@ class Dereferencer:
     def _fetch_all(self, doc_iris: List[str]) -> List[FetchResult]:
         """Each IRI's fetch result, in the given order.
 
-        The calling thread and helpers take the requests in order from one
-        counter, under one lock, and time each. Once a request of this
-        Dereferencer has been off the CPU past WAITED_S, a thread that claims
-        a request while others stay unclaimed first submits a helper to the
-        pool, unless a submitted one has yet to start; before that, the
-        caller makes every request. So each blocked request has a helper
-        take the next; the pool's width bounds the helpers. The worst case is
+        Until a request of this Dereferencer has been off the CPU past
+        WAITED_S, the calling thread makes and times each request; the first
+        that waits makes the pool, and the rest of its wave and every later
+        wave go through map, up to MAX_IN_FLIGHT at a time. The worst case is
         a first waiting request in a wave of several: it runs alone, losing
-        one request's latency once per traversal. The caller waits for every
-        helper it started, then re-raises a helper's exception; a failed
-        request stops further claims.
+        one request's latency once per traversal. A failed request raises
+        here, and map cancels the requests that have not started.
         """
-        results: List[Optional[FetchResult]] = [None] * len(doc_iris)
-        lock = threading.Lock()
-        claimed = 0  # requests taken
-        starting = 0  # helpers submitted that have not started
-        helpers: List[Future] = []
-
-        def work() -> None:
-            nonlocal claimed, starting
-            while True:
-                with lock:
-                    i = claimed
-                    if i == len(doc_iris):
-                        return
-                    claimed += 1
-                    if self._waited and claimed < len(doc_iris) and not starting:
-                        if self._pool is None:
-                            self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT - 1)
-                        starting += 1
-                        helpers.append(self._pool.submit(help_out))
-                try:
-                    start, cpu = perf_counter(), thread_time()
-                    results[i] = self.source.fetch(doc_iris[i])
-                    wall = perf_counter() - start  # thread_time, 0.45 µs, only past WAITED_S
-                    if wall > WAITED_S and wall - (thread_time() - cpu) > WAITED_S:
-                        self._waited = True
-                except BaseException:
-                    with lock:
-                        claimed = len(doc_iris)
-                    raise
-
-        def help_out() -> None:
-            nonlocal starting
-            with lock:
-                starting -= 1
-            work()
-
-        try:
-            work()
-        finally:
-            wait(helpers)  # complete: no claim is left, so none is submitted
-        for helper in helpers:
-            helper.result()
+        results: List[FetchResult] = []
+        for i, doc_iri in enumerate(doc_iris):
+            if self._pool is not None:
+                results += self._pool.map(self.source.fetch, doc_iris[i:])
+                break
+            start, cpu = perf_counter(), thread_time()
+            results.append(self.source.fetch(doc_iri))
+            wall = perf_counter() - start  # thread_time, 0.45 µs, only past WAITED_S
+            if wall > WAITED_S and wall - (thread_time() - cpu) > WAITED_S:
+                self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT)
         return results
 
     def _parse(self, doc_iri: str, result: FetchResult) -> Tuple[Document, str]:
@@ -373,10 +330,10 @@ class Dereferencer:
     def fetch_wave(self, doc_iris: Sequence[str]) -> Dict[str, Document]:
         """Dereference distinct fragmentless IRIs, requesting http(s) ones concurrently.
 
-        This thread makes the requests: alone until one of the
-        Dereferencer's requests has waited, then with up to MAX_IN_FLIGHT in
-        flight as helpers join blocked ones. The bodies are parsed here, on the
-        calling thread, in the given order. Ledger entries, not-found for an
+        This thread makes the requests until one of the Dereferencer's
+        requests has waited; from then on its pool makes them, up to
+        MAX_IN_FLIGHT at a time. The bodies are parsed here, on the calling
+        thread, in the given order. Ledger entries, not-found for an
         IRI not requested, are recorded in the given order, not completion
         order, so instrumented runs stay deterministic under parallel
         fetching.

@@ -1113,50 +1113,104 @@ class TestFetchPool:
         assert trace.ledger.distinct_ok == 26
         assert peak == MAX_IN_FLIGHT
 
-    def test_calling_thread_makes_requests_of_every_wave(self):
-        # Waves of 1, 8, 8 and 8 documents over a source that sleeps 10 ms:
-        # helpers join, and the traversal thread still makes a request of each.
-        source = ThreadRecordingSource(chains_web(8, 3))
-        calls = []
-        fetch = source.fetch
-
-        def recording_fetch(doc_iri):
-            calls.append((doc_iri, threading.current_thread()))  # atomic across threads
-            return fetch(doc_iri)
-
-        source.fetch = recording_fetch
-        _, trace = unguided(source, ANY_QUERY, C_ALL, seeds=(HUB,))
-        assert trace.ledger.distinct_ok == 25
-        for level in range(3):
-            wave = {"https://c%d.ex/%d" % (i, level) for i in range(8)}
-            assert any(iri in wave and thread is threading.current_thread()
-                       for iri, thread in calls)
-
-    def test_a_helper_failure_raises_out_of_the_traversal(self):
-        # The hub's request sleeps 10 ms, so helpers join the 8-document wave.
-        # The calling thread's request of that wave waits until a helper has
-        # made one, and a helper's request raises.
-        before = set(threading.enumerate())
+    def test_calling_thread_fetches_until_a_request_waits_then_the_pool_fetches(
+            self, monkeypatch):
+        # Fake clocks: in waves of 1, 8, 8 and 8 documents, the request for
+        # c3.ex/0, the fourth of the second wave, is the first to spend
+        # 2 * WAITED_S off the CPU. The calling thread makes every request up
+        # to it, in order, and pool threads make every request after it.
         caller = threading.current_thread()
-        inner = chains_web(8, 1)
-        helped = threading.Event()
-        caller_waits = []  # whether each of the caller's waits saw a helper's request
+        inner = chains_web(8, 3)
+        first_wait = "https://c3.ex/0"
+        clock = {"wall": 0.0}
+        monkeypatch.setattr(webfetch, "perf_counter", lambda: clock["wall"])
+        monkeypatch.setattr(webfetch, "thread_time", lambda: 0.0)
+        calls = []
 
-        class HelperFailingSource:
+        class WaitingSource:
+            def fetch(self, doc_iri):
+                calls.append((doc_iri, threading.current_thread()))  # atomic across threads
+                if doc_iri == first_wait:
+                    clock["wall"] += 2 * WAITED_S
+                return inner.fetch(doc_iri)
+
+        _, trace = unguided(WaitingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 25 == len(calls)
+        serial = [HUB] + ["https://c%d.ex/0" % i for i in range(4)]  # up to first_wait
+        assert [iri for iri, _ in calls[:len(serial)]] == serial
+        assert all(thread is caller for _, thread in calls[:len(serial)])
+        assert all(thread is not caller for _, thread in calls[len(serial):])
+
+    def test_a_helper_failure_raises_out_of_the_traversal(self, monkeypatch):
+        # The hub's request sleeps 10 ms, so pool threads make the next wave,
+        # of 2 * MAX_IN_FLIGHT documents. Its first request waits until
+        # MAX_IN_FLIGHT of them have reached the source, then raises. The
+        # others hold their pool threads until the traversal closes its
+        # Dereferencer, after the failure has left map, so the requests that
+        # had not started never reach the source: only the failed request's
+        # thread may take one more before map cancels the rest.
+        before = set(threading.enumerate())
+        inner = chains_web(2 * MAX_IN_FLIGHT, 1)
+        wave = sorted("https://c%d.ex/0" % i for i in range(2 * MAX_IN_FLIGHT))  # request order
+        reached = []
+        full = threading.Event()  # MAX_IN_FLIGHT requests have reached the source
+        closing = threading.Event()
+        waits = []  # whether each wait saw its event set
+        close = webfetch.Dereferencer.close
+
+        def close_after_releasing(deref):
+            closing.set()
+            close(deref)
+
+        monkeypatch.setattr(webfetch.Dereferencer, "close", close_after_releasing)
+
+        class PoolFailingSource:
             def fetch(self, doc_iri):
                 if doc_iri == HUB:
                     time.sleep(0.01)
                     return inner.fetch(doc_iri)
-                if threading.current_thread() is caller:
-                    caller_waits.append(helped.wait(timeout=2))
-                    return inner.fetch(doc_iri)
-                helped.set()
-                raise RuntimeError("helper failed on %s" % doc_iri)
+                reached.append(doc_iri)  # atomic across threads
+                if len(reached) >= MAX_IN_FLIGHT:
+                    full.set()
+                if doc_iri == wave[0]:
+                    waits.append(full.wait(timeout=2))
+                    raise RuntimeError("pool request failed on %s" % doc_iri)
+                waits.append(closing.wait(timeout=2))
+                return inner.fetch(doc_iri)
 
-        with pytest.raises(RuntimeError, match="helper failed"):
-            unguided(HelperFailingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
-        assert caller_waits and all(caller_waits)
+        with pytest.raises(RuntimeError, match="pool request failed"):
+            unguided(PoolFailingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert waits and all(waits)
+        assert set(wave[:MAX_IN_FLIGHT]) <= set(reached) <= set(wave[:MAX_IN_FLIGHT + 1])
         assert set(threading.enumerate()) <= before
+
+    def test_a_wave_keeps_the_pool_full_until_its_last_request_starts(self):
+        # The hub's request sleeps 10 ms, so pool threads make the next wave,
+        # of 2 * MAX_IN_FLIGHT documents. Each of its requests waits at a
+        # barrier of MAX_IN_FLIGHT parties (for up to 2 s): the barrier trips
+        # twice, so the wave takes two rounds of request latency, not three.
+        # A wave split statically, say one request on the calling thread and
+        # the rest on a pool of MAX_IN_FLIGHT - 1, leaves too few in flight
+        # for its second round.
+        inner = chains_web(2 * MAX_IN_FLIGHT, 1)
+        barrier = threading.Barrier(MAX_IN_FLIGHT, timeout=2)
+        trips = []
+
+        class BarrierSource:
+            def fetch(self, doc_iri):
+                if doc_iri == HUB:
+                    time.sleep(0.01)
+                    return inner.fetch(doc_iri)
+                try:
+                    if barrier.wait() == 0:
+                        trips.append(doc_iri)  # atomic across threads
+                except threading.BrokenBarrierError:
+                    return FetchResult(NOT_FOUND)
+                return inner.fetch(doc_iri)
+
+        _, trace = unguided(BarrierSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        assert trace.ledger.distinct_ok == 2 * MAX_IN_FLIGHT + 1
+        assert len(trips) == 2
 
     def test_a_source_that_never_waits_starts_no_thread(self, monkeypatch, demo_query_obj,
                                                          demo_registry, uma_policy):

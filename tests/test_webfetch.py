@@ -223,8 +223,9 @@ class TestDereferencer:
                 docs = deref.fetch_wave(iris)
             finally:
                 deref.close()
-            # The calling thread or a helper makes each of the two requests, in
-            # either order.
+            # The calling thread makes both requests, in order, unless the
+            # operating system takes the CPU from it past WAITED_S in the
+            # first: then a pool thread makes the second.
             assert sorted(calls) == sorted(["http://ann.ex/", "HTTPS://ann.ex/"])
             assert list(docs) == iris
             assert all(len(doc.triples) == 0 for doc in docs.values())
@@ -256,9 +257,22 @@ CHARSET_BODIES = {  # path: (Content-Type, body)
 
 @pytest.fixture
 def http_server():
+    stop_stalling = threading.Event()
+
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
-            if self.path in CHARSET_BODIES:
+            if self.path in ("/short", "/stall"):
+                # A body that breaks off after its first bytes, or stops
+                # sending them until the test ends.
+                self.send_response(200)
+                self.send_header("Content-Type", "text/turtle")
+                self.send_header("Content-Length", "1000")
+                self.end_headers()
+                self.wfile.write(b"# cut")
+                self.wfile.flush()
+                if self.path == "/stall":
+                    stop_stalling.wait(timeout=5)
+            elif self.path in CHARSET_BODIES:
                 content_type, body = CHARSET_BODIES[self.path]
                 self.send_response(200)
                 self.send_header("Content-Type", content_type)
@@ -290,6 +304,7 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield "http://127.0.0.1:%d" % port
+    stop_stalling.set()
     server.shutdown()
     server.server_close()
 
@@ -349,3 +364,23 @@ class TestLiveHttpSource:
         doc = deref.fetch_wave([http_server + "/big"])[http_server + "/big"]
         assert len(doc.triples) == 0
         assert deref.ledger.distinct_ok == 0
+
+    @pytest.mark.parametrize("path", ["/short", "/stall"])
+    def test_body_that_breaks_off_or_stalls_is_not_found(self, http_server, path):
+        # A Content-Length of 1000 over a 5-byte body, cut short or stalled
+        # past the 0.2 s timeout: requests raises while the body is read.
+        source = LiveHttpSource(timeout=0.2)
+        responses = []
+        get = source.session.get
+
+        def recording_get(*args, **kwargs):
+            responses.append(get(*args, **kwargs))
+            return responses[-1]
+
+        source.session.get = recording_get
+        try:
+            assert source.fetch(http_server + path).outcome == NOT_FOUND
+        finally:
+            source.session.close()
+        [response] = responses
+        assert response.raw.closed
