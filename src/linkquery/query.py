@@ -328,15 +328,15 @@ def _join(solutions: List[SolutionMapping], steps: List[_Step], graph: Graph) ->
     return solutions
 
 
-_NULL_SORT_KEY = (True, ())  # after every term's (False, sort key)
+_NULL_SORT_KEY = (True, ())  # after every (False, term)
 
 
 def _row_sort_key(row: Row) -> tuple:
     """One flat tuple: each cell, in projection order, as a flag and its
-    term's cached sort key, so that NULL sorts after any term."""
+    term, which sorts as a tuple, so that NULL sorts after any term."""
     key = ()
     for term in row.values():
-        key += _NULL_SORT_KEY if term is None else (False, term.sort_key())
+        key += _NULL_SORT_KEY if term is None else (False, term)
     return key
 
 

@@ -1,7 +1,10 @@
-import dataclasses
+import copy
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkquery.rdf import (
     Graph,
@@ -152,14 +155,15 @@ class TestTerms:
         assert Term.literal("Mickey Mouse", "en") != Term.literal("Mickey Mouse")
 
     def test_equal_terms_and_triples_hash_equal(self):
-        # Each pair is built from distinct string objects; replace() makes a
-        # new term, so it must not carry the old term's hash.
+        # Each pair is built from distinct string objects; a term rebuilt
+        # from another's fields with a new tag must not carry the old hash.
+        french = Term.literal("Mickey", "fr")
         pairs = [
             (Term.iri(KNOWS), Term.iri("".join(KNOWS))),
             (Term.literal("Mickey"), Term.literal("".join("Mickey"))),
             (Term.literal("Mickey", "en"), Term("literal", "".join("Mickey"), "".join("en"))),
             (Term.var("x"), Term.var("?x")),
-            (dataclasses.replace(Term.literal("Mickey", "fr"), language="en"),
+            (Term(kind=french.kind, value=french.value, language="en"),
              Term.literal("Mickey", "en")),
         ]
         pairs.append((Triple(Term.iri(NAME), Term.iri(NAME), pairs[2][0]),
@@ -184,7 +188,8 @@ class TestTerms:
         term = Term(kind="literal", value="Mickey", language="en")
         public = Term.literal("Mickey", "en")
         assert term == public and hash(term) == hash(public)
-        assert term.sort_key() == ("Mickey", "en", "literal") and term.document is None
+        assert term.sort_key() == public.sort_key() and term.document is None
+        assert (term.value, term.language, term.kind) == ("Mickey", "en", "literal")
         triple = Triple(subject=Term.iri(NAME), predicate=Term.iri(NAME), object=term)
         assert triple == Triple(Term.iri(NAME), Term.iri(NAME), term)
 
@@ -196,7 +201,7 @@ class TestTerms:
         (t("https://a.ex/#s", KNOWS, "https://b.ex/#o"), "object"),
     ])
     def test_fields_are_frozen(self, value, field):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(value, field, Term.iri(NAME))
 
     @pytest.mark.parametrize("obj", [
@@ -205,7 +210,8 @@ class TestTerms:
         triple = t("https://a.ex/#s", KNOWS, obj)
         assert triple.sort_key() == (
             triple.subject.sort_key(), triple.predicate.sort_key(), obj.sort_key())
-        assert dataclasses.replace(triple, subject=Term.iri(NAME)).sort_key() == (
+        moved = Triple(subject=Term.iri(NAME), predicate=triple.predicate, object=triple.object)
+        assert moved.sort_key() == (
             Term.iri(NAME).sort_key(), triple.predicate.sort_key(), obj.sort_key())
 
     @pytest.mark.parametrize("iri", [
@@ -215,7 +221,8 @@ class TestTerms:
     ])
     def test_iri_term_caches_its_document(self, iri):
         assert Term.iri(iri).document == strip_fragment(iri)
-        assert dataclasses.replace(Term.iri("https://o.ex/#x"), value=iri).document \
+        other = Term.iri("https://o.ex/#x")
+        assert Term(kind=other.kind, value=iri, language=other.language).document \
             == strip_fragment(iri)
 
     def test_only_iri_terms_have_a_document(self):
@@ -223,6 +230,107 @@ class TestTerms:
         assert Term.var("x").document is None
         [triple] = parse_turtle('<#a> <#b> "c#d".', "https://x.ex/")
         assert triple.object.document is None
+
+    def test_empty_language_tag_is_rejected(self):
+        # "x" and "x"@"" would print alike in N-Triples but differ as terms.
+        with pytest.raises(ValueError, match="empty language tag"):
+            Term.literal("x", "")
+        with pytest.raises(ValueError, match="empty language tag"):
+            Term(kind="literal", value="x", language="")
+        assert Term.literal("x").language is None and Term.literal("x").n3() == '"x"'
+
+
+TRIPLE = t("https://a.ex/#s", KNOWS, Term.literal("x", "en"))
+# Every public way to make a term or triple, each from an existing one.
+REMAKES = {
+    "positional": lambda x: type(x)(*_fields(x)),
+    "keyword": lambda x: type(x)(**dict(zip(_names(x), _fields(x)))),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{"pickle%d" % protocol: (lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol)))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+def _names(x):
+    return ("kind", "value", "language") if isinstance(x, Term) else ("subject", "predicate", "object")
+
+
+def _fields(x):
+    return tuple(getattr(x, name) for name in _names(x))
+
+
+class TestRemaking:
+    @pytest.mark.parametrize("how", sorted(REMAKES))
+    @pytest.mark.parametrize("original", [
+        Term.iri("HTTP://A.ex/doc#me"), Term.literal("x#y"), Term.literal("x", "en"),
+        Term.var("v"), TRIPLE])
+    def test_remade_objects_equal_their_original(self, how, original):
+        remade = REMAKES[how](original)
+        assert type(remade) is type(original)
+        assert remade == original and hash(remade) == hash(original)
+        assert _fields(remade) == _fields(original) and repr(remade) == repr(original)
+        if isinstance(original, Term):
+            assert remade.document == original.document
+
+    @pytest.mark.parametrize("original", [Term.iri("https://a.ex/"), TRIPLE])
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_runs_the_checks(self, protocol, original):
+        # A swap of equal length keeps a binary pickle well formed.
+        data = pickle.dumps(original, protocol).replace(b"https://a.ex/", b"not/absolute/")
+        with pytest.raises(IriError, match="not/absolute/"):
+            pickle.loads(data)
+
+    def test_no_unchecked_constructor(self):
+        for cls in (Term, Triple):
+            assert not any(hasattr(cls, name) for name in ("_make", "_replace", "__replace__"))
+
+
+_TEXT = st.text(alphabet="ab#:", max_size=3)
+IRIS = st.builds(lambda scheme, rest, fragment: scheme + ":" + rest + fragment,
+                 st.sampled_from(["http", "HTTP", "https", "urn"]), _TEXT,
+                 st.sampled_from(["", "#", "#a", "#A"])).map(Term.iri)
+LITERALS = st.builds(Term.literal, st.one_of(_TEXT, st.just("http:a")),
+                     st.sampled_from([None, "en", "fr", "en-GB"]))
+TERMS = st.one_of(IRIS, LITERALS, st.builds(Term.var, st.sampled_from(["a", "b", "?a"])))
+TRIPLES = st.builds(Triple, IRIS, IRIS, st.one_of(IRIS, LITERALS))
+
+
+def _old_key(term):
+    return (term.value, term.language or "", term.kind)
+
+
+def _old_triple_key(triple):
+    return tuple(map(_old_key, (triple.subject, triple.predicate, triple.object)))
+
+
+class TestTermOrder:
+    # Terms and triples keep the order, equality and hashing they had when
+    # each carried a (value, language or "", kind) sort key.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TERMS, max_size=12), st.lists(TRIPLES, max_size=12))
+    def test_sorted_is_the_old_sort_key_order(self, terms, triples):
+        for items, old_key in ((terms, _old_key), (triples, _old_triple_key)):
+            expected = sorted(items, key=old_key)
+            assert sorted(items, key=lambda x: x.sort_key()) == expected
+            assert sorted(items) == expected
+        assert list(Graph(triples)) == sorted(set(triples), key=_old_triple_key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TERMS, TERMS)
+    def test_equal_exactly_when_fields_are_equal_and_then_hash_equal(self, a, b):
+        assert (a == b) == ((a.kind, a.value, a.language) == (b.kind, b.value, b.language))
+        assert (a != b) == (not a == b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(IRIS, TRIPLES, st.sampled_from([None, "en"]))
+    def test_kinds_and_types_never_equal(self, iri, triple, language):
+        literal = Term.literal(iri.value, language)
+        assert iri != literal and literal != iri
+        for term in (iri, literal, triple.subject, triple.object):
+            assert term != triple and triple != term
 
 
 class TestMatchTriple:

@@ -950,14 +950,14 @@ class TestGuidedWork:
                       for k in (1, 2)]
             bodies["https://p%d.ex/" % i] = "\n".join(lines)
         calls = 0
-        original = rdf.Term.__init__
+        original = rdf.Term.__new__
 
-        def counting(term, *args, **kwargs):
+        def counting(cls, *args, **kwargs):
             nonlocal calls
             calls += 1
-            return original(term, *args, **kwargs)
+            return original(cls, *args, **kwargs)
 
-        monkeypatch.setattr(rdf.Term, "__init__", counting)
+        monkeypatch.setattr(rdf.Term, "__new__", counting)
         _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=["https://p0.ex/"])
         monkeypatch.undo()
         terms = {}
