@@ -125,9 +125,10 @@ def _make_source(args):
 
 
 def _read(path: str) -> str:
-    """A UTF-8 input file's text; one that cannot be read or decoded is an input error."""
+    """A UTF-8 input file's text, without a leading byte-order mark; one that
+    cannot be read or decoded is an input error."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError("cannot read %s: %s" % (path, exc)) from exc
 
@@ -294,7 +295,7 @@ def _explain_doc(args, out, guidance, semantics, trace) -> int:
                 # Denied by default. If some rule's pattern covers the triple
                 # but its source constraint rejected this document, cite that
                 # rule: its restriction blocked the link.
-                rule = next((r for r in policy.ordered_rules()
+                rule = next((r for r in policy.rules
                              if match_triple(t, r.pattern) is not None), None)
             label = "the policy default" if rule is None else "policy rule #%d" % (rule.entry + 1)
             findings.append("not fetched: linking triple %s from %s denied by %s"

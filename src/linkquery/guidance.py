@@ -13,10 +13,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
 
 from .rdf import (
+    Graph,
     IriError,
     Term,
     Triple,
@@ -181,7 +182,8 @@ def parse_structure_registry(text: str) -> LinkingStructureRegistry:
 
 @dataclass(frozen=True)
 class PolicyRule:
-    """One content-policy rule; ties in priority rank by place in `ContentPolicy.rules`."""
+    """One content-policy rule. A policy tries its rules by descending
+    priority, and ties in the order the rules were given to `ContentPolicy`."""
 
     action: str  # allow | deny
     pattern: TriplePattern  # variables act as wildcards
@@ -231,18 +233,18 @@ def _same_origin(subject_iri: str, source_iri: str) -> bool:
 
 @dataclass
 class ContentPolicy:
+    """A content policy: its rules, by descending priority, and the action
+    taken on a triple no rule matches. The rules given are sorted once, when
+    the policy is built, with a stable sort: equal priorities keep the order
+    they are given in, as parse_policy appends them (declaration order, list
+    expansion included).
+    """
+
     rules: List[PolicyRule] = field(default_factory=list)
     default_action: str = ALLOW
-    _ordered: List[PolicyRule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._ordered = sorted(self.rules, key=lambda r: -r.priority)
-
-    def ordered_rules(self) -> List[PolicyRule]:
-        """The rules by descending priority, sorted once, when built. The sort is
-        stable: equal priorities keep their order in `rules`, as parse_policy
-        appends them (declaration order, list expansion included)."""
-        return self._ordered
+        self.rules = sorted(self.rules, key=lambda r: -r.priority)
 
 
 PERMISSIVE_POLICY = ContentPolicy([], ALLOW)
@@ -318,7 +320,7 @@ def parse_policy(text: str) -> ContentPolicy:
 def relevance_decision(policy: ContentPolicy, triple: Triple,
                        source_doc_iri: str) -> Tuple[bool, Optional[PolicyRule]]:
     """Evaluate rules in descending priority; the first match decides."""
-    for rule in policy.ordered_rules():
+    for rule in policy.rules:
         if rule.matches(triple, source_doc_iri):
             return rule.action == ALLOW, rule
     return policy.default_action == ALLOW, None
@@ -328,29 +330,28 @@ def triple_relevant(policy: ContentPolicy, triple: Triple, source_doc_iri: str) 
     return relevance_decision(policy, triple, source_doc_iri)[0]
 
 
-PoolEntry = Tuple[Triple, str]
+def apply_overrides(sources: Dict[str, Graph], policy: ContentPolicy) -> Dict[str, Graph]:
+    """Enforce exclusive rules over the already-relevant pool, given and
+    returned as each source document's Graph.
 
-
-def apply_overrides(pool: Iterable[PoolEntry], policy: ContentPolicy) -> Set[PoolEntry]:
-    """Enforce exclusive rules over the already-relevant pool.
-
-    Each rule with an exclusive subject-predicate key, in `ordered_rules()`
-    order, claims the (subject, predicate) keys of the surviving entries it
-    matches. It drops each surviving entry with a claimed key whose source
-    document its source constraint rejects, unless a rule ahead of it in
-    `ordered_rules()` matches the entry: only entries admitted by a rule
-    ranked below it, or by the default, are displaced.
+    Each rule with an exclusive subject-predicate key, in `policy.rules`
+    order, claims the (subject, predicate) keys of the surviving triples it
+    matches in their documents. It drops each surviving triple with a
+    claimed key from each document its source constraint rejects, unless a
+    rule ahead of it matches the triple there: only triples admitted by a
+    rule ranked below it, or by the default, are displaced. A document whose
+    triples are all displaced keeps an empty graph. With no exclusive rule
+    the pool is returned as given.
     """
-    surviving: Set[PoolEntry] = set(pool)
-    ordered = policy.ordered_rules()
-    for position, rule in enumerate(ordered):
+    for position, rule in enumerate(policy.rules):
         if rule.exclusive_key != SUBJECT_PREDICATE:
             continue
-        claimed = {(t.subject, t.predicate) for t, src in surviving if rule.matches(t, src)}
-        surviving = {
-            (t, src) for t, src in surviving
+        claimed = {(t.subject, t.predicate) for src, g in sources.items()
+                   for t in g.unordered() if rule.matches(t, src)}
+        sources = {src: Graph(
+            t for t in g.unordered()
             if (t.subject, t.predicate) not in claimed
             or rule.source_matches(t, src)
-            or any(ahead.matches(t, src) for ahead in ordered[:position])
-        }
-    return surviving
+            or any(ahead.matches(t, src) for ahead in policy.rules[:position])
+        ) for src, g in sources.items()}
+    return sources

@@ -134,10 +134,6 @@ class Term(tuple):
     def is_variable(self) -> bool:
         return self.kind == VARIABLE
 
-    def sort_key(self) -> "Term":
-        """The term itself: terms sort as tuples."""
-        return self
-
     def n3(self) -> str:
         if self.kind == IRI:
             return "<%s>" % self.value
@@ -186,10 +182,6 @@ class Triple(tuple):
 
     def __repr__(self) -> str:
         return "Triple(subject=%r, predicate=%r, object=%r)" % self
-
-    def sort_key(self) -> "Triple":
-        """The triple itself: triples sort as tuples of terms."""
-        return self
 
     def n3(self) -> str:
         return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
@@ -241,37 +233,26 @@ POSITIONS = ("subject", "predicate", "object")
 
 
 class Graph:
-    """A deduplicated set of triples with deterministic iteration order:
-    iterating sorts the triples as tuples, in term order.
+    """An immutable, deduplicated set of triples with deterministic iteration
+    order: iterating sorts the triples as tuples, in term order. Nothing
+    changes a graph once built, so a graph is shared rather than copied.
 
     Patterns are looked up in hash indexes built on demand, one per shape,
-    and dropped by `add`/`update`. A shape is up to two positions a pattern
+    and kept for the graph's life. A shape is up to two positions a pattern
     binds, such as (subject, predicate); its index maps the terms in those
     positions to the triples that have them.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples = set(triples)
+        self._triples = frozenset(triples)
         self._indexes: Dict[Tuple[str, ...], Dict[object, List[Triple]]] = {}
 
     @classmethod
     def union(cls, graphs: Iterable["Graph"]) -> "Graph":
-        """A new graph of every triple in the given graphs, none of whose sets
-        it shares. The sets are merged with the hashes they store, so no
-        triple is hashed again.
+        """A graph of every triple in the given graphs. Their sets are merged
+        with the hashes they store, so no triple is hashed again.
         """
-        out = cls()
-        for graph in graphs:
-            out._triples |= graph._triples
-        return out
-
-    def add(self, triple: Triple) -> None:
-        self._triples.add(triple)
-        self._indexes = {}
-
-    def update(self, triples: Iterable[Triple]) -> None:
-        self._triples.update(triples)
-        self._indexes = {}
+        return cls(frozenset().union(*(graph._triples for graph in graphs)))
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples

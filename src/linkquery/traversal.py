@@ -35,7 +35,6 @@ from .guidance import (
     PERMISSIVE_POLICY,
     ContentPolicy,
     LinkingStructureRegistry,
-    PoolEntry,
     apply_overrides,
     considered_links,
     get_linking_structure,
@@ -102,7 +101,8 @@ class Admission:
 
 
 class TriplePool:
-    """Each source document's relevant triples, one Graph per document.
+    """Each source document's relevant triples, one Graph per document: the
+    document's own graph when the policy keeps all of it.
 
     The union graph is merged from the documents' sets with the hashes they
     store, so building it hashes no triple. The (triple, source) entries and
@@ -112,15 +112,8 @@ class TriplePool:
     def __init__(self, sources: Dict[str, Graph]):
         self.sources = sources
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[PoolEntry]) -> "TriplePool":
-        triples: Dict[str, List[Triple]] = {}
-        for t, src in entries:
-            triples.setdefault(src, []).append(t)
-        return cls({src: Graph(ts) for src, ts in triples.items()})
-
     @property
-    def entries(self) -> Set[PoolEntry]:
+    def entries(self) -> Set[Tuple[Triple, str]]:
         return {(t, src) for src, g in self.sources.items() for t in g.unordered()}
 
     def graph(self) -> Graph:
@@ -374,16 +367,14 @@ def _guided_links(registry: LinkingStructureRegistry, patterns: Sequence[TripleP
 
 
 def _relevant_triples(policy: ContentPolicy, doc: Document) -> Graph:
-    """The document's triples the policy finds relevant, in a Graph that shares
-    no set with the document's. A policy without rules decides the whole
-    document by its default, every triple or none, and judges no triple; one
-    with rules judges each triple once, read from `Document.sorted_triples`.
+    """The document's triples the policy finds relevant. A policy without
+    rules decides the whole document by its default and judges no triple:
+    the document's own graph, not a copy, or an empty one. A policy with
+    rules judges each triple once, read from `Document.sorted_triples`.
     """
     if policy.rules:
         return Graph(t for t in doc.sorted_triples if triple_relevant(policy, t, doc.doc_iri))
-    if policy.default_action == ALLOW:
-        return Graph.union((doc.triples,))
-    return Graph()
+    return doc.triples if policy.default_action == ALLOW else Graph()
 
 
 def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
@@ -396,10 +387,10 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     the final IRI, so documents admitted under two IRIs that redirect to one
     share it. Only a policy with rules reads `Document.sorted_triples`, which
     the hyperlink table also reads, so each document is sorted at most once.
-    (triple, source) entries are built only when an exclusive rule must be
-    enforced over the whole pool. The Dereferencer's fetch pool and IRI term
-    table serve every wave, and the fetch pool is shut down when the
-    traversal ends, also when it raises.
+    Exclusive rules are then enforced over the per-document pool, which
+    comes back as it was when no rule is exclusive. The Dereferencer's fetch
+    pool and IRI term table serve every wave, and the fetch pool is shut
+    down when the traversal ends, also when it raises.
     """
     deref = Dereferencer(source)
     trace = TraversalTrace(ledger=deref.ledger)
@@ -442,9 +433,7 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     finally:
         deref.close()
 
-    trace.pool = TriplePool(relevant)
-    if any(rule.exclusive_key for rule in policy.rules):
-        trace.pool = TriplePool.from_entries(apply_overrides(trace.pool.entries, policy))
+    trace.pool = TriplePool(apply_overrides(relevant, policy))
     trace.documents = docs
     return trace.pool, trace
 

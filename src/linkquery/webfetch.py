@@ -26,6 +26,7 @@ parsing is CPU work that threads would only contend for.
 """
 from __future__ import annotations
 
+import codecs
 import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -161,8 +162,10 @@ class FixtureSource:
 
     Manifest format: {"documents": {"<doc-iri>": "<file path>"}, "notes": ...}
     with http(s) document IRIs without fragments, the only ones a traversal
-    requests, and file paths relative to the manifest's directory. Bodies are
-    loaded eagerly so identical manifests always serve identical documents.
+    requests, and file paths relative to the manifest's directory. The
+    manifest and the bodies are UTF-8, each read past a leading byte-order
+    mark. Bodies are loaded eagerly so identical manifests always serve
+    identical documents.
     """
 
     def __init__(self, bodies: Dict[str, str]):
@@ -175,7 +178,7 @@ class FixtureSource:
     def from_manifest(cls, manifest_path) -> "FixtureSource":
         path = Path(manifest_path)
         try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
+            manifest = json.loads(path.read_text(encoding="utf-8-sig"))
         except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
             raise FixtureError("cannot load manifest %s: %s" % (path, exc)) from exc
         documents = manifest.get("documents") if isinstance(manifest, dict) else None
@@ -190,7 +193,7 @@ class FixtureSource:
                 missing.append(str(body_path))
                 continue
             try:
-                bodies[iri] = body_path.read_text(encoding="utf-8")
+                bodies[iri] = body_path.read_text(encoding="utf-8-sig")
             except (OSError, UnicodeDecodeError) as exc:
                 raise FixtureError("cannot read fixture body %s: %s" % (body_path, exc)) from exc
         if missing:
@@ -210,7 +213,8 @@ class FixtureSource:
 def _decode(body: bytes, content_type: str) -> str:
     """The body as text in the charset its Content-Type names, decoded
     strictly; else as UTF-8, Turtle's own encoding (RDF 1.1 Turtle), with
-    each malformed byte replaced.
+    each malformed byte replaced. UTF-8, declared or not, is read past a
+    leading byte-order mark.
 
     UTF-8 is used when the header names no charset, one Python does not know,
     or one that refuses the body: a body with a byte invalid in its declared
@@ -223,9 +227,10 @@ def _decode(body: bytes, content_type: str) -> str:
     header = email.message.Message()
     header["Content-Type"] = content_type
     try:
-        return body.decode(header.get_content_charset("utf-8"))
+        charset = codecs.lookup(header.get_content_charset("utf-8")).name
+        return body.decode("utf-8-sig" if charset == "utf-8" else charset)
     except (LookupError, ValueError):
-        return body.decode("utf-8", "replace")
+        return body.decode("utf-8-sig", "replace")
 
 
 class LiveHttpSource:

@@ -17,7 +17,6 @@ from linkquery.guidance import (
     ContentPolicy,
     EffectiveStructure,
     LinkingStructureRegistry,
-    PoolEntry,
     get_linking_structure,
     parse_policy,
     parse_structure_registry,
@@ -35,6 +34,8 @@ PREDICATES = [
     "https://vocab.ex/p4",
 ]
 LITERALS = ["alpha", "beta", "gamma"]
+
+PoolEntry = Tuple[Triple, str]  # a pool triple and the document it came from
 
 
 def doc_iri(i: int) -> str:
@@ -449,10 +450,7 @@ def reference_overrides(pool: Set[PoolEntry], policy: ContentPolicy) -> Set[Pool
 
 def union_graph(bodies: Dict[str, str], docs: Set[str]) -> Graph:
     graphs = parse_web(bodies)
-    out = Graph()
-    for iri in docs:
-        out.update(iter(graphs[iri]))
-    return out
+    return Graph.union(graphs[iri] for iri in docs)
 
 
 def brute_force_bgp(patterns: List[TriplePattern], graph: Graph,

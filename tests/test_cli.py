@@ -1,5 +1,7 @@
+import codecs
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +241,18 @@ class TestRun:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
         assert err.startswith("input error: cannot read fixture body ")
+
+    @pytest.mark.parametrize("flag", ["--query", "--structures", "--policy", "--fixtures"])
+    def test_input_file_is_read_past_a_utf8_byte_order_mark(self, capsys, tmp_path, flag):
+        argv = ["run"] + guided_flags()
+        expected = run_cli(capsys, argv)
+        original = Path(argv[argv.index(flag) + 1])
+        shutil.copytree(original.parent, tmp_path / "inputs")
+        marked = tmp_path / "inputs" / original.name
+        marked.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+        argv[argv.index(flag) + 1] = str(marked)
+        assert run_cli(capsys, argv) == expected
+        assert expected[0] == 0
 
     def test_redirected_seed_keeps_its_admission_chain(self, capsys, monkeypatch, tmp_path):
         # The seed https://a.ex/ answers from https://www.a.ex/. Admissions

@@ -28,6 +28,7 @@ from linkquery.guidance import (
     triple_relevant,
 )
 from linkquery.rdf import Graph, Term, Triple, TriplePattern
+from linkquery.traversal import TriplePool
 from linkquery.webfetch import Document
 
 FOAF = "http://xmlns.com/foaf/0.1/"
@@ -235,7 +236,7 @@ class TestLambda:
 class TestPolicyParsing:
     def test_uma_policy_compiles(self, uma_policy):
         assert uma_policy.default_action == DENY
-        ordered = uma_policy.ordered_rules()
+        ordered = uma_policy.rules
         assert ordered[0].priority == 10
         assert ordered[0].pattern.predicate.value == FOAF + "knows"
         assert ordered[1].exclusive_key == "subject-predicate"
@@ -411,7 +412,7 @@ class TestTripleRelevant:
                         rng.choice(sources),
                     )
                 )
-            ordered = policy.ordered_rules()
+            ordered = policy.rules
             for triple, src in pool:
                 # oracle: the relevant set is the union over allow rules of
                 # their matches, minus pairs a higher-priority deny also hits
@@ -427,6 +428,16 @@ class TestTripleRelevant:
                 assert triple_relevant(policy, triple, src) == expected
 
 
+def overrides(entries, policy):
+    """apply_overrides over (triple, source) entries, grouped by source into
+    one graph per document, read back as entries."""
+    sources = {}
+    for triple, src in entries:
+        sources.setdefault(src, []).append(triple)
+    kept = apply_overrides({src: Graph(ts) for src, ts in sources.items()}, policy)
+    return TriplePool(kept).entries
+
+
 class TestApplyOverrides:
     def test_uma_picture_displaces_bobs_own(self, uma_policy):
         preferred = (
@@ -437,7 +448,7 @@ class TestApplyOverrides:
             t("https://bob.ex/#me", FOAF + "img", "https://bob.ex/funny-fish.jpg"),
             "https://bob.ex/",
         )
-        result = apply_overrides({preferred, own}, uma_policy)
+        result = overrides({preferred, own}, uma_policy)
         assert result == {preferred}
 
     def test_unchallenged_picture_survives(self, uma_policy):
@@ -445,7 +456,7 @@ class TestApplyOverrides:
             t("https://ann.ex/#me", FOAF + "img", "https://ann.ex/about/ann.jpg"),
             "https://ann.ex/about/",
         )
-        result = apply_overrides({ann_img}, uma_policy)
+        result = overrides({ann_img}, uma_policy)
         assert result == {ann_img}
 
     def test_no_exclusive_rules_is_identity(self):
@@ -453,7 +464,7 @@ class TestApplyOverrides:
             (t("https://a.ex/#x", FOAF + "name", Term.literal("A")), "https://a.ex/"),
             (t("https://b.ex/#y", FOAF + "name", Term.literal("B")), "https://b.ex/"),
         }
-        assert apply_overrides(pool, PERMISSIVE_POLICY) == pool
+        assert overrides(pool, PERMISSIVE_POLICY) == pool
 
     def test_different_subject_unaffected(self, uma_policy):
         preferred = (
@@ -464,7 +475,7 @@ class TestApplyOverrides:
             t("https://ann.ex/#me", FOAF + "img", "https://ann.ex/about/ann.jpg"),
             "https://ann.ex/about/",
         )
-        assert apply_overrides({preferred, other}, uma_policy) == {preferred, other}
+        assert overrides({preferred, other}, uma_policy) == {preferred, other}
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -474,4 +485,17 @@ class TestApplyOverrides:
         bodies = data.draw(webs(max_docs=4))
         policy = data.draw(policies(len(bodies)))
         pool = {(t, iri) for iri, graph in parse_web(bodies).items() for t in graph}
-        assert apply_overrides(pool, policy) == reference_overrides(pool, policy)
+        assert overrides(pool, policy) == reference_overrides(pool, policy)
+
+    def test_no_exclusive_rule_returns_the_pool_as_given(self):
+        sources = {
+            "https://a.ex/": Graph([t("https://a.ex/#x", FOAF + "name", Term.literal("A"))]),
+            "https://b.ex/": Graph(),
+        }
+        ranked = parse_policy(json.dumps({"default": "deny", "rules": [
+            {"action": "allow", "pattern": {"p": FOAF + "name"}, "source": "https://a.ex/",
+             "priority": 2},
+            {"action": "deny", "pattern": {"s": "https://b.ex/#y"}, "priority": 5},
+        ]}))
+        for policy in (PERMISSIVE_POLICY, ContentPolicy([], DENY), ranked):
+            assert apply_overrides(sources, policy) is sources

@@ -278,9 +278,7 @@ class TestEvaluate:
         rng = random.Random(11)
         for _ in range(25):
             bodies = random_web(rng, max_docs=4, max_triples=8)
-            graph = Graph()
-            for g in parse_web(bodies).values():
-                graph.update(iter(g))
+            graph = Graph.union(parse_web(bodies).values())
             q = random_bgp_query(rng, 4)
             for row in evaluate(q, graph):
                 full = brute_force_evaluate(q, graph)
@@ -294,9 +292,7 @@ class TestEvaluate:
         rng = random.Random(23)
         for _ in range(30):
             bodies = random_web(rng, max_docs=4, max_triples=7)
-            graph = Graph()
-            for g in parse_web(bodies).values():
-                graph.update(iter(g))
+            graph = Graph.union(parse_web(bodies).values())
             if len(graph) > 30:
                 continue
             q = random_bgp_query(rng, 4)
@@ -308,12 +304,8 @@ class TestEvaluate:
         for _ in range(20):
             bodies = random_web(rng, max_docs=4, max_triples=6)
             graphs = list(parse_web(bodies).values())
-            small = Graph()
-            for g in graphs[: max(1, len(graphs) // 2)]:
-                small.update(iter(g))
-            big = Graph(iter(small))
-            for g in graphs:
-                big.update(iter(g))
+            small = Graph.union(graphs[: max(1, len(graphs) // 2)])
+            big = Graph.union([small] + graphs)
             q = random_bgp_query(rng, 4)
             assert row_fingerprints(evaluate(q, small), q.projection) <= \
                 row_fingerprints(evaluate(q, big), q.projection)
@@ -323,9 +315,7 @@ class TestEvaluate:
         p = "https://vocab.ex/p"
         for _ in range(20):
             bodies = random_web(rng, max_docs=3, max_triples=6)
-            graph = Graph()
-            for g in parse_web(bodies).values():
-                graph.update(iter(g))
+            graph = Graph.union(parse_web(bodies).values())
             q = Query(
                 ["a", "b"],
                 [TriplePattern(Term.var("a"), Term.iri(p), Term.var("x"))],
@@ -345,9 +335,7 @@ class TestEvaluate:
         # Webs of at most 3 x 6 triples keep the oracle's |graph|^|patterns|
         # enumeration small.
         bodies = data.draw(webs(max_docs=3, max_triples=6))
-        graph = Graph()
-        for g in parse_web(bodies).values():
-            graph.update(iter(g))
+        graph = Graph.union(parse_web(bodies).values())
         assume(len(graph))
         query = data.draw(optional_queries(list(graph)))
         rows = evaluate(query, graph)

@@ -327,6 +327,26 @@ class TestGuided:
         _, none_trace = unguided(web_source_from_demo(), demo_query_obj, C_NONE)
         assert none_trace.fetched_per_subtree().get("https://ann.ex/", 0) == 0
 
+    def test_a_document_displaced_whole_keeps_an_empty_graph(self, demo_query_obj):
+        # Bob's picture from Uma's document displaces Bob's own, the only
+        # triple of his document.
+        foaf = "http://xmlns.com/foaf/0.1/"
+        bodies = {
+            "https://uma.ex/": "<https://uma.ex/#me> <%sknows> <https://bob.ex/#me>.\n"
+                               "<https://bob.ex/#me> <%simg> <https://uma.ex/bob.jpg>.\n"
+                               % (foaf, foaf),
+            "https://bob.ex/": "<https://bob.ex/#me> <%simg> <https://bob.ex/funny-fish.jpg>.\n"
+                               % foaf,
+        }
+        policy = parse_policy(json.dumps({"rules": [
+            {"action": "allow", "pattern": {"p": foaf + "img"}, "source": "https://uma.ex/",
+             "priority": 9, "exclusive": "subject-predicate"}]}))
+        pool, trace = traverse_guided(["https://uma.ex/"], LinkingStructureRegistry([]),
+                                      policy, demo_query_obj, web_source(bodies))
+        assert trace.ledger.ok_documents == set(bodies)
+        assert pool.sources["https://bob.ex/"] == Graph()
+        assert len(pool.sources["https://uma.ex/"]) == 2
+
 
 class TestRandomWebs:
     def test_permissive_guided_matches_closure_oracle(self):
@@ -563,6 +583,48 @@ class TestProperties:
                             for tp in triple_patterns(query)):
                         expected.add((f, t, d))
         assert {link for link in trace.pruned_links if link[2] not in admitted} == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rule_less_allow_policy_shares_each_documents_graph(self, data):
+        # Guided and unguided, the pool holds each fetched document's own
+        # graph, not a copy of it.
+        bodies = data.draw(webs())
+        query = data.draw(bgp_queries(len(bodies)))
+        mode = data.draw(st.sampled_from([C_NONE, C_ALL, C_MATCH, "guided"]))
+        if mode == "guided":
+            pool, trace = traverse_guided(
+                [doc_iri(0)], data.draw(registries(len(bodies))), ContentPolicy([], "allow"),
+                query, web_source(bodies), max_documents=1000)
+        else:
+            pool, trace = unguided(web_source(bodies), query, mode, seeds=[doc_iri(0)],
+                                   max_documents=1000)
+        with_triples = [d for d in trace.documents.values() if d.triples]
+        assert pool.sources.keys() == {d.doc_iri for d in with_triples}
+        for d in with_triples:
+            assert pool.sources[d.doc_iri] is d.triples
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exclusive_rules_keep_every_documents_graph(self, data):
+        # Exclusive rules filter each document's graph after the fixed point,
+        # so the pool has the same documents as under the same policy with
+        # no rule exclusive; a document they displace whole keeps an empty
+        # graph, as one the policy denies whole does.
+        bodies = data.draw(webs())
+        query = data.draw(bgp_queries(len(bodies)))
+        registry = data.draw(registries(len(bodies)))
+        policy = data.draw(
+            policies(len(bodies)).filter(lambda p: any(r.exclusive_key for r in p.rules)))
+        plain = ContentPolicy([dataclasses.replace(r, exclusive_key=None) for r in policy.rules],
+                              policy.default_action)
+        pool, _ = traverse_guided([doc_iri(0)], registry, policy, query, web_source(bodies),
+                                  max_documents=1000)
+        plain_pool, _ = traverse_guided([doc_iri(0)], registry, plain, query,
+                                        web_source(bodies), max_documents=1000)
+        assert pool.sources.keys() == plain_pool.sources.keys()
+        for src, graph in pool.sources.items():
+            assert set(graph.unordered()) <= set(plain_pool.sources[src].unordered())
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -816,10 +878,10 @@ class TestGuidedWork:
         assert calls == []
         entries = {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples}
         assert pool.entries == entries
-        # The pool shares no set with a document: adding to one changes no pool entry.
+        # The pool shares each document's graph rather than copying it.
         for d in trace.documents.values():
-            d.triples.add(A_TRIPLE)
-        assert pool.entries == entries
+            if d.triples:
+                assert pool.sources[d.doc_iri] is d.triples
 
     @pytest.mark.parametrize("mode", [C_ALL, C_MATCH])
     def test_pool_graph_hashes_no_triple(self, monkeypatch, mode, demo_query_obj):
@@ -1433,7 +1495,7 @@ class TestRecords:
         assert doc == Document(doc_iri="https://a.ex/", triples=Graph([A_TRIPLE]))
         assert doc != Document("https://a.ex/", Graph())
         with pytest.raises(TypeError):
-            hash(doc)  # its graph is mutable, so unhashable
+            hash(doc)  # Graph defines no hash, so unhashable
         assert repr(doc) == "Document(doc_iri='https://a.ex/', triples=Graph(1 triples))"
         assert doc.sorted_triples == [A_TRIPLE]
         moved = dataclasses.replace(doc, doc_iri="https://www.a.ex/")

@@ -312,12 +312,10 @@ def test_parsed_triples_equal_publicly_built_ones():
                      for term in (triple.subject, triple.predicate, triple.object)]
             rebuilt = Triple(*terms)
             assert triple == rebuilt and hash(triple) == hash(rebuilt)
-            assert triple.sort_key() == rebuilt.sort_key()
             for term, public in zip((triple.subject, triple.predicate, triple.object), terms):
-                assert ((term.kind, term.value, term.language, term.document, hash(term),
-                         term.sort_key())
+                assert ((term.kind, term.value, term.language, term.document, hash(term))
                         == (public.kind, public.value, public.language, public.document,
-                            hash(public), public.sort_key()))
+                            hash(public)))
             parsed += 1
     assert parsed >= 1_000
 

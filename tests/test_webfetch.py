@@ -1,3 +1,4 @@
+import codecs
 import http.server
 import json
 import socket
@@ -69,6 +70,26 @@ class TestFixtureSource:
         (tmp_path / "a.ttl").write_bytes(b'<https://a.ex/#s> <https://p.ex/p> "\xff".')
         with pytest.raises(FixtureError, match="cannot read fixture body .*a.ttl.*utf-8"):
             FixtureSource.from_manifest(manifest)
+
+    def test_manifest_is_read_past_a_byte_order_mark(self, tmp_path):
+        manifest = tmp_path / "web.json"
+        manifest.write_bytes(BOM + json.dumps({"documents": {"https://a.ex/": "a.ttl"}}).encode())
+        (tmp_path / "a.ttl").write_text('<https://a.ex/#s> <https://p.ex/p> "A".')
+        assert FixtureSource.from_manifest(manifest).document_iris() == ["https://a.ex/"]
+
+    def test_body_is_read_past_a_byte_order_mark(self, tmp_path):
+        # Only the leading mark is skipped: the parser rejects a second one.
+        manifest = tmp_path / "web.json"
+        manifest.write_text(json.dumps({"documents": {"https://a.ex/": "a.ttl",
+                                                      "https://b.ex/": "b.ttl"}}))
+        body = '<https://a.ex/#s> <https://p.ex/p> "A".'.encode()
+        (tmp_path / "a.ttl").write_bytes(BOM + body)
+        (tmp_path / "b.ttl").write_bytes(BOM + BOM + body)
+        deref = Dereferencer(FixtureSource.from_manifest(manifest))
+        wave = deref.fetch_wave(["https://a.ex/", "https://b.ex/"])
+        assert [(e.iri, e.outcome) for e in deref.ledger.entries] == [
+            ("https://a.ex/", OK), ("https://b.ex/", PARSE_ERROR)]
+        assert len(wave["https://a.ex/"].triples) == 1
 
     def test_fragment_in_manifest_iri_rejected(self):
         # Nor is a document IRI no traversal would request accepted.
@@ -241,6 +262,7 @@ def _free_port():
 
 NAME_LATIN1 = '<https://x.ex/#a> <https://p.ex/name> "Andr\u00e9".'.encode("iso-8859-1")
 NAME_UTF8 = NAME_LATIN1.decode("iso-8859-1").encode("utf-8")
+BOM = codecs.BOM_UTF8
 CHARSET_BODIES = {  # path: (Content-Type, body)
     "/latin1": ("text/turtle; charset=ISO-8859-1", NAME_LATIN1),
     "/latin1-no-charset": ("text/turtle", NAME_LATIN1),
@@ -252,6 +274,10 @@ CHARSET_BODIES = {  # path: (Content-Type, body)
     "/utf8-punycode-charset": ("text/turtle; charset=punycode", NAME_UTF8),
     # a charset the body has a byte invalid in
     "/utf8-us-ascii-charset": ("text/turtle; charset=us-ascii", NAME_UTF8),
+    # UTF-8 after a byte-order mark: declared, by default, and read after a refusal
+    "/utf8-bom": ("text/turtle; charset=UTF8", BOM + NAME_UTF8),
+    "/utf8-bom-no-charset": ("text/turtle", BOM + NAME_UTF8),
+    "/utf8-bom-us-ascii-charset": ("text/turtle; charset=us-ascii", BOM + NAME_UTF8),
 }
 
 
@@ -353,6 +379,15 @@ class TestLiveHttpSource:
             http_server + path]
         [triple] = doc.triples
         assert triple.object.value == name
+
+    @pytest.mark.parametrize("path", ["/utf8-bom", "/utf8-bom-no-charset",
+                                      "/utf8-bom-us-ascii-charset"])
+    def test_utf8_body_is_read_past_a_byte_order_mark(self, http_server, path):
+        deref = Dereferencer(LiveHttpSource(timeout=5))
+        doc = deref.fetch_wave([http_server + path])[http_server + path]
+        assert deref.ledger.entries[-1].outcome == OK
+        [triple] = doc.triples
+        assert triple.object.value == "Andr\u00e9"
 
     def test_http_404_is_not_found(self, http_server):
         source = LiveHttpSource(timeout=5)
