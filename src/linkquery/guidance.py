@@ -275,6 +275,8 @@ def parse_policy(text: str) -> ContentPolicy:
                 "exclusive": "subject-predicate"?}, ...]}
 
     A list in the "p" field is shorthand for one sibling rule per predicate.
+    A source IRI prefix contains "://", as a structure rule's scope does:
+    any other source could match no document a traversal fetches.
     """
     data, raw_rules = _load_rules(text, "policy")
     default = data.get("default", ALLOW)
@@ -296,8 +298,10 @@ def parse_policy(text: str) -> ContentPolicy:
             raise GuidanceParseError("%s: pattern p must be an IRI, '?' or a non-empty IRI list"
                                      % where)
         source = raw.get("source", WILDCARD)
-        if not isinstance(source, str):
-            raise GuidanceParseError("%s: malformed source constraint" % where)
+        if not isinstance(source, str) or (source not in (WILDCARD, SAME_ORIGIN)
+                                           and "://" not in source):
+            raise GuidanceParseError("%s: malformed source constraint %r: not %r, %r or an"
+                                     " IRI prefix" % (where, source, WILDCARD, SAME_ORIGIN))
         priority = raw.get("priority", 0)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise GuidanceParseError("%s: priority must be an integer" % where)

@@ -14,13 +14,12 @@ pattern's constant and repeated-variable checks, and builds no bindings. The
 content policy decides each fetched document's relevant triples once: a
 policy without rules, such as the permissive one of every unguided run, by
 its default, all or none, judging no triple; one with rules by judging each
-triple once, read from the document's sorted triples
-(`Document.sorted_triples`), the list the hyperlink table is built from. The
-pool keeps each source document's relevant triples as one Graph, and the
-guided strategy asks that graph whether a triple is relevant. A trace records
-why every document was admitted or pruned, and every link λ pruned, which
-`explain --doc` reads rather than deciding again. A referring document is
-named by the IRI it was admitted under, not its final IRI after a redirect.
+triple once, in no order, as its verdicts make a set. The pool keeps each
+source document's relevant triples as one Graph, and the guided strategy
+asks that graph whether a triple is relevant. A trace records why every
+document was admitted or pruned, and every link λ pruned, which `explain
+--doc` reads rather than deciding again. A referring document is named by
+the IRI it was admitted under, not its final IRI after a redirect.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .guidance import (
     ALLOW,
@@ -67,25 +66,13 @@ class TraversalConfig:
     max_documents: int = DEFAULT_MAX_DOCUMENTS
 
 
-@dataclass(frozen=True, init=False)
-class Admission:
+class Admission(NamedTuple):
     doc_iri: str
     reason: str  # seed | link | pruned
     from_doc: Optional[str] = None
     via_triple: Optional[Triple] = None
     via_pattern: Optional[TriplePattern] = None
     cause: Optional[str] = None
-
-    def __init__(self, doc_iri: str, reason: str, from_doc: Optional[str] = None,
-                 via_triple: Optional[Triple] = None,
-                 via_pattern: Optional[TriplePattern] = None, cause: Optional[str] = None):
-        fields = self.__dict__  # frozen: fields are stored past __setattr__
-        fields["doc_iri"] = doc_iri
-        fields["reason"] = reason
-        fields["from_doc"] = from_doc
-        fields["via_triple"] = via_triple
-        fields["via_pattern"] = via_pattern
-        fields["cause"] = cause
 
     def to_json_dict(self) -> Dict:
         out: Dict = {"doc": self.doc_iri, "reason": self.reason}
@@ -129,9 +116,9 @@ class TriplePool:
 
 @dataclass
 class TraversalTrace:
+    ledger: FetchLedger
     admissions: List[Admission] = field(default_factory=list, init=False)
     pool: Optional[TriplePool] = None
-    ledger: Optional[FetchLedger] = None
     documents: Dict[str, Document] = field(default_factory=dict)
     # Every link λ pruned, as (referring document, triple, target); admissions
     # keep only the first pruned admission of each target.
@@ -159,7 +146,7 @@ class TraversalTrace:
         every document whose admission chain passes through it, the root
         included. Seeds belong to no subtree.
         """
-        ok = self.ledger.ok_documents if self.ledger is not None else set()
+        ok = self.ledger.ok_documents
         roots: Dict[str, Optional[str]] = {}  # each admitted document's root; None for seeds
         counts: Dict[str, int] = {}
         # A document is admitted after the document that links to it, so one
@@ -180,7 +167,7 @@ class TraversalTrace:
         return {
             "admissions": [a.to_json_dict() for a in self.admissions],
             "pool": dict(sorted(pool_json.items())),
-            "ledger": self.ledger.to_json_list() if self.ledger else [],
+            "ledger": self.ledger.to_json_list(),
         }
 
 
@@ -245,15 +232,15 @@ def _matching_pattern(triple: Triple, candidates: CompiledPatterns) -> Optional[
     for tp, check in candidates:
         if check is None:
             return tp
-        terms = (triple.subject, triple.predicate, triple.object)
         constants, repeats = check
         # Plain loops: all() over generators takes twice as long per check.
+        # A triple is the tuple of its terms, indexed by position.
         for i, term in constants:
-            if terms[i] != term:
+            if triple[i] != term:
                 break
         else:
             for i, j in repeats:
-                if terms[i] != terms[j]:
+                if triple[i] != triple[j]:
                     break
             else:
                 return tp
@@ -370,10 +357,11 @@ def _relevant_triples(policy: ContentPolicy, doc: Document) -> Graph:
     """The document's triples the policy finds relevant. A policy without
     rules decides the whole document by its default and judges no triple:
     the document's own graph, not a copy, or an empty one. A policy with
-    rules judges each triple once, read from `Document.sorted_triples`.
+    rules judges each triple once, unsorted, since its verdicts make a set.
     """
     if policy.rules:
-        return Graph(t for t in doc.sorted_triples if triple_relevant(policy, t, doc.doc_iri))
+        return Graph(t for t in doc.triples.unordered()
+                     if triple_relevant(policy, t, doc.doc_iri))
     return doc.triples if policy.default_action == ALLOW else Graph()
 
 
@@ -385,30 +373,29 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     The policy decides each fetched document's relevant triples once, when
     it arrives, and the pool keeps them as one Graph per source document:
     the final IRI, so documents admitted under two IRIs that redirect to one
-    share it. Only a policy with rules reads `Document.sorted_triples`, which
-    the hyperlink table also reads, so each document is sorted at most once.
+    share it. Each wave's documents go into the trace as they arrive, so the
+    trace of a capped traversal holds every document its ledger lists.
     Exclusive rules are then enforced over the per-document pool, which
     comes back as it was when no rule is exclusive. The Dereferencer's fetch
     pool and IRI term table serve every wave, and the fetch pool is shut
     down when the traversal ends, also when it raises.
     """
     deref = Dereferencer(source)
-    trace = TraversalTrace(ledger=deref.ledger)
-    docs: Dict[str, Document] = {}
+    trace = TraversalTrace(deref.ledger)
     relevant: Dict[str, Graph] = {}
     pruned: Set[str] = set()
     order = _seed_iris(seeds)
     reasons = {s: Admission(s, "seed") for s in order}
 
     def unseen(iri: str) -> bool:
-        return iri not in docs and iri not in reasons
+        return iri not in trace.documents and iri not in reasons
 
     try:
         while reasons:
-            if len(docs) + len(order) > max_documents:
+            if len(trace.documents) + len(order) > max_documents:
                 raise CappedTraversalError(max_documents, trace)
             wave = deref.fetch_wave(order)
-            docs.update(wave)
+            trace.documents.update(wave)
             # A document without triples, such as a failed fetch, adds none to
             # the pool and links nowhere: neither the policy nor follow sees it.
             linking = [(iri, doc) for iri, doc in wave.items() if doc.triples]
@@ -434,7 +421,6 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
         deref.close()
 
     trace.pool = TriplePool(apply_overrides(relevant, policy))
-    trace.documents = docs
     return trace.pool, trace
 
 

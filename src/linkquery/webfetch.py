@@ -9,10 +9,10 @@ network fetches a traversal strategy needed. It has no cache: a traversal
 never asks for a document twice. Its parses share one table of IRI terms, so
 each IRI is built and checked once per Dereferencer, that is per traversal,
 and the table goes when the Dereferencer does. Each Document carries its
-sorted triples and its hyperlink table, each computed once on first use; the
-table reads each IRI's document from its term, which cut it once, when built.
-The hyperlink table reads the sorted triples, and so does the content policy
-when it has rules; a traversal that reads neither sorts no document.
+hyperlink table, computed once on first use from its triples in graph order;
+the table reads each IRI's document from its term, which cut it once, when
+built. A traversal that follows no link builds no table and sorts no
+document. Ledger entries and fetch results are named tuples: plain values.
 
 The thread that asks for a wave fetches it, by one rule: it makes and times
 each request itself until one of the traversal's requests has been off the
@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter, thread_time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rdf import IRI, Graph, IriError, Term, Triple, strip_fragment
 from .turtle import TurtleParseError, parse_turtle
@@ -68,6 +68,8 @@ def _requested(doc_iri: str) -> bool:
 
 @dataclass(frozen=True, init=False)
 class Document:
+    """A fetched document; not a named tuple, as its link tables are kept once built."""
+
     doc_iri: str
     triples: Graph
 
@@ -77,13 +79,8 @@ class Document:
         fields["triples"] = triples
 
     @functools.cached_property
-    def sorted_triples(self) -> List[Triple]:
-        """The triples in graph order, sorted once for every reader."""
-        return list(self.triples)
-
-    @functools.cached_property
     def hyperlinks(self) -> List[Tuple[Triple, Tuple[str, ...]]]:
-        """Each triple in order, with the documents it links to: its
+        """Each triple in graph order, with the documents it links to: its
         subject's, then its object's if the object is an IRI. Predicates
         never link.
 
@@ -94,7 +91,7 @@ class Document:
         return [
             (t, (t.subject.document, t.object.document) if t.object.kind == IRI
              else (t.subject.document,))
-            for t in self.sorted_triples
+            for t in self.triples
         ]
 
     @functools.cached_property
@@ -108,16 +105,10 @@ class Document:
         return out
 
 
-@dataclass(frozen=True, init=False)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     iri: str
     outcome: str
     cache_hit = False  # not a field: with no cache, no entry is a hit; perfbench reads it
-
-    def __init__(self, iri: str, outcome: str):
-        fields = self.__dict__  # frozen: fields are stored past __setattr__
-        fields["iri"] = iri
-        fields["outcome"] = outcome
 
 
 class FetchLedger:
@@ -147,8 +138,7 @@ class FetchLedger:
         return [{"iri": e.iri, "outcome": e.outcome} for e in self.entries]
 
 
-@dataclass
-class FetchResult:
+class FetchResult(NamedTuple):
     outcome: str  # ok | not-found
     body: str = ""
     final_iri: Optional[str] = None  # differs from the request after redirects

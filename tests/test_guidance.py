@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from linkquery.rdf import Graph, Term, Triple, TriplePattern
 from linkquery.traversal import TriplePool
 from linkquery.webfetch import Document
 
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 FOAF = "http://xmlns.com/foaf/0.1/"
 NAME_TP = TriplePattern(Term.var("friend"), Term.iri(FOAF + "name"), Term.var("name"))
 MBOX_TP = TriplePattern(Term.var("friend"), Term.iri(FOAF + "mbox"), Term.var("email"))
@@ -307,6 +311,26 @@ class TestPolicyParsing:
     def test_malformed_policy(self, text, message):
         with pytest.raises(GuidanceParseError, match=message):
             parse_policy(text)
+
+    @pytest.mark.parametrize("source", ["uma.ex/", "mailto:x", ""])
+    def test_source_that_names_no_fetched_document_is_rejected(self, source):
+        # A source is "*", "same-origin-as-subject" or an IRI prefix with
+        # "://", as a structure rule's scope is: a traversal fetches only
+        # http(s) documents, so no other prefix matches one, and "" would
+        # silently act as "*".
+        with pytest.raises(GuidanceParseError, match="rule 0: malformed source constraint"):
+            parse_policy(json.dumps(
+                {"rules": [{"action": "allow", "pattern": {}, "source": source}]}))
+
+    def test_demo_and_benchmark_policies_parse(self, uma_policy, tmp_path, monkeypatch):
+        assert {rule.source for rule in uma_policy.rules} == {"https://uma.ex/", SAME_ORIGIN}
+        spec = importlib.util.spec_from_file_location("webs", PERFBENCH / "webs.py")
+        webs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "webs", webs)  # its dataclasses look it up
+        spec.loader.exec_module(webs)
+        web = webs.generate("guided-latency", 1, tmp_path, "tiny")
+        policy = parse_policy(web.policy.read_text(encoding="utf-8"))
+        assert {rule.source for rule in policy.rules} == {SAME_ORIGIN}
 
     def test_literal_object_pattern(self):
         policy = parse_policy(json.dumps({"default": "deny", "rules": [

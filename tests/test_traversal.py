@@ -116,6 +116,22 @@ class TestUnguided:
             )
         assert exc.value.trace.admissions  # partial trace is attached
 
+    @pytest.mark.parametrize("mode", [C_ALL, C_MATCH, "guided"])
+    def test_capped_trace_holds_every_fetched_document(self, mode, demo_query_obj,
+                                                       demo_registry, uma_policy):
+        # The trace gets each wave's documents as they arrive, so the trace a
+        # capped traversal raises with explains every fetch its ledger lists.
+        with pytest.raises(CappedTraversalError) as exc:
+            if mode == "guided":
+                traverse_guided([SEED], demo_registry, uma_policy, demo_query_obj,
+                                web_source_from_demo(), max_documents=3)
+            else:
+                unguided(web_source_from_demo(), demo_query_obj, mode, max_documents=3)
+        trace = exc.value.trace
+        assert trace.ledger.entries
+        assert trace.documents.keys() == trace.ledger.requested_documents()
+        assert trace.documents["https://uma.ex/"].triples
+
     def test_pool_provenance_covers_all_reached_triples(self, demo_source, demo_query_obj):
         pool, trace = unguided(demo_source, demo_query_obj, C_ALL)
         for triple, sources in pool.provenance().items():
@@ -791,10 +807,9 @@ class TestGuidedWork:
     @pytest.mark.parametrize("mode", [C_NONE, C_ALL, C_MATCH, "guided"])
     def test_each_document_sorted_once(self, monkeypatch, mode, demo_query_obj,
                                        demo_registry, uma_policy):
-        # The policy pass and link discovery both read the document's sorted
-        # triples, sorted once. c-none follows no link, and under the
-        # permissive policy, which has no rules, judges no triple: it sorts
-        # nothing.
+        # Only the hyperlink table sorts a document's triples, once, when
+        # built; the policy pass judges them unsorted. c-none follows no
+        # link, so it builds no table and sorts nothing.
         calls = 0
         original = rdf.Graph.__iter__
 
@@ -817,11 +832,9 @@ class TestGuidedWork:
 
     def test_hub_link_discovery_reads_bounded(self, monkeypatch):
         # A hub document knows 400 people, each in their own document. Each
-        # document's sorted triples are read at most twice (the policy pass,
-        # which a policy without rules skips, and the hyperlink table's
-        # build) and its hyperlink table twice (candidate links and the
-        # link-predicate table λ reads), so the rows read are at most four
-        # per triple: 3,200. Rescanning the hub for each of its 400
+        # document's hyperlink table is read at most twice (candidate links
+        # and the link-predicate table λ reads), so the rows read are at
+        # most two per triple: 1,600. Rescanning the hub for each of its 400
         # candidates would read 160,000.
         people = 400
         knows, name = "https://p.ex/knows", "https://p.ex/name"
@@ -846,10 +859,9 @@ class TestGuidedWork:
                     reads += 1
                     yield row
 
-        for table in ("sorted_triples", "hyperlinks"):
-            cached = Document.__dict__[table]
-            monkeypatch.setattr(Document, table, property(
-                lambda doc, cached=cached: Rows(cached.__get__(doc, Document))))
+        cached = Document.__dict__["hyperlinks"]
+        monkeypatch.setattr(Document, "hyperlinks", property(
+            lambda doc: Rows(cached.__get__(doc, Document))))
         for registry in registries:
             source = web_source(bodies)
             reads = 0
@@ -860,7 +872,7 @@ class TestGuidedWork:
             triples = sum(len(d.triples) for d in trace.documents.values())
             assert trace.ledger.distinct_ok == people + 1
             assert len(evaluate(query, pool.graph())) == people
-            assert 0 < reads <= 4 * triples
+            assert 0 < reads <= 2 * triples
 
     @pytest.mark.parametrize("mode", [C_ALL, C_MATCH])
     def test_permissive_policy_judges_no_triple(self, monkeypatch, mode, demo_query_obj):
@@ -911,7 +923,7 @@ class TestGuidedWork:
         pool, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
         empty = [d for d in trace.documents.values() if not d.triples]
         assert empty
-        assert not any({"sorted_triples", "hyperlinks"} & d.__dict__.keys() for d in empty)
+        assert not any("hyperlinks" in d.__dict__ for d in empty)
         assert not {d.doc_iri for d in empty} & pool.sources.keys()
 
     def test_c_none_builds_no_hyperlink_table(self, demo_query_obj):
@@ -1454,14 +1466,23 @@ RECORDS = [
                                 rdf.Term.var("o"))),
     LedgerEntry("https://a.ex/", OK),
     Document("https://a.ex/", Graph([A_TRIPLE])),
+    FetchResult(OK, "<#s> <https://v.ex/p> <https://b.ex/#o>.", "https://a.ex/"),
 ]
+
+
+def field_names(record):
+    """A record's field names: a named tuple's, or a dataclass's."""
+    if isinstance(record, tuple):
+        return list(record._fields)
+    return [f.name for f in dataclasses.fields(record)]
 
 
 class TestRecords:
     @pytest.mark.parametrize("value,field", [
-        (record, f.name) for record in RECORDS for f in dataclasses.fields(record)])
+        (record, name) for record in RECORDS for name in field_names(record)])
     def test_fields_are_frozen(self, value, field):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        # A dataclass's FrozenInstanceError is an AttributeError.
+        with pytest.raises(AttributeError):
             setattr(value, field, "https://c.ex/")
 
     def test_admission_defaults_equality_hash_and_repr(self):
@@ -1472,9 +1493,8 @@ class TestRecords:
         assert repr(seed) == ("Admission(doc_iri='https://a.ex/', reason='seed', from_doc=None, "
                               "via_triple=None, via_pattern=None, cause=None)")
         link = RECORDS[0]
-        assert hash(link) == hash(tuple(getattr(link, f.name)
-                                        for f in dataclasses.fields(link)))
-        pruned = dataclasses.replace(link, reason="pruned", cause="no rule")
+        assert hash(link) == hash(tuple(getattr(link, name) for name in link._fields))
+        pruned = link._replace(reason="pruned", cause="no rule")
         assert (pruned.doc_iri, pruned.from_doc, pruned.via_triple, pruned.via_pattern) == (
             link.doc_iri, link.from_doc, link.via_triple, link.via_pattern)
         assert (pruned.reason, pruned.cause) == ("pruned", "no rule")
@@ -1486,8 +1506,8 @@ class TestRecords:
         assert hash(entry) == hash(("https://a.ex/", OK))
         assert repr(entry) == "LedgerEntry(iri='https://a.ex/', outcome='ok')"
         assert entry.cache_hit is False
-        assert [f.name for f in dataclasses.fields(entry)] == ["iri", "outcome"]
-        assert dataclasses.replace(entry, outcome=NOT_FOUND) == LedgerEntry(
+        assert list(entry._fields) == ["iri", "outcome"]
+        assert entry._replace(outcome=NOT_FOUND) == LedgerEntry(
             "https://a.ex/", NOT_FOUND)
 
     def test_document_equality_hash_repr_and_tables(self):
@@ -1497,10 +1517,10 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(doc)  # Graph defines no hash, so unhashable
         assert repr(doc) == "Document(doc_iri='https://a.ex/', triples=Graph(1 triples))"
-        assert doc.sorted_triples == [A_TRIPLE]
+        assert doc.hyperlinks == [(A_TRIPLE, ("https://a.ex/", "https://b.ex/"))]
         moved = dataclasses.replace(doc, doc_iri="https://www.a.ex/")
         assert moved.doc_iri == "https://www.a.ex/" and moved.triples is doc.triples
-        assert "sorted_triples" not in moved.__dict__
+        assert "hyperlinks" not in moved.__dict__
 
 
 GOLDEN_DEMO_TRACES = Path(__file__).parent / "demo_traces.json"
