@@ -14,15 +14,15 @@ the table reads each IRI's document from its term, which cut it once, when
 built. A traversal that follows no link builds no table and sorts no
 document. Ledger entries and fetch results are named tuples: plain values.
 
-The thread that asks for a wave fetches it, by one rule: it makes and times
-each request itself until one of the traversal's requests has been off the
-CPU for longer than WAITED_S, so a source that answers at once (a fixture
-web) starts no thread. From then on every remaining request goes through
-Executor.map on the Dereferencer's pool of MAX_IN_FLIGHT threads, made at
-that first wait and living as long as the Dereferencer (a traversal), so a
-wave of up to ten documents costs one round of request latency. Pool threads
-only call the source; bodies are parsed on the calling thread, because
-parsing is CPU work that threads would only contend for.
+The thread that asks for a wave fetches it, by one rule: it makes each
+request itself until one of the traversal's requests blocks, moving the
+thread's count of voluntary context switches, so a source that answers from
+memory (a fixture web) starts no thread, however busy the CPU. From then on
+every remaining request goes through Executor.map on the Dereferencer's pool
+of MAX_IN_FLIGHT threads, made at that first block and living as long as the
+traversal, so a wave of up to ten documents costs one round of request
+latency. Pool threads only call the source; bodies are parsed on the calling
+thread, because parsing is CPU work that threads would only contend for.
 """
 from __future__ import annotations
 
@@ -32,8 +32,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from time import perf_counter, thread_time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+try:
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no per-thread count (macOS, Windows): the pool makes every request
+    getrusage = None
 
 from .rdf import IRI, Graph, IriError, Term, Triple, strip_fragment
 from .turtle import TurtleParseError, parse_turtle
@@ -45,16 +49,10 @@ PARSE_ERROR = "parse-error"
 # Redirects LiveHttpSource follows for one request.
 MAX_REDIRECTS = 5
 
-# Requests a Dereferencer keeps in flight at most, once a request has waited:
+# Requests a Dereferencer keeps in flight at most, once a request has blocked:
 # one per thread of its pool. Ten is requests' adapters.DEFAULT_POOLSIZE, the
 # connections LiveHttpSource's session keeps open per host.
 MAX_IN_FLIGHT = 10
-
-# Off-CPU time (wall less the thread's CPU time) past which a request has
-# waited, so the pool makes the requests after it: about one hand-off to a
-# pool thread, measured at 40-50 µs a wave (_fetch_all of 2-5 instant
-# requests, one CPU).
-WAITED_S = 5e-5
 
 
 class FixtureError(Exception):
@@ -273,7 +271,7 @@ class Dereferencer:
     Only http(s) IRIs are requested; any other IRI is not found without a
     request. Failed fetches are soft: the document comes back empty and
     traversal carries on. The calling thread makes the requests until one
-    has waited; then it makes its pool of MAX_IN_FLIGHT threads, which makes
+    blocks; then it makes its pool of MAX_IN_FLIGHT threads, which makes
     every later request. Call close() when done, so the pool's threads end.
     """
 
@@ -281,7 +279,7 @@ class Dereferencer:
         self.source = source
         self.ledger = FetchLedger()
         self._terms: Dict[str, Term] = {}  # IRI terms by value, shared by every parse
-        self._pool: Optional[ThreadPoolExecutor] = None  # made when a request first waits
+        self._pool: Optional[ThreadPoolExecutor] = None  # made when a request first blocks
 
     def close(self) -> None:
         """Shut the fetch pool down, waiting for its threads to end."""
@@ -292,24 +290,25 @@ class Dereferencer:
     def _fetch_all(self, doc_iris: List[str]) -> List[FetchResult]:
         """Each IRI's fetch result, in the given order.
 
-        Until a request of this Dereferencer has been off the CPU past
-        WAITED_S, the calling thread makes and times each request; the first
-        that waits makes the pool, and the rest of its wave and every later
-        wave go through map, up to MAX_IN_FLIGHT at a time. The worst case is
-        a first waiting request in a wave of several: it runs alone, losing
-        one request's latency once per traversal. A failed request raises
-        here, and map cancels the requests that have not started.
+        Until a request of this Dereferencer blocks, moving the thread's count
+        of voluntary context switches, the calling thread makes each request;
+        the first that blocks makes the pool, and map makes every later one,
+        up to MAX_IN_FLIGHT at a time. A first blocking request in a wave of
+        several runs alone, losing one request's latency once per traversal.
+        A failed request raises here, and map cancels those not yet started.
         """
         results: List[FetchResult] = []
-        for i, doc_iri in enumerate(doc_iris):
-            if self._pool is not None:
-                results += self._pool.map(self.source.fetch, doc_iris[i:])
-                break
-            start, cpu = perf_counter(), thread_time()
-            results.append(self.source.fetch(doc_iri))
-            wall = perf_counter() - start  # thread_time, 0.45 µs, only past WAITED_S
-            if wall > WAITED_S and wall - (thread_time() - cpu) > WAITED_S:
-                self._pool = ThreadPoolExecutor(MAX_IN_FLIGHT)
+        if self._pool is None and getrusage is not None:
+            switches = getrusage(RUSAGE_THREAD).ru_nvcsw
+            for doc_iri in doc_iris:
+                results.append(self.source.fetch(doc_iri))
+                before, switches = switches, getrusage(RUSAGE_THREAD).ru_nvcsw
+                if switches != before:  # the request blocked
+                    break
+            else:
+                return results  # none blocked: no pool yet
+        self._pool = self._pool or ThreadPoolExecutor(MAX_IN_FLIGHT)
+        results += self._pool.map(self.source.fetch, doc_iris[len(results):])
         return results
 
     def _parse(self, doc_iri: str, result: FetchResult) -> Tuple[Document, str]:
@@ -326,7 +325,7 @@ class Dereferencer:
         """Dereference distinct fragmentless IRIs, requesting http(s) ones concurrently.
 
         This thread makes the requests until one of the Dereferencer's
-        requests has waited; from then on its pool makes them, up to
+        requests blocks; from then on its pool makes them, up to
         MAX_IN_FLIGHT at a time. The bodies are parsed here, on the calling
         thread, in the given order. Ledger entries, not-found for an
         IRI not requested, are recorded in the given order, not completion

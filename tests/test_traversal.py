@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -62,7 +65,6 @@ from linkquery.webfetch import (
     NOT_FOUND,
     OK,
     PARSE_ERROR,
-    WAITED_S,
     Document,
     FetchResult,
     LedgerEntry,
@@ -1092,6 +1094,30 @@ def chains_web(width, depth):
     return web_source(bodies)
 
 
+@pytest.fixture
+def run_demo(demo_query_obj, demo_registry, uma_policy):
+    """Traverses the demo web from Uma's seed, under c-all, c-match or guided."""
+    def run(semantics, source):
+        if semantics == "guided":
+            return traverse_guided([SEED], demo_registry, uma_policy, demo_query_obj, source)
+        return unguided(source, demo_query_obj, semantics)
+
+    return run
+
+
+def record_pools(monkeypatch):
+    """The list of fetch pools webfetch makes from now on, each a working pool."""
+    made = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(webfetch, "ThreadPoolExecutor", RecordedPool)
+    return made
+
+
 class ThreadRecordingSource:
     """Delegates to a source, noting the thread of each fetch; raises for one IRI.
 
@@ -1187,25 +1213,21 @@ class TestFetchPool:
         assert trace.ledger.distinct_ok == 26
         assert peak == MAX_IN_FLIGHT
 
-    def test_calling_thread_fetches_until_a_request_waits_then_the_pool_fetches(
-            self, monkeypatch):
-        # Fake clocks: in waves of 1, 8, 8 and 8 documents, the request for
-        # c3.ex/0, the fourth of the second wave, is the first to spend
-        # 2 * WAITED_S off the CPU. The calling thread makes every request up
-        # to it, in order, and pool threads make every request after it.
+    def test_calling_thread_fetches_until_a_request_waits_then_the_pool_fetches(self):
+        # In waves of 1, 8, 8 and 8 documents, the request for c3.ex/0, the
+        # fourth of the second wave, is the first to block: it sleeps 1 ms.
+        # The calling thread makes every request up to it, in order, and pool
+        # threads make every request after it.
         caller = threading.current_thread()
         inner = chains_web(8, 3)
         first_wait = "https://c3.ex/0"
-        clock = {"wall": 0.0}
-        monkeypatch.setattr(webfetch, "perf_counter", lambda: clock["wall"])
-        monkeypatch.setattr(webfetch, "thread_time", lambda: 0.0)
         calls = []
 
         class WaitingSource:
             def fetch(self, doc_iri):
                 calls.append((doc_iri, threading.current_thread()))  # atomic across threads
                 if doc_iri == first_wait:
-                    clock["wall"] += 2 * WAITED_S
+                    time.sleep(0.001)
                 return inner.fetch(doc_iri)
 
         _, trace = unguided(WaitingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
@@ -1286,17 +1308,13 @@ class TestFetchPool:
         assert trace.ledger.distinct_ok == 2 * MAX_IN_FLIGHT + 1
         assert len(trips) == 2
 
-    def test_a_source_that_never_waits_starts_no_thread(self, monkeypatch, demo_query_obj,
-                                                         demo_registry, uma_policy):
+    def test_a_source_that_never_waits_starts_no_thread(self, run_demo):
         # The demo web answers from memory, in waves of 1, 3, 5 and 1
         # requests under c-all and c-match and of 1, 2 and 1 under guided. No
-        # request waits, so the calling thread makes every one and no thread
+        # request blocks, so the calling thread makes every one and no thread
         # starts, during the run or after it. The traces and pools equal those
         # of the same web served by a source that sleeps 1 ms per request,
-        # whose waves helpers overlap. The operating system may take the CPU
-        # from the thread mid-request, which counts as a wait (about once in
-        # 300 runs on a busy 2-CPU VM); the runs from memory read the thread's
-        # CPU clock as their wall clock, so that no request waits.
+        # whose waves helpers overlap.
         caller = threading.current_thread()
 
         class RecordingSource:
@@ -1312,50 +1330,91 @@ class TestFetchPool:
                     time.sleep(self.delay)
                 return self.inner.fetch(doc_iri)
 
-        def run(semantics, source):
-            if semantics == "guided":
-                return traverse_guided([SEED], demo_registry, uma_policy, demo_query_obj, source)
-            return unguided(source, demo_query_obj, semantics)
-
         for semantics in (C_ALL, C_MATCH, "guided"):
             at_once = RecordingSource(0)
             before = set(threading.enumerate())
-            with monkeypatch.context() as patch:
-                patch.setattr(webfetch, "perf_counter", time.thread_time)
-                pool, trace = run(semantics, at_once)
+            pool, trace = run_demo(semantics, at_once)
             assert set(threading.enumerate()) == before
             assert sorted(iri for iri, _, _ in at_once.calls) == sorted(
                 e.iri for e in trace.ledger.entries if e.iri.startswith(("http:", "https:")))
             assert all(thread is caller and threads == before
                        for _, thread, threads in at_once.calls)
-            slow_pool, slow_trace = run(semantics, RecordingSource(0.001))
+            slow_pool, slow_trace = run_demo(semantics, RecordingSource(0.001))
             assert trace.to_json_dict() == slow_trace.to_json_dict()
             assert pool.entries == slow_pool.entries
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="pins a thread and a process to one CPU, as Linux can")
+    def test_a_busy_cpu_is_not_a_wait(self, monkeypatch, run_demo):
+        # This thread shares one CPU with a process that loops, so the
+        # scheduler takes the CPU from it, mid-request among other times.
+        # That switch is involuntary: 200 demo traversals under each of
+        # c-all, c-match and guided make no fetch pool.
+        import resource  # not on Windows
+
+        pools = record_pools(monkeypatch)
+        affinity = os.sched_getaffinity(0)
+        cpu = min(affinity)
+        loop = "import os\nos.sched_setaffinity(0, {%d})\nprint(flush=True)\nwhile True: pass"
+        preempted = resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw
+        with subprocess.Popen([sys.executable, "-c", loop % cpu],
+                              stdout=subprocess.PIPE) as child:
+            try:
+                os.sched_setaffinity(0, {cpu})
+                assert child.stdout.readline() == b"\n"  # the loop has its CPU
+                for semantics in (C_ALL, C_MATCH, "guided"):
+                    for _ in range(200):
+                        run_demo(semantics, web_source_from_demo())
+            finally:
+                child.kill()
+                os.sched_setaffinity(0, affinity)
+        assert resource.getrusage(resource.RUSAGE_THREAD).ru_nivcsw > preempted
+        assert len(pools) == 0
+
+    def test_with_no_count_of_switches_the_pool_makes_every_request(self, monkeypatch,
+                                                                     run_demo):
+        # Where the kernel keeps no per-thread count of context switches
+        # (macOS, and Windows, which has no resource module), each demo
+        # traversal makes its pool at its first request, and pool threads
+        # make every request. Its trace and pool equal those of the
+        # traversal that counts switches, whose calling thread fetches.
+        caller = threading.current_thread()
+        expected = {semantics: run_demo(semantics, web_source_from_demo())
+                    for semantics in (C_ALL, C_MATCH, "guided")}
+        pools = record_pools(monkeypatch)
+        monkeypatch.setattr(webfetch, "getrusage", None)
+        for semantics, (expected_pool, expected_trace) in expected.items():
+            source = ThreadRecordingSource(web_source_from_demo())
+            pool, trace = run_demo(semantics, source)
+            assert len(pools) == 1 and source.threads and caller not in source.threads
+            assert trace.to_json_dict() == expected_trace.to_json_dict()
+            assert pool.entries == expected_pool.entries
+            pools.clear()
+
     @pytest.mark.parametrize("busy,off,helped", [
         (1e-3, 0.0, False),  # a request that computes for 1 ms has not waited
-        (0.0, WAITED_S / 2, False),
-        (0.0, 2 * WAITED_S, True),
+        (0.0, 2.5e-5, True),  # however short a sleep, the request has blocked
+        (0.0, 1e-4, True),
     ])
-    def test_only_time_off_the_cpu_counts_as_waiting(self, monkeypatch, busy, off, helped):
-        # Fake clocks: each request moves the wall clock on by busy + off
-        # and the CPU clock by busy. Waves of 1, 4 and 4 documents; helper
-        # threads start once a request has been off the CPU past WAITED_S.
+    def test_only_time_off_the_cpu_counts_as_waiting(self, busy, off, helped):
+        # Each request spins the CPU for `busy` seconds, then sleeps for
+        # `off`. Waves of 1, 4 and 4 documents; helper threads start once a
+        # request has blocked.
         inner = chains_web(4, 2)
-        clock = {"wall": 0.0, "cpu": 0.0}
-        monkeypatch.setattr(webfetch, "perf_counter", lambda: clock["wall"])
-        monkeypatch.setattr(webfetch, "thread_time", lambda: clock["cpu"])
         before = set(threading.enumerate())
         seen = []
 
-        class ClockedSource:
+        class BusySource:
             def fetch(self, doc_iri):
                 seen.append(set(threading.enumerate()))
-                clock["wall"] += busy + off
-                clock["cpu"] += busy
+                end = time.thread_time() + busy
+                while time.thread_time() < end:
+                    pass
+                if off:
+                    time.sleep(off)
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(ClockedSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = unguided(BusySource(), ANY_QUERY, C_ALL, seeds=(HUB,))
         assert trace.ledger.distinct_ok == 9
         assert any(threads != before for threads in seen) is helped
 
@@ -1396,7 +1455,7 @@ class TestFetchPool:
 
     def test_oracles_hold_when_threads_switch_every_microsecond(self):
         # Each request computes for 50 µs, holding the GIL, then sleeps
-        # 0.2 ms, past WAITED_S, so helpers join every wave after the first
+        # 0.2 ms, so it blocks, and helpers join every wave after the first
         # and at a 1 µs switch interval they contend for the GIL with the
         # calling thread mid-request. Each request is made once, and the
         # ledger, admissions and pool of c-all, c-match and guided runs equal

@@ -244,10 +244,7 @@ class TestDereferencer:
                 docs = deref.fetch_wave(iris)
             finally:
                 deref.close()
-            # The calling thread makes both requests, in order, unless the
-            # operating system takes the CPU from it past WAITED_S in the
-            # first: then a pool thread makes the second.
-            assert sorted(calls) == sorted(["http://ann.ex/", "HTTPS://ann.ex/"])
+            assert calls == ["http://ann.ex/", "HTTPS://ann.ex/"]
             assert list(docs) == iris
             assert all(len(doc.triples) == 0 for doc in docs.values())
             assert [(e.iri, e.outcome) for e in deref.ledger.entries] == [
