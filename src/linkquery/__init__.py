@@ -11,7 +11,6 @@ from .rdf import (
     Term,
     Triple,
     TriplePattern,
-    graph_match,
     match_triple,
     resolve_iri,
     strip_fragment,
@@ -23,6 +22,7 @@ from .query import (
     QueryParseError,
     UnsupportedFeatureError,
     evaluate,
+    graph_match,
     parse_query,
     triple_patterns,
 )

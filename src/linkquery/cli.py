@@ -27,13 +27,14 @@ from .query import (
     QueryParseError,
     _cell,
     evaluate,
+    graph_match,
     parse_query,
     render_table,
     render_tsv,
     rows_to_json,
     triple_patterns,
 )
-from .rdf import IriError, graph_match, match_triple, strip_fragment
+from .rdf import IriError, match_triple, strip_fragment
 from .traversal import (
     C_ALL,
     C_MATCH,

@@ -7,6 +7,8 @@ patterns. A content policy decides which triples from which source documents
 may contribute to results at all, with priorities, a same-origin source
 constraint, and exclusive rules whose admitted triples displace same-subject
 same-predicate triples admitted from other sources by lower-priority rules.
+A scope or a source prefix holds the documents of one origin whose path
+starts with its path, or, with a scheme alone, every document of that scheme.
 """
 from __future__ import annotations
 
@@ -49,6 +51,10 @@ class StructureRule:
     scope: str  # document-IRI prefix
     pattern_predicates: Union[str, FrozenSet[str]]  # WILDCARD or predicate IRIs
     follow: Union[str, FrozenSet[str]]  # SELF or link predicate IRIs
+    within: Prefix = field(init=False, repr=False, compare=False)  # the scope, parsed
+
+    def __post_init__(self):
+        object.__setattr__(self, "within", _parse_prefix(self.scope))
 
     def covers_pattern(self, tp: TriplePattern) -> bool:
         if self.pattern_predicates == WILDCARD:
@@ -70,15 +76,17 @@ EffectiveStructure = Union[List[StructureRule], str]
 
 
 def get_linking_structure(registry: LinkingStructureRegistry, doc_iri: str) -> EffectiveStructure:
-    """Rules whose scope is the longest prefix of doc_iri, declaration order.
+    """The rules whose scope holds doc_iri most narrowly, in declaration
+    order: a scope with a host before a scheme-only one, then the longest
+    path prefix within the document's origin.
 
-    Falls back to the registry's default mode when no scope matches.
+    Falls back to the registry's default mode when no scope holds doc_iri.
     """
-    in_scope = [r for r in registry.rules if doc_iri.startswith(r.scope)]
+    in_scope = [r for r in registry.rules if _within(r.within, doc_iri)]
     if not in_scope:
         return registry.default_mode
-    longest = max(len(r.scope) for r in in_scope)
-    return [r for r in in_scope if len(r.scope) == longest]
+    narrowest = max(_narrowness(r.within) for r in in_scope)
+    return [r for r in in_scope if _narrowness(r.within) == narrowest]
 
 
 def lambda_allows(structure: EffectiveStructure, from_doc: Document,
@@ -156,7 +164,7 @@ def parse_structure_registry(text: str) -> LinkingStructureRegistry:
     for i, raw in enumerate(raw_rules):
         where = "rule %d" % i
         scope = raw.get("scope")
-        if not isinstance(scope, str) or "://" not in scope:
+        if not isinstance(scope, str):
             raise GuidanceParseError("%s: scope must be an IRI prefix" % where)
         preds = raw.get("patternPredicates", WILDCARD)
         if preds == WILDCARD:
@@ -176,7 +184,10 @@ def parse_structure_registry(text: str) -> LinkingStructureRegistry:
             raise GuidanceParseError(
                 "%s: follow must be 'self' or a list of link predicates" % where
             )
-        rules.append(StructureRule(scope, pattern_predicates, follow))
+        try:
+            rules.append(StructureRule(scope, pattern_predicates, follow))
+        except GuidanceParseError as exc:
+            raise GuidanceParseError("%s: scope must be an IRI prefix: %s" % (where, exc)) from exc
     return LinkingStructureRegistry(rules, default)
 
 
@@ -191,6 +202,11 @@ class PolicyRule:
     priority: int
     exclusive_key: Optional[str] = None  # only SUBJECT_PREDICATE
     entry: int = 0  # position of the rule's entry in the policy file, from 0
+    within: Optional[Prefix] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.source not in (WILDCARD, SAME_ORIGIN):
+            object.__setattr__(self, "within", _parse_prefix(self.source))
 
     def matches(self, triple: Triple, source_doc_iri: str) -> bool:
         if match_triple(triple, self.pattern) is None:
@@ -202,7 +218,7 @@ class PolicyRule:
             return True
         if self.source == SAME_ORIGIN:
             return _same_origin(triple.subject.value, source_doc_iri)
-        return source_doc_iri.startswith(self.source)
+        return _within(self.within, source_doc_iri)
 
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
@@ -229,6 +245,62 @@ def _same_origin(subject_iri: str, source_iri: str) -> bool:
     """A URI without an origin (no host, or a malformed port) is same-origin with nothing."""
     origin = _origin(subject_iri)
     return origin is not None and origin == _origin(source_iri)
+
+
+# Where documents are, as a source prefix or structure scope says: the
+# origin a document must have, as `_origin` gives it, and the prefix its
+# path must start with. A scheme-only prefix, such as "https://", has the
+# origin (scheme,) and holds every document of that scheme.
+Prefix = Tuple[tuple, str]
+
+
+def _parse_prefix(text: str) -> Prefix:
+    """A source prefix or structure scope, parsed once when its rule is built.
+
+    A prefix without a path, such as "https://uma.ex", holds the whole
+    origin. Raises GuidanceParseError for a prefix with userinfo, a query or
+    a fragment, and for one that is not scheme-only and has no origin.
+    """
+    if "://" not in text:
+        raise GuidanceParseError("%r has no '://'" % (text,))
+    if "?" in text or "#" in text:
+        raise GuidanceParseError("%r has a query or a fragment" % (text,))
+    try:
+        parts = urlsplit(text)
+    except ValueError as exc:
+        raise GuidanceParseError("%r is malformed: %s" % (text, exc)) from exc
+    if "@" in parts.netloc:
+        raise GuidanceParseError("%r has userinfo" % (text,))
+    if not parts.netloc and not parts.path:
+        return (parts.scheme,), ""
+    origin = _origin(text)
+    if origin is None:
+        raise GuidanceParseError("%r has no origin" % (text,))
+    return origin, parts.path
+
+
+# Bounded, as _origin is: the documents of one traversal.
+@functools.lru_cache(maxsize=1024)
+def _place(iri: str) -> Prefix:
+    """A document's origin, or its scheme alone when it has none, and its path."""
+    parts = urlsplit(iri)
+    return _origin(iri) or (parts.scheme,), parts.path
+
+
+def _within(prefix: Prefix, iri: str) -> bool:
+    """Whether a document is where the prefix says: its origin equal (its
+    scheme, for a scheme-only prefix), and its path starting with the
+    prefix's path."""
+    origin, path = prefix
+    doc_origin, doc_path = _place(iri)
+    return doc_origin[:len(origin)] == origin and doc_path.startswith(path)
+
+
+def _narrowness(prefix: Prefix) -> Tuple[int, int]:
+    """Of two prefixes that hold a document, the narrower has the larger
+    value: a host beats a scheme alone, then a longer path wins."""
+    origin, path = prefix
+    return len(origin), len(path)
 
 
 @dataclass
@@ -275,8 +347,9 @@ def parse_policy(text: str) -> ContentPolicy:
                 "exclusive": "subject-predicate"?}, ...]}
 
     A list in the "p" field is shorthand for one sibling rule per predicate.
-    A source IRI prefix contains "://", as a structure rule's scope does:
-    any other source could match no document a traversal fetches.
+    A source IRI prefix is parsed as a structure rule's scope is
+    (`_parse_prefix`): it holds the documents of its origin whose path starts
+    with its path.
     """
     data, raw_rules = _load_rules(text, "policy")
     default = data.get("default", ALLOW)
@@ -298,8 +371,7 @@ def parse_policy(text: str) -> ContentPolicy:
             raise GuidanceParseError("%s: pattern p must be an IRI, '?' or a non-empty IRI list"
                                      % where)
         source = raw.get("source", WILDCARD)
-        if not isinstance(source, str) or (source not in (WILDCARD, SAME_ORIGIN)
-                                           and "://" not in source):
+        if not isinstance(source, str):
             raise GuidanceParseError("%s: malformed source constraint %r: not %r, %r or an"
                                      " IRI prefix" % (where, source, WILDCARD, SAME_ORIGIN))
         priority = raw.get("priority", 0)
@@ -317,7 +389,10 @@ def parse_policy(text: str) -> ContentPolicy:
                 )
             except (GuidanceParseError, IriError) as exc:
                 raise GuidanceParseError("%s: %s" % (where, exc)) from exc
-            rules.append(PolicyRule(action, pattern, source, priority, exclusive, i))
+            try:
+                rules.append(PolicyRule(action, pattern, source, priority, exclusive, i))
+            except GuidanceParseError as exc:
+                raise GuidanceParseError("%s: malformed source constraint: %s" % (where, exc)) from exc
     return ContentPolicy(rules, default)
 
 

@@ -34,18 +34,16 @@ order of the join never shows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .rdf import (
-    POSITIONS,
     Graph,
     IriError,
     SolutionMapping,
     Term,
     Triple,
     TriplePattern,
-    graph_match,  # not called here; a wrap point of perfbench/tracing.py
     is_absolute_iri,
 )
 from .turtle import (
@@ -244,23 +242,21 @@ Row = Dict[str, Optional[Term]]
 class _Step:
     """A pattern compiled for the variables bound before it."""
 
-    shape: Tuple[str, ...]  # the index it looks up: at most two bound positions
+    shape: Tuple[int, ...]  # the index it looks up: at most two bound positions
     key: Callable[[SolutionMapping], object]  # a solution's key in that index
     accept: Optional[Callable[[Triple, SolutionMapping], bool]]  # residual checks
     binds: Tuple[Tuple[str, Callable[[Triple], Term]], ...]  # (variable, its position)
 
 
 def _bound_positions(pattern: TriplePattern, bound: AbstractSet[str]) -> int:
-    return sum(not term.is_variable or term.value in bound
-               for term in (pattern.subject, pattern.predicate, pattern.object))
+    return sum(not term.is_variable or term.value in bound for term in pattern)
 
 
 def _compile(pattern: TriplePattern, bound: AbstractSet[str]) -> _Step:
     fixed = []  # bound positions: (position, constant, or None and the bound variable)
-    binds: Dict[str, str] = {}  # each new variable: the position that binds it
+    binds: Dict[str, int] = {}  # each new variable: the position that binds it
     repeats = []  # (position, earlier position) of a new variable repeated
-    for position in POSITIONS:
-        term = getattr(pattern, position)
+    for position, term in enumerate(pattern):
         if not term.is_variable:
             fixed.append((position, term, None))
         elif term.value in bound:
@@ -285,11 +281,27 @@ def _compile(pattern: TriplePattern, bound: AbstractSet[str]) -> _Step:
     accept = None
     if residual or repeats:
         def accept(t: Triple, m: SolutionMapping) -> bool:
-            return (all(getattr(t, pos) == (m[var] if term is None else term)
+            return (all(t[pos] == (m[var] if term is None else term)
                         for pos, term, var in residual)
-                    and all(getattr(t, pos) == getattr(t, earlier) for pos, earlier in repeats))
+                    and all(t[pos] == t[earlier] for pos, earlier in repeats))
     return _Step(tuple(position for position, _, _ in keyed), key, accept,
-                 tuple((var, attrgetter(position)) for var, position in binds.items()))
+                 tuple((var, itemgetter(position)) for var, position in binds.items()))
+
+
+def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, SolutionMapping]]:
+    """All triples in the graph matching the pattern, with their bindings,
+    sorted by triple, so that results never depend on insertion order.
+
+    The pattern is compiled as `evaluate` compiles a first step, with no
+    variable bound, so only its bucket of `Graph.index` is checked and
+    sorted, not the whole graph. `explain --row` calls it.
+    """
+    step = _compile(pattern, ())
+    out = [(t, {var: position(t) for var, position in step.binds})
+           for t in graph.index(step.shape).get(step.key({}), ())
+           if step.accept is None or step.accept(t, {})]
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def _plan(patterns: List[TriplePattern], bound: AbstractSet[str]) -> List[_Step]:

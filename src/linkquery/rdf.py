@@ -1,6 +1,7 @@
 """
-Core RDF data model: terms, triples, triple patterns and an in-memory graph
-with pattern matching, plus IRI reference resolution and fragment stripping.
+Core RDF data model: terms, triple patterns (a triple is a ground one) and
+an in-memory graph with the indexes pattern lookups read, plus IRI reference
+resolution and fragment stripping.
 
 Only the machinery needed for small webs of hyperlinked documents: IRIs,
 plain literals with optional language tags, and variables inside patterns.
@@ -10,8 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
 
@@ -73,8 +73,8 @@ def strip_fragment(iri: str) -> str:
 
 
 # namedtuple's field accessors read a tuple position in C, about 20 ns a read
-# faster than property(itemgetter(i)) (Python 3.11); Term and Triple take them
-# as their fields and nothing else from namedtuple.
+# faster than property(itemgetter(i)) (Python 3.11); Term and TriplePattern
+# take them as their fields and nothing else from namedtuple.
 _TermFields = namedtuple("_TermFields", "value language_or_empty kind document")
 _TripleFields = namedtuple("_TripleFields", "subject predicate object")
 
@@ -155,11 +155,39 @@ def _escape_literal(text: str) -> str:
     )
 
 
-class Triple(tuple):
-    """A ground RDF triple: an IRI subject and predicate, and an object that
-    is not a variable. A triple is the tuple (subject, predicate, object), so
-    it hashes, compares and sorts as its terms do, in that order, in C.
-    Building a triple checks its terms.
+class TriplePattern(tuple):
+    """A triple pattern: the tuple (subject, predicate, object), any position
+    of which may be a variable. Positions are read as indexes 0-2 or by name.
+    Building a pattern checks nothing.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "TriplePattern":
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    subject, predicate, object = (
+        _TripleFields.subject, _TripleFields.predicate, _TripleFields.object)
+
+    def variables(self) -> List[str]:
+        return [t.value for t in self if t.is_variable]
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle, under every protocol, build through __new__.
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return "%s(subject=%r, predicate=%r, object=%r)" % ((type(self).__name__,) + self)
+
+    def n3(self) -> str:
+        return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
+
+
+class Triple(TriplePattern):
+    """A ground RDF triple: a pattern with an IRI subject and predicate, and
+    an object that is not a variable. As a tuple it hashes, compares and
+    sorts as its terms do, in that order, in C. Building a triple checks its
+    terms.
     """
 
     __slots__ = ()
@@ -173,34 +201,6 @@ class Triple(tuple):
             raise ValueError("triple object may not be a variable")
         return tuple.__new__(cls, (subject, predicate, object))
 
-    subject, predicate, object = (
-        _TripleFields.subject, _TripleFields.predicate, _TripleFields.object)
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle, under every protocol, build through __new__.
-        return Triple, tuple(self)
-
-    def __repr__(self) -> str:
-        return "Triple(subject=%r, predicate=%r, object=%r)" % self
-
-    def n3(self) -> str:
-        return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
-
-
-@dataclass(frozen=True)
-class TriplePattern:
-    """A triple pattern; any position may be a variable."""
-
-    subject: Term
-    predicate: Term
-    object: Term
-
-    def variables(self) -> List[str]:
-        return [t.value for t in (self.subject, self.predicate, self.object) if t.is_variable]
-
-    def n3(self) -> str:
-        return "%s %s %s." % (self.subject.n3(), self.predicate.n3(), self.object.n3())
-
 
 SolutionMapping = Dict[str, Term]
 
@@ -212,12 +212,7 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
     the triple's term and repeated variables bind consistently; None otherwise.
     """
     bindings: SolutionMapping = {}
-    pairs = (
-        (pattern.subject, triple.subject),
-        (pattern.predicate, triple.predicate),
-        (pattern.object, triple.object),
-    )
-    for pat, term in pairs:
+    for pat, term in zip(pattern, triple):
         if pat.is_variable:
             bound = bindings.get(pat.value)
             if bound is None:
@@ -229,9 +224,6 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
     return bindings
 
 
-POSITIONS = ("subject", "predicate", "object")
-
-
 class Graph:
     """An immutable, deduplicated set of triples with deterministic iteration
     order: iterating sorts the triples as tuples, in term order. Nothing
@@ -239,13 +231,13 @@ class Graph:
 
     Patterns are looked up in hash indexes built on demand, one per shape,
     and kept for the graph's life. A shape is up to two positions a pattern
-    binds, such as (subject, predicate); its index maps the terms in those
-    positions to the triples that have them.
+    binds, such as (0, 1) for subject and predicate; its index maps the
+    terms in those positions to the triples that have them.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = frozenset(triples)
-        self._indexes: Dict[Tuple[str, ...], Dict[object, List[Triple]]] = {}
+        self._indexes: Dict[Tuple[int, ...], Dict[object, List[Triple]]] = {}
 
     @classmethod
     def union(cls, graphs: Iterable["Graph"]) -> "Graph":
@@ -275,17 +267,18 @@ class Graph:
     def __repr__(self) -> str:
         return "Graph(%d triples)" % len(self)
 
-    def index(self, shape: Tuple[str, ...]) -> Dict[object, List[Triple]]:
+    def index(self, shape: Tuple[int, ...]) -> Dict[object, List[Triple]]:
         """The index of a shape, built on first use; read it with `get`.
 
-        Its keys are the terms in the shape's positions: the term itself for
-        one position, a tuple for two, and () for the empty shape, whose one
-        bucket holds every triple. Buckets are unordered.
+        A shape is a tuple of at most two triple positions, 0 subject, 1
+        predicate, 2 object. Its keys are the terms in those positions: the
+        term itself for one position, a tuple for two, and () for the empty
+        shape, whose one bucket holds every triple. Buckets are unordered.
         """
         index = self._indexes.get(shape)
         if index is None:
             if shape:
-                key = attrgetter(*shape)
+                key = itemgetter(*shape)
                 index = defaultdict(list)
                 for triple in self._triples:
                     index[key(triple)].append(triple)
@@ -293,26 +286,6 @@ class Graph:
                 index = {(): list(self._triples)}
             self._indexes[shape] = index
         return index
-
-
-def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, SolutionMapping]]:
-    """All triples in the graph matching the pattern, with their bindings.
-
-    Matches come back sorted by (subject, predicate, object) term order so
-    downstream results never depend on insertion order. Only the bucket of
-    the pattern's first two concrete positions is checked and sorted, not
-    the whole graph. `explain --row` calls it, as do the tests; `evaluate`
-    reads `Graph.index` through its compiled steps instead.
-    """
-    shape = tuple(name for name in POSITIONS if not getattr(pattern, name).is_variable)[:2]
-    key = attrgetter(*shape)(pattern) if shape else ()
-    out = []
-    for triple in graph.index(shape).get(key, ()):
-        bindings = match_triple(triple, pattern)
-        if bindings is not None:
-            out.append((triple, bindings))
-    out.sort(key=itemgetter(0))
-    return out
 
 
 def to_ntriples(graph: Graph) -> str:

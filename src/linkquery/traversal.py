@@ -193,11 +193,10 @@ CompiledPatterns = List[Tuple[TriplePattern, PatternCheck]]
 
 
 def _pattern_check(tp: TriplePattern) -> PatternCheck:
-    terms = (tp.subject, tp.predicate, tp.object)
-    constants = tuple((i, terms[i]) for i in (0, 2) if not terms[i].is_variable)
+    constants = tuple((i, tp[i]) for i in (0, 2) if not tp[i].is_variable)
     first: Dict[str, int] = {}
     repeats = []
-    for j, term in enumerate(terms):
+    for j, term in enumerate(tp):
         if term.is_variable:
             i = first.setdefault(term.value, j)
             if i != j:

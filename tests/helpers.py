@@ -1,7 +1,6 @@
 """Shared generators and independent brute-force oracles for the test suite."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -198,7 +197,7 @@ def optional_queries(draw, triples: Sequence[Triple]) -> Query:
     required = [like(draw(st.sampled_from(triples)), ["a", "b", "c"])
                 for _ in range(draw(st.integers(1, 3)))]
     if not _variables(required):
-        required[0] = dataclasses.replace(required[0], subject=Term.var("a"))
+        required[0] = TriplePattern(Term.var("a"), required[0].predicate, required[0].object)
     variables = _variables(required)
     links = [(draw(st.sampled_from(variables)), "d"), ("d", "e")]
     groups = []
@@ -219,14 +218,15 @@ def random_registry_json(rng: random.Random, n_docs: int,
                          default: Optional[str] = None) -> str:
     """A random linking-structure registry over random_web's documents, as JSON.
 
-    Scopes are either a prefix of every document IRI, a prefix of several, or
-    one document; rules follow "self" or a (possibly empty) predicate list and
-    cover "*" or a predicate list.
+    Scopes are either the scheme alone, which holds every document, a whole
+    origin, written without a path, or one document; rules follow "self" or
+    a (possibly empty) predicate list and cover "*" or a predicate list.
     """
     rules = []
     for _ in range(rng.randint(0, 4)):
         rules.append({
-            "scope": rng.choice(["https://w", "https://w", "https://w1",
+            "scope": rng.choice(["https://", "https://",
+                                 "https://w%d.ex" % rng.randrange(n_docs),
                                  doc_iri(rng.randrange(n_docs))]),
             "patternPredicates": "*" if rng.random() < 0.3
             else rng.sample(PREDICATES, rng.randint(1, 3)),

@@ -142,6 +142,18 @@ class TestRun:
         assert code == 3
         assert err.startswith("input error: malformed IRI")
 
+    def test_a_source_prefix_with_userinfo_is_an_input_error(self, capsys, tmp_path):
+        # https://uma.ex@evil.ex/ has the origin of evil.ex, not of uma.ex.
+        policy = json.loads(demo_policy().read_text())
+        policy["rules"][0]["source"] = "https://uma.ex@evil.ex/"
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(policy))
+        code, out, err = run_cli(
+            capsys,
+            ["run"] + base_flags() + ["--structures", str(demo_structures()), "--policy", str(bad)])
+        assert code == 3 and out == ""
+        assert "rule 0: malformed source constraint" in err and "userinfo" in err
+
     def test_tsv_format(self, capsys):
         code, out, _ = run_cli(capsys, ["run"] + guided_flags() + ["--format", "tsv"])
         assert code == 0

@@ -452,6 +452,119 @@ class TestTripleRelevant:
                 assert triple_relevant(policy, triple, src) == expected
 
 
+def allow_only_from(source):
+    """A deny-default policy whose one rule allows every triple from source."""
+    return parse_policy(json.dumps({"default": "deny", "rules": [
+        {"action": "allow", "pattern": {}, "source": source}]}))
+
+
+def scoped_registry(scope):
+    """A restrictive registry whose one rule has the given scope."""
+    return parse_structure_registry(json.dumps({"default": "restrictive", "rules": [
+        {"scope": scope, "follow": "self"}]}))
+
+
+NAME_TRIPLE = t("https://uma.ex/#me", FOAF + "name", Term.literal("Uma"))
+
+# Hosts that share string prefixes with uma.ex and with one another.
+SHARED_HOSTS = ["uma.ex", "uma.ex.evil.ex", "uma.example", "uma.e", "uma.ex1", "um.ex"]
+SHARED_PATHS = ["", "/", "/a", "/a/", "/ab", "/a/b"]
+DEFAULT_PORTS = {"http": 80, "https": 443}
+_SCHEMES = st.sampled_from(["https", "http"])
+_PORTS = st.sampled_from([None, 80, 443, 8443])
+
+
+@st.composite
+def _cased_hosts(draw):
+    host = draw(st.sampled_from(SHARED_HOSTS))
+    upper = draw(st.lists(st.booleans(), min_size=len(host), max_size=len(host)))
+    return "".join(c.upper() if up else c for c, up in zip(host, upper))
+
+
+def _authority(host, port):
+    return host if port is None else "%s:%d" % (host, port)
+
+
+class TestTrustByOrigin:
+    # A source prefix or structure scope holds a document when the
+    # document's origin is the prefix's (RFC 6454, as same-origin compares
+    # them) and its path starts with the prefix's path: a host is matched
+    # whole, never as a string prefix.
+    @pytest.mark.parametrize("source_doc,relevant", [
+        ("https://uma.ex/", True),
+        ("https://UMA.ex/", True),
+        ("https://uma.ex:443/about/", True),
+        ("https://uma.ex.evil.ex/", False),
+        ("https://uma.example/", False),
+        ("https://uma.ex@evil.ex/", False),
+        ("http://uma.ex/", False),
+        ("https://uma.ex:8443/", False),
+    ])
+    def test_a_source_prefix_without_a_path_is_its_origin(self, source_doc, relevant):
+        policy = allow_only_from("https://uma.ex")
+        assert triple_relevant(policy, NAME_TRIPLE, source_doc) == relevant
+
+    @pytest.mark.parametrize("doc_iri", [
+        "https://uma.ex.evil.ex/", "https://uma.example/", "https://uma.ex@evil.ex/"])
+    def test_a_scope_holds_no_host_it_is_a_string_prefix_of(self, doc_iri):
+        assert get_linking_structure(scoped_registry("https://uma.ex"), doc_iri) == RESTRICTIVE
+        [rule] = get_linking_structure(scoped_registry("https://uma.ex"), "https://Uma.ex/x")
+        assert rule.scope == "https://uma.ex"
+
+    def test_the_narrowest_scope_wins(self):
+        registry = parse_structure_registry(json.dumps({"default": "permissive", "rules": [
+            {"scope": scope, "follow": "self"} for scope in
+            ["https://", "https://uma.ex:443/", "https://uma.ex/a", "https://uma.ex", "HTTPS://"]]}))
+        scopes = {iri: [r.scope for r in get_linking_structure(registry, iri)]
+                  for iri in ["https://uma.ex/ab", "https://UMA.ex/", "https://bob.ex/"]}
+        assert scopes == {
+            # the longest path within the origin, not the longest string
+            "https://uma.ex/ab": ["https://uma.ex/a"],
+            # then any path, however short, within the origin
+            "https://UMA.ex/": ["https://uma.ex:443/"],
+            # the scheme alone holds every document of that scheme
+            "https://bob.ex/": ["https://", "HTTPS://"],
+        }
+        assert get_linking_structure(registry, "http://uma.ex/") == PERMISSIVE
+
+    @pytest.mark.parametrize("prefix,reason", [
+        ("https://u@uma.ex/", "userinfo"),
+        ("https://uma.ex@evil.ex/", "userinfo"),
+        ("https://uma.ex/?page=1", "a query or a fragment"),
+        ("https://uma.ex/#me", "a query or a fragment"),
+        ("https:///uma", "no origin"),
+        ("https://uma.ex:99999/", "no origin"),
+        ("https://[uma/", "malformed"),
+    ])
+    def test_a_prefix_that_is_not_an_origin_and_a_path_is_rejected(self, prefix, reason):
+        with pytest.raises(GuidanceParseError,
+                           match="rule 0: malformed source constraint: .* %s" % reason):
+            allow_only_from(prefix)
+        with pytest.raises(GuidanceParseError,
+                           match="rule 0: scope must be an IRI prefix: .* %s" % reason):
+            scoped_registry(prefix)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), _SCHEMES, _cased_hosts(), _PORTS, st.sampled_from(SHARED_PATHS),
+           _SCHEMES, st.sampled_from(["", "u@", "uma.ex@"]), _cased_hosts(), _PORTS,
+           st.sampled_from(SHARED_PATHS[1:]))
+    def test_a_prefix_holds_exactly_its_origin_and_path(
+            self, scheme_only, scheme, host, port, path,
+            doc_scheme, userinfo, doc_host, doc_port, doc_path):
+        if scheme_only:
+            prefix = scheme + "://"
+            expected = doc_scheme == scheme
+        else:
+            prefix = "%s://%s%s" % (scheme, _authority(host, port), path)
+            expected = ((scheme, host.lower(), port or DEFAULT_PORTS[scheme])
+                        == (doc_scheme, doc_host.lower(), doc_port or DEFAULT_PORTS[doc_scheme])
+                        and doc_path.startswith(path))
+        doc_iri = "%s://%s%s%s" % (doc_scheme, userinfo, _authority(doc_host, doc_port), doc_path)
+        assert triple_relevant(allow_only_from(prefix), NAME_TRIPLE, doc_iri) == expected
+        held = get_linking_structure(scoped_registry(prefix), doc_iri) != RESTRICTIVE
+        assert held == expected
+
+
 def overrides(entries, policy):
     """apply_overrides over (triple, source) entries, grouped by source into
     one graph per document, read back as entries."""

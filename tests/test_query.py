@@ -459,7 +459,7 @@ class TestEvaluateWork:
         )
         rows = evaluate(query, graph)
         assert [r["n"].value for r in rows] == ["n1", "n2", "n3"]
-        assert list(graph._indexes) == [("subject", "predicate")]
+        assert list(graph._indexes) == [(0, 1)]  # (subject, predicate)
         [index] = graph._indexes.values()
         assert sum(len(bucket) for bucket in index.values()) == len(graph)
 

@@ -12,13 +12,13 @@ from linkquery.rdf import (
     Term,
     Triple,
     TriplePattern,
-    graph_match,
     is_absolute_iri,
     match_triple,
     resolve_iri,
     strip_fragment,
     to_ntriples,
 )
+from linkquery.query import graph_match
 from linkquery.turtle import parse_turtle
 from test_parser_golden import BASES
 
@@ -242,7 +242,8 @@ class TestTerms:
 
 
 TRIPLE = t("https://a.ex/#s", KNOWS, Term.literal("x", "en"))
-# Every public way to make a term or triple, each from an existing one.
+PATTERN = TriplePattern(Term.var("s"), Term.iri(KNOWS), Term.literal("x", "en"))
+# Every public way to make a term, triple or pattern, each from an existing one.
 REMAKES = {
     "positional": lambda x: type(x)(*_fields(x)),
     "keyword": lambda x: type(x)(**dict(zip(_names(x), _fields(x)))),
@@ -265,7 +266,7 @@ class TestRemaking:
     @pytest.mark.parametrize("how", sorted(REMAKES))
     @pytest.mark.parametrize("original", [
         Term.iri("HTTP://A.ex/doc#me"), Term.literal("x#y"), Term.literal("x", "en"),
-        Term.var("v"), TRIPLE])
+        Term.var("v"), TRIPLE, PATTERN])
     def test_remade_objects_equal_their_original(self, how, original):
         remade = REMAKES[how](original)
         assert type(remade) is type(original)
@@ -283,8 +284,16 @@ class TestRemaking:
             pickle.loads(data)
 
     def test_no_unchecked_constructor(self):
-        for cls in (Term, Triple):
+        for cls in (Term, Triple, TriplePattern):
             assert not any(hasattr(cls, name) for name in ("_make", "_replace", "__replace__"))
+
+    def test_a_triple_is_its_ground_pattern(self):
+        pattern = TriplePattern(*TRIPLE)
+        assert isinstance(TRIPLE, TriplePattern) and type(pattern) is TriplePattern
+        assert TRIPLE == pattern and hash(TRIPLE) == hash(pattern)
+        assert pattern.variables() == [] and pattern.n3() == TRIPLE.n3()
+        other = t("https://b.ex/#s", KNOWS, "https://a.ex/#o")
+        assert graph_match(Graph([TRIPLE, other]), pattern) == [(TRIPLE, {})]
 
 
 _TEXT = st.text(alphabet="ab#:", max_size=3)

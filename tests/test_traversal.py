@@ -1187,9 +1187,13 @@ class TestFetchPool:
         assert set(threading.enumerate()) <= before
 
     def test_in_flight_requests_reach_and_never_pass_the_cap(self):
-        # One wave of 25 documents. Each request waits until MAX_IN_FLIGHT
-        # are in flight (until 2 s pass once), then sleeps 10 ms, so a thread
-        # beyond the cap would be counted while the first ones still sleep.
+        # The hub answers at once; then one wave of 25 documents. The calling
+        # thread makes the wave's first request alone, and it sleeps 10 ms,
+        # so it blocks and the pool makes the other 24. Each of those waits
+        # until MAX_IN_FLIGHT are in flight (until 2 s pass once), then
+        # sleeps 10 ms, so a thread beyond the cap would be counted while the
+        # first ones still sleep.
+        caller = threading.current_thread()
         inner = chains_web(25, 1)
         lock = threading.Condition()
         in_flight, peak, timed_out = 0, 0, False
@@ -1197,11 +1201,14 @@ class TestFetchPool:
         class GatedSource:
             def fetch(self, doc_iri):
                 nonlocal in_flight, peak, timed_out
+                if doc_iri == HUB:
+                    return inner.fetch(doc_iri)
                 with lock:
                     in_flight += 1
                     peak = max(peak, in_flight)
                     lock.notify_all()
-                    if not lock.wait_for(lambda: peak >= MAX_IN_FLIGHT or timed_out, timeout=2):
+                    if threading.current_thread() is not caller and not lock.wait_for(
+                            lambda: peak >= MAX_IN_FLIGHT or timed_out, timeout=2):
                         timed_out = True
                         lock.notify_all()
                 time.sleep(0.01)
@@ -1420,8 +1427,8 @@ class TestFetchPool:
 
     def test_a_first_waiting_request_runs_alone_then_its_wave_overlaps(self):
         # The hub answers at once. Each request of its 8-document wave waits
-        # until 7 are in flight: the first for 0.1 s, the others for up to
-        # 2 s. That first request is the traversal's first to wait, so the
+        # until 7 have been in flight at once: the first for 0.1 s, the
+        # others for up to 2 s. That first request is the traversal's first to wait, so the
         # calling thread makes it alone, and only then do helpers start: the
         # other 7 reach exactly 7 in flight. So a source that waits from its
         # second wave on loses one request's latency, once.
@@ -1442,7 +1449,7 @@ class TestFetchPool:
                     in_flight += 1
                     peak = max(peak, in_flight)
                     lock.notify_all()
-                    lock.wait_for(lambda: in_flight >= 7, timeout=0.1 if first else 2)
+                    lock.wait_for(lambda: peak >= 7, timeout=0.1 if first else 2)
                     if first:
                         first_alone = len(arrivals) == 1
                     in_flight -= 1
