@@ -9,6 +9,8 @@ constraint, and exclusive rules whose admitted triples displace same-subject
 same-predicate triples admitted from other sources by lower-priority rules.
 A scope or a source prefix holds the documents of one origin whose path
 starts with its path, or, with a scheme alone, every document of that scheme.
+Same-origin, source prefixes and scopes all read one parse of where an IRI
+is (`_place`), in which an empty path after a host is "/".
 """
 from __future__ import annotations
 
@@ -217,40 +219,19 @@ class PolicyRule:
         if self.source == WILDCARD:
             return True
         if self.source == SAME_ORIGIN:
-            return _same_origin(triple.subject.value, source_doc_iri)
+            # A subject without an origin is same-origin with nothing.
+            origin = _place(triple.subject.value)[0]
+            return len(origin) > 1 and origin == _place(source_doc_iri)[0]
         return _within(self.within, source_doc_iri)
 
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
-# Bounded: each triple of a document is checked against the same source
-# origin, and its subjects name few others.
-@functools.lru_cache(maxsize=1024)
-def _origin(iri: str) -> Optional[Tuple[str, str, Optional[int]]]:
-    """The RFC 6454 origin of iri: its scheme, lowercased host and port, the
-    scheme's default port when none is given. None without a host or with a
-    malformed port."""
-    parts = urlsplit(iri)
-    try:
-        port = parts.port
-    except ValueError:
-        return None
-    if not parts.hostname:
-        return None
-    return parts.scheme, parts.hostname, _DEFAULT_PORTS.get(parts.scheme) if port is None else port
-
-
-def _same_origin(subject_iri: str, source_iri: str) -> bool:
-    """A URI without an origin (no host, or a malformed port) is same-origin with nothing."""
-    origin = _origin(subject_iri)
-    return origin is not None and origin == _origin(source_iri)
-
-
 # Where documents are, as a source prefix or structure scope says: the
-# origin a document must have, as `_origin` gives it, and the prefix its
-# path must start with. A scheme-only prefix, such as "https://", has the
-# origin (scheme,) and holds every document of that scheme.
+# origin a document must have and the prefix its path must start with. A
+# scheme-only prefix, such as "https://", has the origin (scheme,) and holds
+# every document of that scheme.
 Prefix = Tuple[tuple, str]
 
 
@@ -273,18 +254,28 @@ def _parse_prefix(text: str) -> Prefix:
         raise GuidanceParseError("%r has userinfo" % (text,))
     if not parts.netloc and not parts.path:
         return (parts.scheme,), ""
-    origin = _origin(text)
-    if origin is None:
+    origin = _place(text)[0]
+    if len(origin) == 1:
         raise GuidanceParseError("%r has no origin" % (text,))
     return origin, parts.path
 
 
-# Bounded, as _origin is: the documents of one traversal.
+# Bounded: each triple of a document is checked against the same source, and
+# its subjects name few others.
 @functools.lru_cache(maxsize=1024)
 def _place(iri: str) -> Prefix:
-    """A document's origin, or its scheme alone when it has none, and its path."""
+    """Where iri is: its RFC 6454 origin, the scheme, lowercased host and
+    port (the scheme's default when none is given), or its scheme alone
+    without a host or with a malformed port; and its path, "/" when it is
+    empty after a host (RFC 3986, section 6.2.3)."""
     parts = urlsplit(iri)
-    return _origin(iri) or (parts.scheme,), parts.path
+    try:
+        if parts.hostname:
+            port = _DEFAULT_PORTS.get(parts.scheme) if parts.port is None else parts.port
+            return (parts.scheme, parts.hostname, port), parts.path or "/"
+    except ValueError:  # a malformed port
+        pass
+    return (parts.scheme,), parts.path
 
 
 def _within(prefix: Prefix, iri: str) -> bool:

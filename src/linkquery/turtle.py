@@ -77,7 +77,7 @@ _LITERAL_CHARS = r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
 _SPACE = r"[ \t\r\n]+ | \#[^\n]*"  # whitespace or a comment
 _TOKEN = r"""
     <(?P<iriref>[^>\n]*)>
-  | "(?P<literal>%s)"(?:@(?P<language>[A-Za-z][A-Za-z0-9\-]*)|(?!@))
+  | "(?P<literal>%s)"(?:@(?P<language>[A-Za-z]+(?:-[A-Za-z0-9]+)*)(?![A-Za-z0-9\-])|(?!@))
   | (?P<prefix_kw>@prefix)(?![A-Za-z0-9_\-])
   | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*)
   | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)

@@ -106,6 +106,16 @@ class TestRun:
         assert code == 1
         assert "usage" in err.lower()
 
+    @pytest.mark.parametrize("argv,message", [
+        ([], "a command is required: run, compare or explain"),
+        (["run", "--query", str(demo_query()), "--fixtures", str(demo_manifest())],
+         "at least one --seed is required"),
+    ])
+    def test_no_command_or_no_seed_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: %s\nrun 'linkquery --help' for usage\n" % message
+
     def test_fixtures_and_live_are_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, ["run"] + base_flags() + ["--live"]
@@ -659,6 +669,22 @@ class TestExplain:
             'row 1: ?f=<http://dbpedia.org/resource/Mickey_Mouse>, ?n="Mickey Mouse"@en'
         assert len(out.splitlines()) == 3
         assert out.count('"Mickey Mouse"@en. from') == 1
+
+    def test_row_support_skips_a_pattern_with_a_variable_the_row_leaves_unbound(
+            self, capsys, tmp_path):
+        # ?n is not projected, so the row cannot say which name triple it used.
+        query = tmp_path / "friends.rq"
+        query.write_text("PREFIX foaf: <%s>\nSELECT ?f WHERE { <https://uma.ex/#me> foaf:knows ?f . "
+                         "?f foaf:name ?n }\n" % FOAF)
+        code, out, _ = run_cli(capsys, [
+            "explain", "--row", "1", "--query", str(query), "--seed", SEED,
+            "--fixtures", str(demo_manifest())])
+        assert code == 0
+        assert out == (
+            "row 1: ?f=<http://dbpedia.org/resource/Mickey_Mouse>\n"
+            "  <https://uma.ex/#me> <%sknows> <http://dbpedia.org/resource/Mickey_Mouse>. "
+            "from https://bob.ex/\n" % FOAF
+        )
 
     def test_unknown_doc(self, capsys):
         code, _, err = run_cli(

@@ -111,6 +111,9 @@ class TestRegistry:
         ('[1]', "structure registry is not a JSON object"),
         ('{"rules": 5}', "structure registry rules are not a list of objects"),
         ('{"rules": ["x"]}', "structure registry rules are not a list of objects"),
+        ('{"rules": [{"scope": 5, "follow": "self"}]}', "rule 0: scope must be an IRI prefix$"),
+        ('{"rules": [{"scope": "https://a.ex/", "patternPredicates": [], "follow": "self"}]}',
+         r"rule 0: patternPredicates must be '\*' or a non-empty IRI list"),
     ])
     def test_malformed_registry(self, text, message):
         with pytest.raises(GuidanceParseError, match=message):
@@ -489,7 +492,7 @@ class TestTrustByOrigin:
     # A source prefix or structure scope holds a document when the
     # document's origin is the prefix's (RFC 6454, as same-origin compares
     # them) and its path starts with the prefix's path: a host is matched
-    # whole, never as a string prefix.
+    # whole, never as a string prefix, and a document's empty path is "/".
     @pytest.mark.parametrize("source_doc,relevant", [
         ("https://uma.ex/", True),
         ("https://UMA.ex/", True),
@@ -516,16 +519,29 @@ class TestTrustByOrigin:
             {"scope": scope, "follow": "self"} for scope in
             ["https://", "https://uma.ex:443/", "https://uma.ex/a", "https://uma.ex", "HTTPS://"]]}))
         scopes = {iri: [r.scope for r in get_linking_structure(registry, iri)]
-                  for iri in ["https://uma.ex/ab", "https://UMA.ex/", "https://bob.ex/"]}
+                  for iri in ["https://uma.ex/ab", "https://UMA.ex/", "https://uma.ex",
+                              "https://bob.ex/"]}
         assert scopes == {
             # the longest path within the origin, not the longest string
             "https://uma.ex/ab": ["https://uma.ex/a"],
             # then any path, however short, within the origin
             "https://UMA.ex/": ["https://uma.ex:443/"],
+            # a document's empty path is "/"; the scope "https://uma.ex" has
+            # none, so it holds the whole origin and is the wider one
+            "https://uma.ex": ["https://uma.ex:443/"],
             # the scheme alone holds every document of that scheme
             "https://bob.ex/": ["https://", "HTTPS://"],
         }
         assert get_linking_structure(registry, "http://uma.ex/") == PERMISSIVE
+
+    # RFC 3986 section 6.2.3: https://uma.ex and https://uma.ex/ name one
+    # document, and a seed https://uma.ex is fetched under the first name.
+    def test_an_empty_path_after_a_host_is_the_root_for_a_source(self):
+        assert triple_relevant(allow_only_from("https://uma.ex/"), NAME_TRIPLE, "https://uma.ex")
+
+    def test_an_empty_path_after_a_host_is_the_root_for_a_scope(self):
+        [rule] = get_linking_structure(scoped_registry("https://uma.ex/"), "https://uma.ex")
+        assert rule.scope == "https://uma.ex/"
 
     @pytest.mark.parametrize("prefix,reason", [
         ("https://u@uma.ex/", "userinfo"),
@@ -547,7 +563,7 @@ class TestTrustByOrigin:
     @settings(max_examples=400, deadline=None)
     @given(st.booleans(), _SCHEMES, _cased_hosts(), _PORTS, st.sampled_from(SHARED_PATHS),
            _SCHEMES, st.sampled_from(["", "u@", "uma.ex@"]), _cased_hosts(), _PORTS,
-           st.sampled_from(SHARED_PATHS[1:]))
+           st.sampled_from(SHARED_PATHS))
     def test_a_prefix_holds_exactly_its_origin_and_path(
             self, scheme_only, scheme, host, port, path,
             doc_scheme, userinfo, doc_host, doc_port, doc_path):
@@ -558,7 +574,7 @@ class TestTrustByOrigin:
             prefix = "%s://%s%s" % (scheme, _authority(host, port), path)
             expected = ((scheme, host.lower(), port or DEFAULT_PORTS[scheme])
                         == (doc_scheme, doc_host.lower(), doc_port or DEFAULT_PORTS[doc_scheme])
-                        and doc_path.startswith(path))
+                        and (doc_path or "/").startswith(path))
         doc_iri = "%s://%s%s%s" % (doc_scheme, userinfo, _authority(doc_host, doc_port), doc_path)
         assert triple_relevant(allow_only_from(prefix), NAME_TRIPLE, doc_iri) == expected
         held = get_linking_structure(scoped_registry(prefix), doc_iri) != RESTRICTIVE

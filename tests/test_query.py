@@ -137,6 +137,7 @@ class TestParseQuery:
             ("SELECT ?s WHERE {\n ?s ?p ?1 }", "malformed variable (line 2, column 8)"),
             ("SELECT ?s WHERE { ?s ?p ?o } $", "unexpected character '$' (line 1, column 30)"),
             ('SELECT ?s WHERE { ?s ?p "\\x" }', "unknown escape in literal (line 1, column 27)"),
+            ('SELECT ?s WHERE { ?s ?p "x"@en- }', "malformed language tag (line 1, column 29)"),
         ],
     )
     def test_scanner_errors_report_position(self, text, message):
@@ -152,6 +153,7 @@ class TestParseQuery:
             ("# nothing but a comment\n", "empty query"),
             ("SELECT ?s WHERE { ?s ?p ?o } }", "unexpected trailing token '}'"),
             ("SELECT ?s WHERE { ?s ?p ?o } ?o", "unexpected trailing token 'o'"),
+            ("SELECT WHERE { ?s ?p ?o }", "projection must be non-empty"),
         ],
     )
     def test_empty_or_trailing_text_rejected(self, text, message):

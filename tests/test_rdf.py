@@ -150,6 +150,8 @@ class TestTerms:
     def test_triple_rejects_variables(self):
         with pytest.raises(ValueError):
             Triple(Term.var("s"), Term.iri(KNOWS), Term.literal("x"))
+        with pytest.raises(ValueError, match="triple object may not be a variable"):
+            Triple(Term.iri("https://a.ex/#s"), Term.iri(KNOWS), Term.var("o"))
 
     def test_literal_equality_includes_language(self):
         assert Term.literal("Mickey Mouse", "en") != Term.literal("Mickey Mouse")
@@ -380,6 +382,11 @@ class TestGraph:
             shuffled = list(triples)
             rng.shuffle(shuffled)
             assert Graph(shuffled) == Graph(triples)
+
+    def test_a_graph_equals_no_other_type(self):
+        triple = t("https://a.ex/", KNOWS, "https://b.ex/")
+        assert Graph([triple]).__eq__(frozenset([triple])) is NotImplemented
+        assert Graph() != 5 and Graph([triple]) != frozenset([triple])
 
     def test_graph_match_equals_filtered_membership(self):
         g = Graph(

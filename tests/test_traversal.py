@@ -106,6 +106,15 @@ class TestUnguided:
         )
         assert trace.ledger.ok_documents == set(bodies)
 
+    @pytest.mark.parametrize("semantics,seeds,message", [
+        (C_MATCH, (), "at least one seed IRI is required"),
+        ("c-some", (SEED,), "unknown semantics 'c-some'"),
+    ])
+    def test_no_seed_or_an_unknown_semantics_is_rejected(self, demo_source, demo_query_obj,
+                                                         semantics, seeds, message):
+        with pytest.raises(ValueError, match=message):
+            unguided(demo_source, demo_query_obj, semantics, seeds=seeds)
+
     def test_max_documents_cap(self):
         bodies = {
             doc_iri(i): "<%s> <https://p.ex/q> <%s>." % (entity_iri(i), entity_iri(i + 1))

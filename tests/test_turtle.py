@@ -191,6 +191,10 @@ class TestParser:
             ('<s> <p> "a\\\n".', "unknown escape in literal", 1, 12),
             ('<s> <p>\n\t"a"@1.', "malformed language tag", 2, 6),
             ('<s> <p> "a"@.', "malformed language tag", 1, 13),
+            # Turtle's LANGTAG: [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
+            ('<s> <p> "x"@en-.', "malformed language tag", 1, 13),
+            ('<s> <p> "x"@e--n.', "malformed language tag", 1, 13),
+            ('<s> <p> "x"@e1.', "malformed language tag", 1, 13),
             ("<s> <p> @base.", "unexpected '@'", 1, 9),
             ("@prefixes x: <y>.", "unexpected '@'", 1, 1),
             ("<s> <p> ?o.", "unexpected character '?'", 1, 9),
@@ -207,6 +211,11 @@ class TestParser:
             parse_turtle(text, "https://x.ex/")
         assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
         assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("tag", ["en-GB-oed", "x-1", "EN"])
+    def test_language_tags_as_turtle_defines_them(self, tag):
+        [triple] = parse_turtle('<s> <p> "x"@%s.' % tag, "https://x.ex/")
+        assert triple.object == Term.literal("x", tag)
 
     @pytest.mark.parametrize(
         "text,column,without",
