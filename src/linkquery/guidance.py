@@ -150,6 +150,22 @@ def _load_rules(text: str, what: str) -> Tuple[dict, List[dict]]:
     return data, rules
 
 
+def _iri(raw: object) -> Optional[Term]:
+    """A guidance file's IRI as a term: None unless written with '://' or
+    'mailto:', as JSON expands no prefixed name; IriError when malformed."""
+    if isinstance(raw, str) and ("://" in raw or raw.startswith("mailto:")):
+        return Term.iri(raw)
+    return None
+
+
+def _iri_set(raw: object) -> Optional[FrozenSet[str]]:
+    """A registry's list of IRIs as a set; None unless each is an IRI."""
+    try:
+        return frozenset(raw) if isinstance(raw, list) and all(map(_iri, raw)) else None
+    except IriError:
+        return None
+
+
 def parse_structure_registry(text: str) -> LinkingStructureRegistry:
     """Compile a registry from its JSON form.
 
@@ -169,20 +185,14 @@ def parse_structure_registry(text: str) -> LinkingStructureRegistry:
         if not isinstance(scope, str):
             raise GuidanceParseError("%s: scope must be an IRI prefix" % where)
         preds = raw.get("patternPredicates", WILDCARD)
-        if preds == WILDCARD:
-            pattern_predicates: Union[str, FrozenSet[str]] = WILDCARD
-        elif isinstance(preds, list) and preds and all(isinstance(p, str) for p in preds):
-            pattern_predicates = frozenset(preds)
-        else:
+        pattern_predicates = WILDCARD if preds == WILDCARD else _iri_set(preds)
+        if not pattern_predicates:
             raise GuidanceParseError(
                 "%s: patternPredicates must be '*' or a non-empty IRI list" % where
             )
         follow_raw = raw.get("follow")
-        if follow_raw == SELF:
-            follow: Union[str, FrozenSet[str]] = SELF
-        elif isinstance(follow_raw, list) and all(isinstance(p, str) for p in follow_raw):
-            follow = frozenset(follow_raw)
-        else:
+        follow = SELF if follow_raw == SELF else _iri_set(follow_raw)
+        if follow is None:
             raise GuidanceParseError(
                 "%s: follow must be 'self' or a list of link predicates" % where
             )
@@ -322,9 +332,10 @@ def _parse_policy_term(raw: str, position: str) -> Term:
         if not raw.endswith('"') or len(raw) < 2:
             raise GuidanceParseError("malformed literal %r in policy pattern" % raw)
         return Term.literal(raw[1:-1])
-    if "://" not in raw and not raw.startswith("mailto:"):
+    iri = _iri(raw)
+    if iri is None:
         raise GuidanceParseError("malformed IRI %r in policy pattern" % raw)
-    return Term.iri(raw)
+    return iri
 
 
 def parse_policy(text: str) -> ContentPolicy:

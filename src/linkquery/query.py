@@ -24,6 +24,8 @@ index nested-loop join in three stages:
   repeated in the pattern) and the triple positions that bind new variables.
   An OPTIONAL group is compiled once for each domain of the solutions
   reaching it: a solution whose earlier group failed binds fewer variables.
+  A step compiled with no variable bound is also how `graph_match` and
+  c-match's check (`traversal._compile_patterns`) match one pattern.
 - Run: each partial solution makes one lookup in the graph's index of the
   step's shape (`Graph.index`), and each candidate triple gets the residual
   checks and one dict copy.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .rdf import (
     Graph,
@@ -238,8 +240,7 @@ def parse_query(text: str) -> Query:
 Row = Dict[str, Optional[Term]]
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     """A pattern compiled for the variables bound before it."""
 
     shape: Tuple[int, ...]  # the index it looks up: at most two bound positions

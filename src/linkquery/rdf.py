@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict, namedtuple
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from urllib.parse import urljoin, urlsplit
 
 IRI = "iri"
@@ -224,6 +224,12 @@ def match_triple(triple: Triple, pattern: TriplePattern) -> Optional[SolutionMap
     return bindings
 
 
+def shape_key(shape: Tuple[int, ...]) -> Callable[[Triple], object]:
+    """A triple's key in `Graph.index(shape)`: its term in the shape's one
+    position, the tuple of its terms in two, () for the empty shape."""
+    return itemgetter(*shape) if shape else lambda triple: ()
+
+
 class Graph:
     """An immutable, deduplicated set of triples with deterministic iteration
     order: iterating sorts the triples as tuples, in term order. Nothing
@@ -271,19 +277,16 @@ class Graph:
         """The index of a shape, built on first use; read it with `get`.
 
         A shape is a tuple of at most two triple positions, 0 subject, 1
-        predicate, 2 object. Its keys are the terms in those positions: the
-        term itself for one position, a tuple for two, and () for the empty
-        shape, whose one bucket holds every triple. Buckets are unordered.
+        predicate, 2 object. A triple is filed under its `shape_key(shape)`,
+        so the empty shape's one bucket, (), holds every triple. Buckets are
+        unordered.
         """
         index = self._indexes.get(shape)
         if index is None:
-            if shape:
-                key = itemgetter(*shape)
-                index = defaultdict(list)
-                for triple in self._triples:
-                    index[key(triple)].append(triple)
-            else:
-                index = {(): list(self._triples)}
+            key = shape_key(shape)
+            index = defaultdict(list)
+            for triple in self._triples:
+                index[key(triple)].append(triple)
             self._indexes[shape] = index
         return index
 

@@ -9,17 +9,18 @@ about their entities, and guided the links that the linking structure allows
 for the query's patterns. Every strategy, and λ, reads a document's links
 from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
 computed once per document; c-none never computes it. c-match compiles the
-query's patterns once per query, into lists by predicate that carry each
-pattern's constant and repeated-variable checks, and builds no bindings. The
-content policy decides each fetched document's relevant triples once: a
-policy without rules, such as the permissive one of every unguided run, by
-its default, all or none, judging no triple; one with rules by judging each
-triple once, in no order, as its verdicts make a set. The pool keeps each
-source document's relevant triples as one Graph, and the guided strategy
-asks that graph whether a triple is relevant. A trace records why every
-document was admitted or pruned, and every link λ pruned, which `explain
---doc` reads rather than deciding again. A referring document is named by
-the IRI it was admitted under, not its final IRI after a redirect.
+query's patterns once per query, as the join's first steps, into lists by
+predicate, and checks a triple as `graph_match` reads an index bucket, with
+no bindings built. The content policy decides each fetched document's
+relevant triples once: a policy without rules, such as the permissive one
+of every unguided run, by its default, all or none, judging no triple; one
+with rules by judging each triple once, in no order, as its verdicts make a
+set. The pool keeps each source document's relevant triples as one Graph,
+and the guided strategy asks that graph whether a triple is relevant. A
+trace records why every document was admitted or pruned, and every link λ
+pruned, which `explain --doc` reads rather than deciding again. A referring
+document is named by the IRI it was admitted under, not its final IRI after
+a redirect.
 """
 from __future__ import annotations
 
@@ -40,14 +41,14 @@ from .guidance import (
     lambda_allows,
     triple_relevant,
 )
-from .query import Query, triple_patterns
+from .query import Query, _compile, triple_patterns
 from .rdf import (
     IRI,
     Graph,
-    Term,
     Triple,
     TriplePattern,
     match_triple,  # not called here; a wrap point of perfbench/tracing.py
+    shape_key,
     strip_fragment,
 )
 from .webfetch import Dereferencer, Document, FetchLedger
@@ -182,26 +183,9 @@ class CappedTraversalError(Exception):
         self.trace = trace
 
 
-# What a triple must hold, beyond the predicate its pattern was looked up by,
-# to match the pattern: each (i, term) says position i (0 subject, 1
-# predicate, 2 object) holds that term, each (i, j) that positions i and j
-# hold the same term, as a repeated variable binds them. None when the
-# lookup by predicate already decides: no constant but the predicate and no
-# repeated variable.
-PatternCheck = Optional[Tuple[Tuple[Tuple[int, Term], ...], Tuple[Tuple[int, int], ...]]]
-CompiledPatterns = List[Tuple[TriplePattern, PatternCheck]]
-
-
-def _pattern_check(tp: TriplePattern) -> PatternCheck:
-    constants = tuple((i, tp[i]) for i in (0, 2) if not tp[i].is_variable)
-    first: Dict[str, int] = {}
-    repeats = []
-    for j, term in enumerate(tp):
-        if term.is_variable:
-            i = first.setdefault(term.value, j)
-            if i != j:
-                repeats.append((i, j))
-    return (constants, tuple(repeats)) if constants or repeats else None
+# Each pattern with its check: (a triple's key in its step's index shape,
+# the step's key, the step's residual check), or None.
+CompiledPatterns = List[Tuple[TriplePattern, Optional[tuple]]]
 
 
 def _compile_patterns(patterns: Sequence[TriplePattern]
@@ -210,12 +194,19 @@ def _compile_patterns(patterns: Sequence[TriplePattern]
     a triple could match it with: each predicate a pattern names gets its own
     patterns and the variable-predicate ones, which are also the list of any
     other predicate (the second value). A pattern whose predicate is a literal
-    matches no triple and is in no list.
+    matches no triple and is in no list. The check is the pattern's step
+    with no variable bound, as `graph_match` compiles it; None when the step
+    keys the predicate alone, or nothing, and has no residual check, as the
+    lookup by predicate has then decided.
     """
     by_predicate: Dict[str, CompiledPatterns] = {}
     unbound: CompiledPatterns = []
     for tp in patterns:
-        compiled = (tp, _pattern_check(tp))
+        step = _compile(tp, ())
+        check = None
+        if step.accept is not None or step.shape not in ((1,), ()):
+            check = (shape_key(step.shape), step.key({}), step.accept)
+        compiled = (tp, check)
         if tp.predicate.is_variable:
             unbound.append(compiled)
             for filed in by_predicate.values():
@@ -231,18 +222,9 @@ def _matching_pattern(triple: Triple, candidates: CompiledPatterns) -> Optional[
     for tp, check in candidates:
         if check is None:
             return tp
-        constants, repeats = check
-        # Plain loops: all() over generators takes twice as long per check.
-        # A triple is the tuple of its terms, indexed by position.
-        for i, term in constants:
-            if triple[i] != term:
-                break
-        else:
-            for i, j in repeats:
-                if triple[i] != triple[j]:
-                    break
-            else:
-                return tp
+        keyed, key, accept = check
+        if keyed(triple) == key and (accept is None or accept(triple, {})):
+            return tp
     return None
 
 
@@ -288,9 +270,10 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
     A non-matching triple whose subject is not yet such an entity waits,
     keyed by that subject, until a matching triple names the subject. The
     patterns are compiled once per query: a triple is tried only against the
-    patterns its predicate could match, in query order, each by its own
-    constant and repeated-variable checks, or by none when the predicate
-    decides, and the first one that matches is the admission's pattern.
+    patterns its predicate could match, in query order, each by the index
+    key and residual check of its step in the join, or by none when the
+    predicate decides, and the first one that matches is the admission's
+    pattern.
     """
     by_predicate, unbound = _compile_patterns(patterns)
     entities: Set[str] = set()

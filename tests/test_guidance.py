@@ -114,6 +114,16 @@ class TestRegistry:
         ('{"rules": [{"scope": 5, "follow": "self"}]}', "rule 0: scope must be an IRI prefix$"),
         ('{"rules": [{"scope": "https://a.ex/", "patternPredicates": [], "follow": "self"}]}',
          r"rule 0: patternPredicates must be '\*' or a non-empty IRI list"),
+        # JSON expands no prefixed name, so such a rule would match no pattern.
+        ('{"rules": [{"scope": "https://a.ex/", "patternPredicates": ["foaf:knows"],'
+         ' "follow": "self"}]}',
+         r"rule 0: patternPredicates must be '\*' or a non-empty IRI list"),
+        ('{"rules": [{"scope": "https://a.ex/", "patternPredicates": [""], "follow": "self"}]}',
+         r"rule 0: patternPredicates must be '\*' or a non-empty IRI list"),
+        ('{"rules": [{"scope": "https://a.ex/", "follow": ["foaf:knows"]}]}',
+         "rule 0: follow must be 'self' or a list of link predicates"),
+        ('{"rules": [{"scope": "https://a.ex/", "follow": [""]}]}',
+         "rule 0: follow must be 'self' or a list of link predicates"),
     ])
     def test_malformed_registry(self, text, message):
         with pytest.raises(GuidanceParseError, match=message):

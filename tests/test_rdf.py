@@ -15,6 +15,7 @@ from linkquery.rdf import (
     is_absolute_iri,
     match_triple,
     resolve_iri,
+    shape_key,
     strip_fragment,
     to_ntriples,
 )
@@ -418,6 +419,25 @@ class TestGraph:
         assert [x for x, _ in graph_match(g, pattern)] == [triple]
         other = TriplePattern(triple.subject, triple.predicate, Term.iri("https://z.ex/"))
         assert graph_match(g, other) == []
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    def test_index_files_each_triple_under_its_shape_key(self, shape):
+        triples = [
+            t("https://a.ex/", KNOWS, "https://b.ex/"),
+            t("https://a.ex/", KNOWS, "https://c.ex/"),
+            t("https://a.ex/", NAME, Term.literal("A")),
+            t("https://b.ex/", KNOWS, "https://a.ex/"),
+            t("https://b.ex/", NAME, Term.literal("A", "en")),
+        ]
+        index = Graph(triples).index(shape)
+        key = shape_key(shape)
+        for triple in triples:
+            assert [k for k, bucket in index.items() if triple in bucket] == [key(triple)]
+        assert sum(map(len, index.values())) == len(triples)
+        if not shape:
+            assert list(index) == [()] and set(index[()]) == set(triples)
+        else:
+            assert len(index) == len({key(triple) for triple in triples}) > 1
 
     def test_empty_graph_matches_nothing(self):
         pattern = TriplePattern(Term.var("s"), Term.var("p"), Term.var("o"))
