@@ -275,7 +275,7 @@ def _explain_doc(args, out, guidance, semantics, trace) -> int:
     findings = []
     for from_iri in sorted(trace.documents):
         doc = trace.documents[from_iri]
-        linking = [t for t, targets in doc.hyperlinks if doc_iri in targets]
+        linking = sorted(t for t, targets in doc.hyperlinks if doc_iri in targets)
         if not linking:
             continue
         if guidance is None:

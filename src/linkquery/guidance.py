@@ -121,15 +121,15 @@ def lambda_allows(structure: EffectiveStructure, from_doc: Document,
 
 def considered_links(doc: Document, structure: EffectiveStructure,
                      relevant: Callable[[Triple], bool]) -> Iterator[Tuple[Triple, Tuple[str, ...]]]:
-    """Each triple of doc that guided traversal reads links from, with the
-    candidate documents it offers: all it links to when the policy finds it
-    relevant, else its object's document when a structure rule follows its
-    predicate (structure rules are trusted user guidance).
+    """Each triple of doc that guided traversal reads links from, in triple
+    order, with the candidate documents it offers: all it links to when the
+    policy finds it relevant, else its object's document when a structure
+    rule follows its predicate (structure rules are trusted user guidance).
     """
     follow: Set[str] = set()
     if isinstance(structure, list):
         follow = {p for rule in structure if rule.follow != SELF for p in rule.follow}
-    for t, targets in doc.hyperlinks:
+    for t, targets in sorted(doc.hyperlinks):
         if relevant(t):
             yield t, targets
         elif t.predicate.value in follow:

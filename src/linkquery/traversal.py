@@ -8,14 +8,17 @@ subject/object IRI, c-match the IRIs of query-matching triples and of triples
 about their entities, and guided the links that the linking structure allows
 for the query's patterns. Every strategy, and λ, reads a document's links
 from its hyperlink table (`Document.hyperlinks`, `Document.link_predicates`),
-computed once per document; c-none never computes it. c-match compiles the
-query's patterns once per query, as the join's first steps, into lists by
-predicate, and checks a triple as `graph_match` reads an index bucket, with
-no bindings built. The content policy decides each fetched document's
-relevant triples once: a policy without rules, such as the permissive one
-of every unguided run, by its default, all or none, judging no triple; one
-with rules by judging each triple once, in no order, as its verdicts make a
-set. The pool keeps each source document's relevant triples as one Graph,
+computed once per document, in no order; c-none never computes it. c-all
+and guided sort each document's table once, as the first triple to offer a
+link is its witness. c-match sorts no table: it ranks the entries that can
+still admit a document by (admission rank, triple), the order a sorted
+table gave. It compiles the query's patterns once per query, as the join's
+first steps, into lists by predicate, and checks a triple as `graph_match`
+reads an index bucket, with no bindings built. The content policy decides
+each fetched document's relevant triples once: a policy without rules, such
+as the permissive one of every unguided run, by its default, all or none,
+judging no triple; one with rules by judging each triple once, in no order,
+as its verdicts make a set. The pool keeps each source document's relevant triples as one Graph,
 and the guided strategy asks that graph whether a triple is relevant. A
 trace records why every document was admitted or pruned, and every link λ
 pruned, which `explain --doc` reads rather than deciding again. A referring
@@ -258,7 +261,7 @@ def _no_links(docs, unseen, relevant):
 
 def _all_links(docs, unseen, relevant):
     for referrer, doc in docs:
-        for t, targets in doc.hyperlinks:
+        for t, targets in sorted(doc.hyperlinks):
             for iri in targets:
                 if unseen(iri):
                     yield Admission(iri, "link", referrer, t)
@@ -284,9 +287,9 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
         qualifying = []
         for referrer, doc in docs:
             rank = next(ranks)
-            for i, (t, targets) in enumerate(doc.hyperlinks):
+            for t, targets in doc.hyperlinks:
                 tp = _matching_pattern(t, by_predicate.get(t.predicate.value, unbound))
-                entry = (rank, i, referrer, t, targets, tp)
+                entry = (rank, t, referrer, targets, tp)
                 if tp is None and t.subject.value not in entities:
                     waiting.setdefault(t.subject.value, []).append(entry)
                     continue
@@ -298,10 +301,12 @@ def _match_links(patterns: Sequence[TriplePattern]) -> LinkStrategy:
                         entities.add(term.value)
                         qualifying.extend(waiting.pop(term.value, ()))
         # Admission order, then triple order: the witnesses a rescan of every
-        # fetched document would pick. No two entries share (rank, i), so
-        # the tuples compare by those two alone.
+        # fetched document would pick. No two entries share (rank, triple),
+        # so the tuples compare by those two alone. An entry whose targets
+        # are all seen admits nothing, now or later, so it is not sorted.
+        qualifying = [entry for entry in qualifying if any(map(unseen, entry[3]))]
         qualifying.sort()
-        for _, _, referrer, t, targets, tp in qualifying:
+        for _, t, referrer, targets, tp in qualifying:
             for iri in targets:
                 if unseen(iri):
                     yield Admission(iri, "link", referrer, t, tp)

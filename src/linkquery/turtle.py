@@ -7,24 +7,30 @@ names, plain literals with an optional @lang tag, predicate-object lists with
 `a` as rdf:type, and `#` comments outside tokens. Relative IRIs are resolved
 against the caller-supplied base.
 
-Text is scanned in one `finditer` pass over one compiled alternation per
-grammar: TURTLE_GRAMMAR, and QUERY_GRAMMAR, which adds `?variables` and
-braces for the query parser. The last token alternative of each catches any
-character no token starts with, which is reported at its offset.
-TURTLE_GRAMMAR joins the whitespace and comments before a token onto it, so
-each token costs one match, and the first match with no token is the end of
-the text; QUERY_GRAMMAR matches them on their own. The Turtle parser builds
-no token objects: it reads statements and `@prefix` declarations straight
-from the scanner's matches, in one loop driven by what it expects next, and
-places an error at the token's own start, after the whitespace joined onto
-it. `Token` and `tokenize` serve the query parser only. A scan error
-anywhere in the text is reported before any other error, as if the
-whole text had been scanned first. A literal's escapes are undone in one
-`unicode_escape` codec call. Line and column are worked out only when an
-error is raised.
+Query text is scanned in one `finditer` pass over QUERY_GRAMMAR, one
+compiled alternation of tokens that also has `?variables` and braces.
+Turtle text is read in one pass, one statement after another: each common
+shape is read by one match of a compiled regex chosen by what the parser
+expects next, so a triple costs one match. At the start of a statement it
+reads `subject predicate object` and a separator, or a `@prefix`
+declaration, or the end of the text; after `;` a `predicate object` and a
+separator; after `,` an `object` and a separator. Where none matches, or a
+term in one does not resolve, the parser reads one TURTLE_GRAMMAR match
+from the same place, a token with the whitespace and comments before it, in
+a loop driven by what it expects next: the only reader of rare shapes (`a`
+as subject or object, `; .`) and the only source of errors, placed at the
+token's own start. Each token in the shapes matches what TURTLE_GRAMMAR
+scans there. The last token alternative of each grammar catches any
+character no token starts with, which is reported at its offset. The Turtle
+parser builds no token objects; `Token` and `tokenize` serve the query
+parser only. A scan error anywhere in the text is reported before any other
+error, as if the whole text had been scanned first. A literal's escapes are
+undone in one `unicode_escape` codec call. Line and column are worked out
+only when an error is raised.
 
-A parser resolves each distinct `<…>` reference, and each prefixed name
-between `@prefix` declarations, once per document. It takes its IRI terms,
+A parser resolves each distinct `<…>` reference, and each prefixed name,
+once per document between `@prefix` declarations, through one function for
+both the shapes and the token loop. It takes its IRI terms,
 `a` included, from a table keyed by resolved IRI that the caller may share
 between parses. A Dereferencer keeps one per traversal, so an IRI is built
 and checked by `Term.iri` once per traversal, not once per document, and
@@ -42,7 +48,6 @@ Not supported (by design): blank nodes, collections, datatyped literals,
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -74,16 +79,19 @@ class Token:
 
 
 _LITERAL_CHARS = r'[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
+_LITERAL = (r'"(?P<literal>%s)"' % _LITERAL_CHARS
+            + r"(?:@(?P<language>[A-Za-z]+(?:-[A-Za-z0-9]+)*)(?![A-Za-z0-9\-])|(?!@))")
+_PNAME = r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*"
 _SPACE = r"[ \t\r\n]+ | \#[^\n]*"  # whitespace or a comment
 _TOKEN = r"""
     <(?P<iriref>[^>\n]*)>
-  | "(?P<literal>%s)"(?:@(?P<language>[A-Za-z]+(?:-[A-Za-z0-9]+)*)(?![A-Za-z0-9\-])|(?!@))
+  | %s
   | (?P<prefix_kw>@prefix)(?![A-Za-z0-9_\-])
-  | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:[A-Za-z0-9_\-]*)
+  | (?P<pname>%s)
   | (?P<word>[A-Za-z_][A-Za-z0-9_\-]*)
   | (?P<dot>\.) | (?P<semi>;) | (?P<comma>,)
   | (?P<bad>[\s\S])
-""" % _LITERAL_CHARS
+""" % (_LITERAL, _PNAME)
 _TURTLE_TOKENS = _SPACE + " | " + _TOKEN
 
 # One alternation per token language; `bad` is any character no token starts
@@ -97,6 +105,31 @@ TURTLE_GRAMMAR = re.compile(r"(?:%s)* (?:%s | \Z)" % (_SPACE, _TOKEN), re.VERBOS
 QUERY_GRAMMAR = re.compile(
     r"\?(?P<var>[A-Za-z_][A-Za-z0-9_]*) | (?P<brace>[{}]) |" + _TURTLE_TOKENS, re.VERBOSE
 )
+
+# The common shapes of a statement, each read by one match: from the start
+# of a statement, a ';' or a ',' through the next separator (`_SHAPES`, by
+# what the parser expects there), a whole `@prefix` declaration, and the end
+# of the text. Each token in them must be the one TURTLE_GRAMMAR scans there,
+# so no failure may backtrack into a shorter one: in `_GAP`, TURTLE_GRAMMAR's
+# whitespace and comments, a comment runs to the end of its line, and a
+# prefixed name, `a` and `@prefix` are followed by no character that makes
+# a longer token. References and prefixed names are captured as written,
+# `<…>` with its brackets, as `_Parser._named` reads them.
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_NAMED = r"<[^>\n]*> | %s(?![A-Za-z0-9_\-])" % _PNAME
+_PREDICATE_OBJECT = r"(?P<predicate>%s | a(?![A-Za-z0-9_\-:])) %s" % (_NAMED, _GAP)
+_OBJECT = r"(?:(?P<object>%s) | %s) %s (?P<sep>[.;,])" % (_NAMED, _LITERAL, _GAP)
+_SHAPES = {
+    "subject": re.compile(r"%s (?P<subject>%s) %s %s %s"
+                          % (_GAP, _NAMED, _GAP, _PREDICATE_OBJECT, _OBJECT), re.VERBOSE).match,
+    "predicate or dot": re.compile(_GAP + _PREDICATE_OBJECT + _OBJECT, re.VERBOSE).match,
+    "object": re.compile(_GAP + _OBJECT, re.VERBOSE).match,
+}
+_AFTER = {".": "subject", ";": "predicate or dot", ",": "object"}
+_PREFIX = re.compile(r"%s @prefix(?![A-Za-z0-9_\-]) %s (?P<name>(?:[A-Za-z_][A-Za-z0-9_\-]*)?):"
+                     r" %s <(?P<namespace>[^>\n]*)> %s \."
+                     % (_GAP, _GAP, _GAP, _GAP), re.VERBOSE)
+_END = re.compile(_GAP + r"\Z")
 _LEADING_SPACE = re.compile("(?:%s)*" % _SPACE, re.VERBOSE)
 
 # A base that urljoin only cuts before a local reference: lowercase http(s), a
@@ -188,8 +221,7 @@ class _Parser:
         self.base = base
         self.prefixes = dict(prefixes)
         self.terms = {} if terms is None else terms  # IRI terms by value, may be shared
-        self._iris: Dict[str, Term] = {}  # by reference, as written
-        self._pnames: Dict[str, Term] = {}  # by prefixed name, until @prefix
+        self._written: Dict[str, Term] = {}  # by reference or name as written, until @prefix
 
     def _error(self, message: str, m: re.Match) -> TurtleParseError:
         """A TurtleParseError at the token of a TURTLE_GRAMMAR match."""
@@ -220,44 +252,90 @@ class _Parser:
             term = self.terms[value] = Term.iri(value)  # stored only once it is built
         return term
 
+    def _named(self, written: str) -> Term:
+        """The IRI term of a `<…>` reference, a prefixed name or `a`, as
+        written. Raises KeyError for a prefix not declared, and IriError for
+        an IRI that does not resolve or is not absolute."""
+        term = self._written.get(written)
+        if term is None:
+            if written[0] == "<":
+                value = self._resolve(written[1:-1])
+            elif written == "a":
+                value = RDF_TYPE
+            else:
+                prefix, local = written.split(":", 1)
+                value = self.prefixes[prefix] + local
+            term = self._written[written] = self._iri(value)
+        return term
+
     def _term(self, m: re.Match, kind: str) -> Term:
         """The term a token, `m` of group `kind`, stands for in a statement."""
-        if kind == "iriref":
-            reference = m["iriref"]
-            term = self._iris.get(reference)
-            if term is None:
-                term = self._iris[reference] = self._iri(self._resolve(reference))
-            return term
-        if kind == "pname":
-            name = m["pname"]
-            term = self._pnames.get(name)
-            if term is None:
-                prefix, local = name.split(":", 1)
-                if prefix not in self.prefixes:
-                    raise self._error("unknown prefix %r" % prefix, m)
-                term = self._pnames[name] = self._iri(self.prefixes[prefix] + local)
-            return term
         if kind == "language" or kind == "literal":
             return Term(LITERAL, _literal_value(m), m["language"])
-        if kind == "word" and m["word"] == "a":
-            return self._iri(RDF_TYPE)
+        if kind == "iriref" or kind == "pname" or (kind == "word" and m["word"] == "a"):
+            try:
+                return self._named("<%s>" % m["iriref"] if kind == "iriref" else m[kind])
+            except KeyError as unknown:
+                raise self._error("unknown prefix %r" % unknown.args[0], m) from None
         raise self._error("unexpected token %r" % m[kind], m)
 
     def parse(self) -> Graph:
-        """Read the scanner's matches in one pass; `expect` names what the next token must be.
+        """Read the text in one pass; `expect` names what the next token must be.
+
+        Where `expect` has a shape in `_SHAPES`, one match reads the rest of
+        a triple and its separator, and at the start of a statement another
+        reads a `@prefix` declaration and another the end of the text. When
+        none matches, or a term it read does not resolve, the token loop
+        reads the next TURTLE_GRAMMAR match from the same place, so it alone
+        reads the rare shapes and raises every error.
 
         A scan error (a `bad` match) anywhere in the text is reported before
         any other error, as if the whole text had been scanned first: when
         reading a token raises, the rest of the text is scanned for one.
         """
         text = self.text
-        matches = TURTLE_GRAMMAR.finditer(text)
+        named = self._named
         triples: List[Triple] = []
         append = triples.append
         term = self._term
+        pos = 0
         expect = "subject"
         try:
-            for m in matches:
+            while True:
+                shape = _SHAPES.get(expect)
+                found = shape and shape(text, pos)
+                if found:
+                    try:  # in token order, so terms are added as the token loop adds them
+                        if expect == "subject":
+                            subject = named(found["subject"])
+                        if expect != "object":
+                            predicate = named(found["predicate"])
+                        written = found["object"]
+                        obj = (named(written) if written is not None
+                               else Term(LITERAL, _literal_value(found), found["language"]))
+                    except (KeyError, ValueError):
+                        pass  # the token loop reads it again and raises
+                    else:
+                        append(Triple(subject, predicate, obj))
+                        expect = _AFTER[found["sep"]]
+                        pos = found.end()
+                        continue
+                if expect == "subject":
+                    found = _PREFIX.match(text, pos)
+                    if found:
+                        try:
+                            namespace = self._resolve(found["namespace"])
+                        except ValueError:
+                            pass  # the token loop reads it again and raises
+                        else:
+                            self.prefixes[found["name"]] = namespace
+                            self._written.clear()
+                            pos = found.end()
+                            continue
+                    if _END.match(text, pos):
+                        break
+                m = TURTLE_GRAMMAR.match(text, pos)
+                pos = m.end()
                 kind = m.lastgroup  # a tagged literal's last group is its language
                 if kind is None:  # the end of the text
                     break
@@ -302,11 +380,11 @@ class _Parser:
                     if kind != "dot":
                         raise self._error("expected '.' after @prefix", m)
                     self.prefixes[name] = self._resolve(namespace)
-                    self._pnames.clear()
+                    self._written.clear()
                     expect = "subject"
         except (TurtleParseError, ValueError):  # ValueError: IriError, from resolving or Term.iri
             # No state accepts a `bad` match, so none came before `m`, the one being read.
-            for later in itertools.chain((m,), matches):
+            for later in TURTLE_GRAMMAR.finditer(text, m.start()):
                 if later.lastgroup == "bad":
                     raise _scan_error(text, later.start("bad"), TURTLE_GRAMMAR) from None
             raise

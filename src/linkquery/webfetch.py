@@ -9,10 +9,11 @@ network fetches a traversal strategy needed. It has no cache: a traversal
 never asks for a document twice. Its parses share one table of IRI terms, so
 each IRI is built and checked once per Dereferencer, that is per traversal,
 and the table goes when the Dereferencer does. Each Document carries its
-hyperlink table, computed once on first use from its triples in graph order;
-the table reads each IRI's document from its term, which cut it once, when
-built. A traversal that follows no link builds no table and sorts no
-document. Ledger entries and fetch results are named tuples: plain values.
+hyperlink table, computed once on first use from its triples in no order,
+so building it sorts nothing; a reader whose result depends on the order
+sorts the table itself. The table reads each IRI's document from its term,
+which cut it once, when built. A traversal that follows no link builds no
+table. Ledger entries and fetch results are named tuples: plain values.
 
 The thread that asks for a wave fetches it, by one rule: it makes each
 request itself until one of the traversal's requests blocks, moving the
@@ -78,9 +79,9 @@ class Document:
 
     @functools.cached_property
     def hyperlinks(self) -> List[Tuple[Triple, Tuple[str, ...]]]:
-        """Each triple in graph order, with the documents it links to: its
+        """Each triple, in no order, with the documents it links to: its
         subject's, then its object's if the object is an IRI. Predicates
-        never link.
+        never link. A reader whose result depends on the order sorts it.
 
         Each IRI term cut its value at the first '#' when it was built
         (`Term.document`), and the parser builds one term per IRI per
@@ -89,7 +90,7 @@ class Document:
         return [
             (t, (t.subject.document, t.object.document) if t.object.kind == IRI
              else (t.subject.document,))
-            for t in self.triples
+            for t in self.triples.unordered()
         ]
 
     @functools.cached_property

@@ -11,10 +11,15 @@ rewrite the file with
 
     PYTHONPATH=src python tests/test_parser_golden.py --write
 
+which first prints each case whose outcome changed, with the recorded digest
+and the new outcome, so the rewrite can be confirmed outcome by outcome, and
+leaves the file untouched when none changed.
+
 The digests were recorded with Python 3.11; they replay unchanged on 3.10.13
 and 3.13.0.
 """
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -216,12 +221,57 @@ def test_cases_reach_every_outcome():
         assert message in query, message
 
 
+def write_golden():
+    """Rewrite the golden file, first printing each case whose outcome
+    changed: its kind, index and text, the recorded digest and the new
+    outcome with its digest. When none changed, say so and leave the file
+    untouched."""
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    current = outcomes()
+    cases = {"turtle": list(turtle_cases()), "query": list(query_cases())}
+    changed = 0
+    for kind, values in current.items():
+        pairs = itertools.zip_longest(recorded.get(kind, []), values, cases[kind])
+        for i, (old, new, case) in enumerate(pairs):
+            if new is None or old != digest(new):
+                changed += 1
+                print("%s %d: %r" % (kind, i, case))
+                print("  old: %s" % old)
+                print("  new: %s" % ("%s %r" % (digest(new), new) if new is not None else None))
+    if not changed:
+        print("no outcome changed; left %s untouched" % GOLDEN)
+        return
+    GOLDEN.write_text(json.dumps(
+        {kind: [digest(o) for o in values] for kind, values in current.items()},
+        indent=0) + "\n", encoding="utf-8")
+    print("wrote %s: %d outcomes changed" % (GOLDEN, changed))
+
+
+def test_write_lists_changed_outcomes(tmp_path, monkeypatch, capsys):
+    # A rewrite that changes nothing leaves the file as it is; one that
+    # changes an outcome lists it before it writes.
+    original = GOLDEN.read_bytes()
+    golden = tmp_path / "golden.json"
+    golden.write_bytes(original)
+    monkeypatch.setitem(globals(), "GOLDEN", golden)
+    write_golden()
+    assert capsys.readouterr().out == "no outcome changed; left %s untouched\n" % golden
+    assert golden.read_bytes() == original
+    recorded = json.loads(golden.read_text(encoding="utf-8"))
+    recorded["turtle"][7] = "000000000000"
+    golden.write_text(json.dumps(recorded, indent=0) + "\n", encoding="utf-8")
+    write_golden()
+    text, base = list(turtle_cases())[7]
+    outcome = turtle_outcome(text, base)
+    assert capsys.readouterr().out == (
+        "turtle 7: %r\n  old: 000000000000\n  new: %s %r\nwrote %s: 1 outcomes changed\n"
+        % ((text, base), digest(outcome), outcome, golden))
+    assert golden.read_bytes() == original
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
-        GOLDEN.write_text(json.dumps(
-            {kind: [digest(o) for o in values] for kind, values in outcomes().items()},
-            indent=0) + "\n", encoding="utf-8")
-        print("wrote", GOLDEN)
+        write_golden()
     else:
         test_outcomes_match_golden()
         test_cases_reach_every_outcome()

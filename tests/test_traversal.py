@@ -35,7 +35,7 @@ from helpers import (
     web_source,
     webs,
 )
-from linkquery import rdf, traversal, webfetch
+from linkquery import guidance, rdf, traversal, webfetch
 from linkquery.guidance import (
     PERMISSIVE_POLICY,
     ContentPolicy,
@@ -818,28 +818,42 @@ class TestGuidedWork:
     @pytest.mark.parametrize("mode", [C_NONE, C_ALL, C_MATCH, "guided"])
     def test_each_document_sorted_once(self, monkeypatch, mode, demo_query_obj,
                                        demo_registry, uma_policy):
-        # Only the hyperlink table sorts a document's triples, once, when
-        # built; the policy pass judges them unsorted. c-none follows no
-        # link, so it builds no table and sorts nothing.
-        calls = 0
+        # c-match never sorts a document's triples; c-all and guided sort
+        # each hyperlink table at most once, where a link's witness depends
+        # on the order. No mode sorts a graph, and the policy judges triples
+        # unsorted. c-none follows no link, so it builds no table.
+        graph_sorts = 0
+        sorted_args = []
         original = rdf.Graph.__iter__
 
         def counting(graph):
-            nonlocal calls
-            calls += 1
+            nonlocal graph_sorts
+            graph_sorts += 1
             return original(graph)
 
+        def recording_sorted(iterable, **kwargs):
+            sorted_args.append(iterable)
+            return sorted(iterable, **kwargs)
+
         monkeypatch.setattr(rdf.Graph, "__iter__", counting)
+        for module in (traversal, guidance):
+            monkeypatch.setattr(module, "sorted", recording_sorted, raising=False)
         if mode == "guided":
             _, trace = traverse_guided(
                 [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
             )
         else:
             _, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
-        if mode == C_NONE:
-            assert calls == 0
+        monkeypatch.undo()
+        tables = [d.__dict__["hyperlinks"] for d in trace.documents.values()
+                  if "hyperlinks" in d.__dict__]
+        sorts = [sum(arg is table for arg in sorted_args) for table in tables]
+        assert graph_sorts == 0
+        assert bool(tables) == (mode != C_NONE)
+        if mode in (C_NONE, C_MATCH):
+            assert sorts == [0] * len(tables)
         else:
-            assert 0 < calls <= len(trace.documents)
+            assert 0 < max(sorts) and all(n <= 1 for n in sorts)
 
     def test_hub_link_discovery_reads_bounded(self, monkeypatch):
         # A hub document knows 400 people, each in their own document. Each
@@ -1013,7 +1027,7 @@ class TestGuidedWork:
                                    '"x#y" .\n<b#me> <https://p.ex/knows> <#me> .'}
         _, trace = unguided(web_source(bodies), ANY_QUERY, C_NONE, seeds=["https://a.ex/"])
         doc = trace.documents["https://a.ex/"]
-        assert [targets for _, targets in doc.hyperlinks] == [
+        assert [targets for _, targets in sorted(doc.hyperlinks)] == [
             ("https://a.ex/", "https://a.ex/b"), ("https://a.ex/", "https://c.ex/d"),
             ("https://a.ex/",), ("https://a.ex/b", "https://a.ex/")]
         for t, targets in doc.hyperlinks:
@@ -1620,6 +1634,25 @@ class TestTraceSerialization:
         expected = GOLDEN_DEMO_TRACES.read_text(encoding="utf-8")
         assert demo_traces(demo_query_obj, demo_registry, uma_policy) == expected
 
+    def test_traces_byte_identical_across_hash_seeds(self):
+        # Each process salts str hashes with its own seed, so a graph's
+        # triples and the hyperlink tables built from them come in another
+        # order in each. On random webs with unrequested links, under every
+        # mode, with random registries and policies, no such order may reach
+        # a trace: a document's links must be ranked by triple, not by table
+        # position.
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                             os.environ.get("PYTHONPATH")]))
+        outputs = [subprocess.run([sys.executable, "-c", TRACES_SCRIPT, "300"],
+                                  env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                                  capture_output=True, text=True, timeout=120)
+                   for seed in ("0", "1")]
+        for run in outputs:
+            assert (run.returncode, run.stderr) == (0, "")
+            assert len(run.stdout.splitlines()) == 4 * 300
+        assert outputs[0].stdout == outputs[1].stdout
+
     def test_trace_json_is_stable(self, demo_source, demo_query_obj):
         _, trace = unguided(demo_source, demo_query_obj, C_MATCH)
         first = json.dumps(trace.to_json_dict(), sort_keys=True)
@@ -1627,6 +1660,30 @@ class TestTraceSerialization:
         assert first == second
         parsed = json.loads(first)
         assert set(parsed) == {"admissions", "pool", "ledger"}
+
+
+# Prints the trace JSON of each mode on the given number of random webs.
+TRACES_SCRIPT = """
+import json, random, sys
+from helpers import (doc_iri, link_unrequested, random_bgp_query, random_policy_json,
+                     random_registry_json, random_web, web_source)
+from linkquery.guidance import parse_policy, parse_structure_registry
+from linkquery.traversal import (C_ALL, C_MATCH, C_NONE, TraversalConfig, traverse_guided,
+                                 traverse_unguided)
+rng = random.Random(29)
+for _ in range(int(sys.argv[1])):
+    bodies = link_unrequested(rng, random_web(rng))
+    seeds = [doc_iri(0)]
+    query = random_bgp_query(rng, len(bodies))
+    registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
+    policy = parse_policy(random_policy_json(rng, len(bodies)))
+    for mode in (C_NONE, C_ALL, C_MATCH):
+        _, trace = traverse_unguided(TraversalConfig(mode, seeds, 1000), web_source(bodies), query)
+        print(json.dumps(trace.to_json_dict()))
+    _, trace = traverse_guided(seeds, registry, policy, query, web_source(bodies),
+                               max_documents=1000)
+    print(json.dumps(trace.to_json_dict()))
+"""
 
 
 def web_source_from_demo():

@@ -12,6 +12,7 @@ from linkquery.turtle import (_TURTLE_TOKENS, TURTLE_GRAMMAR, TurtleParseError, 
 from test_parser_golden import turtle_cases
 
 FOAF = "http://xmlns.com/foaf/0.1/"
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 
 def body(name):
@@ -204,6 +205,21 @@ class TestParser:
             ('<https://x.ex/> foaf:name "A";', "unterminated statement", 1, 30),
             ("<s> <p>\n# no object\n", "unterminated statement", 1, 5),
             ("@prefix", "unterminated statement", 1, 1),
+            # A comment after an object hides the separators it holds.
+            ("<a> <b> <c> #x, y\n<d> <e> <f>.", "expected ',', ';' or '.'", 2, 1),
+            ("<a> <b> <c> #x; y\n<d> <e> <f>.", "expected ',', ';' or '.'", 2, 1),
+            ("<a> <b> <c> #x. y\n<d> <e> <f>.", "expected ',', ';' or '.'", 2, 1),
+            ("<a> <b> <c>, <d> #x, y\n<d> <e> <f>.", "expected ',', ';' or '.'", 2, 1),
+            # `a:` and `afoaf:x` are prefixed names, not `a` and another name.
+            ("<s> <p> <o> ; a: <x> .", "unknown prefix 'a'", 1, 15),
+            ("@prefix : <https://e.ex/> .\n<s> <p> <o> ; a:b .", "unknown prefix 'a'", 2, 15),
+            ("<s> afoaf:x .", "unknown prefix 'afoaf'", 1, 5),
+            # A prefixed name is read whole, so it is not a shorter one and `a`.
+            ("foaf:knowsa <o> .", "unexpected token '.'", 1, 17),
+            # `@prefix` too: `@prefixex:` is no declaration.
+            ("@prefixex: <https://e.ex/#> .\nex:s ex:p ex:o .", "unexpected '@'", 1, 1),
+            # Only one ';' may come before the '.'.
+            ("<s> <p> <o> ; ; .", "unexpected token ';'", 1, 15),
         ],
     )
     def test_error_positions(self, text, message, line, column):
@@ -211,6 +227,23 @@ class TestParser:
             parse_turtle(text, "https://x.ex/")
         assert str(exc.value) == "%s (line %d, column %d)" % (message, line, column)
         assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("text,ntriples", [
+        ("<s> <p> foaf:x.\n<s> <p> <o>, foaf:y.",
+         "<https://x.ex/s> <https://x.ex/p> <%sx>.\n<https://x.ex/s> <https://x.ex/p> <%sy>.\n"
+         "<https://x.ex/s> <https://x.ex/p> <https://x.ex/o>.\n" % (FOAF, FOAF)),
+        ("a <p> a .", "<%s> <https://x.ex/p> <%s>.\n" % (RDF_TYPE, RDF_TYPE)),
+        ("<s> a a, a .", "<https://x.ex/s> <%s> <%s>.\n" % (RDF_TYPE, RDF_TYPE)),
+        ("@prefix ex: <https://a.ex/#> .\nex:s ex:p ex:o .\n"
+         "@prefix ex: <https://b.ex/#> .\nex:s ex:p ex:o .",
+         "<https://a.ex/#s> <https://a.ex/#p> <https://a.ex/#o>.\n"
+         "<https://b.ex/#s> <https://b.ex/#p> <https://b.ex/#o>.\n"),
+        ("<s> <p> <o> ; .", "<https://x.ex/s> <https://x.ex/p> <https://x.ex/o>.\n"),
+    ])
+    def test_statement_shapes(self, text, ntriples):
+        # A prefixed name right before '.', `a` as subject and object, a
+        # prefix declared again between statements, and a trailing ';'.
+        assert to_ntriples(parse_turtle(text, "https://x.ex/")) == ntriples
 
     @pytest.mark.parametrize("tag", ["en-GB-oed", "x-1", "EN"])
     def test_language_tags_as_turtle_defines_them(self, tag):
