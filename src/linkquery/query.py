@@ -22,22 +22,30 @@ index nested-loop join in three stages:
   into its index shape (its first two bound positions), the lookup key a
   solution gives, the residual checks (a third bound position, a variable
   repeated in the pattern) and the triple positions that bind new variables.
-  An OPTIONAL group is compiled once for each domain of the solutions
-  reaching it: a solution whose earlier group failed binds fewer variables.
-  A step compiled with no variable bound is also how `graph_match` and
-  c-match's check (`traversal._compile_patterns`) match one pattern.
+  A partial solution is a tuple of terms, one slot per variable bound so
+  far, in the order the plan binds them, and a step reads its bound
+  variables by slot. An OPTIONAL group is compiled once for each slot
+  layout of the solutions reaching it: a solution whose earlier group
+  failed binds fewer variables, and two layouts may hold the same variables
+  in different orders. A step compiled with no variable bound is also how
+  `graph_match` and c-match's check (`traversal._compile_patterns`) match
+  one pattern.
 - Run: each partial solution makes one lookup in the graph's index of the
   step's shape (`Graph.index`), and each candidate triple gets the residual
-  checks and one dict copy.
+  checks and extends the solution by concatenation: its terms for the new
+  variables join the end. An extension starts with the solution it extends,
+  so an OPTIONAL group fails the solutions that none of its extensions
+  starts with.
 
-Results are deduplicated and sorted by projected values, NULL last, so the
-order of the join never shows.
+Each layout's solutions are projected by one getter, unbound cells None.
+The projected rows are deduplicated and sorted by value, NULL last, so the
+order of the join never shows, and a row dict is built for each answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import AbstractSet, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rdf import (
     Graph,
@@ -241,52 +249,62 @@ Row = Dict[str, Optional[Term]]
 
 
 class _Step(NamedTuple):
-    """A pattern compiled for the variables bound before it."""
+    """A pattern compiled for the variables bound before it. A solution is a
+    tuple of terms, one slot per variable bound so far, in the order the plan
+    binds them; a step reads the bound ones by slot."""
 
     shape: Tuple[int, ...]  # the index it looks up: at most two bound positions
-    key: Callable[[SolutionMapping], object]  # a solution's key in that index
-    accept: Optional[Callable[[Triple, SolutionMapping], bool]]  # residual checks
-    binds: Tuple[Tuple[str, Callable[[Triple], Term]], ...]  # (variable, its position)
+    key: Callable[[tuple], object]  # a solution's key in that index
+    accept: Optional[Callable[[Triple, tuple], bool]]  # residual checks
+    binds: Tuple[str, ...]  # the new variables, in the slot order they take
+    grab: Callable[[Triple], tuple]  # a triple's terms for them, in that order
 
 
-def _bound_positions(pattern: TriplePattern, bound: AbstractSet[str]) -> int:
+def _cells(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A getter of a tuple's items at the positions, always as a tuple."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+def _bound_positions(pattern: TriplePattern, bound: Tuple[str, ...]) -> int:
     return sum(not term.is_variable or term.value in bound for term in pattern)
 
 
-def _compile(pattern: TriplePattern, bound: AbstractSet[str]) -> _Step:
-    fixed = []  # bound positions: (position, constant, or None and the bound variable)
+def _compile(pattern: TriplePattern, slots: Tuple[str, ...]) -> _Step:
+    fixed = []  # bound positions: (position, constant, or None and the bound variable's slot)
     binds: Dict[str, int] = {}  # each new variable: the position that binds it
     repeats = []  # (position, earlier position) of a new variable repeated
     for position, term in enumerate(pattern):
         if not term.is_variable:
             fixed.append((position, term, None))
-        elif term.value in bound:
-            fixed.append((position, None, term.value))
+        elif term.value in slots:
+            fixed.append((position, None, slots.index(term.value)))
         elif term.value in binds:
             repeats.append((position, binds[term.value]))
         else:
             binds[term.value] = position
     keyed, residual = fixed[:2], fixed[2:]
-    variables = [var for _, _, var in keyed if var is not None]
-    if not variables:
+    read = [slot for _, _, slot in keyed if slot is not None]
+    if not read:
         constant = keyed[0][1] if len(keyed) == 1 else tuple(term for _, term, _ in keyed)
         key = lambda m: constant
-    elif len(variables) == len(keyed):
-        key = itemgetter(*variables)  # a term for one variable, a tuple for two
+    elif len(read) == len(keyed):
+        key = itemgetter(*read)  # a term for one slot, a tuple for two
     elif keyed[0][2] is None:
-        first, var = keyed[0][1], variables[0]
-        key = lambda m: (first, m[var])
+        first, slot = keyed[0][1], read[0]
+        key = lambda m: (first, m[slot])
     else:
-        var, second = variables[0], keyed[1][1]
-        key = lambda m: (m[var], second)
+        slot, second = read[0], keyed[1][1]
+        key = lambda m: (m[slot], second)
     accept = None
     if residual or repeats:
-        def accept(t: Triple, m: SolutionMapping) -> bool:
-            return (all(t[pos] == (m[var] if term is None else term)
-                        for pos, term, var in residual)
+        def accept(t: Triple, m: tuple) -> bool:
+            return (all(t[pos] == (m[slot] if term is None else term)
+                        for pos, term, slot in residual)
                     and all(t[pos] == t[earlier] for pos, earlier in repeats))
     return _Step(tuple(position for position, _, _ in keyed), key, accept,
-                 tuple((var, itemgetter(position)) for var, position in binds.items()))
+                 tuple(binds), _cells(tuple(binds.values())))
 
 
 def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, SolutionMapping]]:
@@ -298,91 +316,79 @@ def graph_match(graph: Graph, pattern: TriplePattern) -> List[Tuple[Triple, Solu
     sorted, not the whole graph. `explain --row` calls it.
     """
     step = _compile(pattern, ())
-    out = [(t, {var: position(t) for var, position in step.binds})
-           for t in graph.index(step.shape).get(step.key({}), ())
-           if step.accept is None or step.accept(t, {})]
+    out = [(t, dict(zip(step.binds, step.grab(t))))
+           for t in graph.index(step.shape).get(step.key(()), ())
+           if step.accept is None or step.accept(t, ())]
     out.sort(key=itemgetter(0))
     return out
 
 
-def _plan(patterns: List[TriplePattern], bound: AbstractSet[str]) -> List[_Step]:
+def _plan(patterns: List[TriplePattern], slots: Tuple[str, ...]
+          ) -> Tuple[List[_Step], Tuple[str, ...]]:
     """The patterns as compiled steps, in greedy order: next the first of
-    those with the most bound positions."""
-    bound = set(bound)
+    those with the most bound positions; and the slots after the last."""
     todo = list(patterns)
     steps = []
     while todo:
-        pattern = max(todo, key=lambda tp: _bound_positions(tp, bound))
+        pattern = max(todo, key=lambda tp: _bound_positions(tp, slots))
         todo.remove(pattern)
-        steps.append(_compile(pattern, bound))
-        bound.update(pattern.variables())
-    return steps
+        steps.append(_compile(pattern, slots))
+        slots += steps[-1].binds
+    return steps, slots
 
 
-def _join(solutions: List[SolutionMapping], steps: List[_Step], graph: Graph) -> List[SolutionMapping]:
+def _join(solutions: List[tuple], steps: List[_Step], graph: Graph) -> List[tuple]:
     for step in steps:
         if not solutions:
             break
         bucket = graph.index(step.shape).get
-        key, accept, binds = step.key, step.accept, step.binds
-        out = []
-        for m in solutions:
-            for t in bucket(key(m), ()):
-                if accept is not None and not accept(t, m):
-                    continue
-                if binds:
-                    extended = m.copy()
-                    for var, position in binds:
-                        extended[var] = position(t)
-                    out.append(extended)
-                else:
-                    out.append(m)  # fully bound: at most one triple matches
-        solutions = out
+        key, accept, grab = step.key, step.accept, step.grab
+        solutions = [m + grab(t) for m in solutions for t in bucket(key(m), ())
+                     if accept is None or accept(t, m)]
     return solutions
 
 
 _NULL_SORT_KEY = (True, ())  # after every (False, term)
 
 
-def _row_sort_key(row: Row) -> tuple:
-    """One flat tuple: each cell, in projection order, as a flag and its
-    term, which sorts as a tuple, so that NULL sorts after any term."""
+def _row_sort_key(cells: tuple) -> tuple:
+    """One flat tuple: each cell as a flag and its term, which sorts as a
+    tuple, so that NULL sorts after any term."""
     key = ()
-    for term in row.values():
+    for term in cells:
         key += _NULL_SORT_KEY if term is None else (False, term)
     return key
 
 
 def evaluate(query: Query, graph: Graph) -> List[Row]:
     """Evaluate the query over a graph, returning sorted, deduplicated rows."""
-    required_vars = frozenset(v for tp in query.required for v in tp.variables())
-    by_domain = {required_vars: _join([{}], _plan(query.required, ()), graph)}
+    steps, slots = _plan(query.required, ())
+    by_layout = {slots: _join([()], steps, graph)}  # solutions by their slots
     for group in query.optional_groups:
-        group_vars = {v for tp in group for v in tp.variables()}
-        joined: Dict[FrozenSet[str], List[SolutionMapping]] = {}
-        for domain, solutions in by_domain.items():
-            extensions = _join(solutions, _plan(group, domain), graph)
-            # An extension agrees with its solution on the domain, so the
-            # solutions no extension agrees with are those the group fails.
-            order = sorted(domain)
-            extended = {tuple(map(e.__getitem__, order)) for e in extensions}
-            failed = [m for m in solutions if tuple(map(m.__getitem__, order)) not in extended]
+        joined: Dict[Tuple[str, ...], List[tuple]] = {}
+        for layout, solutions in by_layout.items():
+            steps, extended = _plan(group, layout)
+            extensions = _join(solutions, steps, graph)
+            # An extension starts with its solution, so the solutions no
+            # extension starts with are those the group fails.
+            width = len(layout)
+            starts = {e[:width] for e in extensions}
+            failed = [m for m in solutions if m not in starts]
             if extensions:
-                joined.setdefault(domain | group_vars, []).extend(extensions)
+                joined.setdefault(extended, []).extend(extensions)
             if failed:
-                joined.setdefault(domain, []).extend(failed)
-        by_domain = joined
-    seen = set()
-    rows: List[Row] = []
-    for solutions in by_domain.values():
-        for m in solutions:
-            row = {var: m.get(var) for var in query.projection}
-            terms = tuple(row.values())
-            if terms not in seen:
-                seen.add(terms)
-                rows.append(row)
-    rows.sort(key=_row_sort_key)  # each row's cells are in projection order
-    return rows
+                joined.setdefault(layout, []).extend(failed)
+        by_layout = joined
+    projected = set()
+    for layout, solutions in by_layout.items():
+        # A variable the layout lacks reads the None past its last slot.
+        width = len(layout)
+        positions = [layout.index(v) if v in layout else width for v in query.projection]
+        if width in positions:
+            solutions = [m + (None,) for m in solutions]
+        projected.update(map(_cells(positions), solutions))
+    return [dict(zip(query.projection, cells))
+            for cells in sorted(projected, key=_row_sort_key)]
 
 
 def _cell(term: Optional[Term]) -> str:

@@ -208,7 +208,7 @@ def _compile_patterns(patterns: Sequence[TriplePattern]
         step = _compile(tp, ())
         check = None
         if step.accept is not None or step.shape not in ((1,), ()):
-            check = (shape_key(step.shape), step.key({}), step.accept)
+            check = (shape_key(step.shape), step.key(()), step.accept)
         compiled = (tp, check)
         if tp.predicate.is_variable:
             unbound.append(compiled)
@@ -226,7 +226,7 @@ def _matching_pattern(triple: Triple, candidates: CompiledPatterns) -> Optional[
         if check is None:
             return tp
         keyed, key, accept = check
-        if keyed(triple) == key and (accept is None or accept(triple, {})):
+        if keyed(triple) == key and (accept is None or accept(triple, ())):
             return tp
     return None
 

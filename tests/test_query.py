@@ -255,6 +255,34 @@ class TestEvaluate:
         assert set(rows) == {tuple(cell[1] for cell in row)
                              for row in brute_force_evaluate(query, g)}
 
+    def test_layouts_binding_the_same_variables_in_two_orders(self):
+        # The first group binds ?d then ?e for a1.ex. The second group runs on
+        # a2.ex and a4.ex, which the first failed, and binds ?e (from ?e t ?b)
+        # before ?d, so their solutions hold the same variables as a1.ex's in
+        # the other order. a3.ex fails both groups. a1.ex and a4.ex reach the
+        # same ?d and ?e, one per order.
+        v = "https://vocab.ex/"
+        a1, a2, a3, a4 = ("https://a%d.ex/" % i for i in (1, 2, 3, 4))
+        b1, b2, b3, b4 = ("https://b%d.ex/" % i for i in (1, 2, 3, 4))
+        d1, d2, e1, e2 = "https://d1.ex/", "https://d2.ex/", "https://e1.ex/", "https://e2.ex/"
+        g = Graph([
+            t(a1, v + "p", b1), t(a2, v + "p", b2), t(a3, v + "p", b3), t(a4, v + "p", b4),
+            t(b1, v + "q", d1), t(d1, v + "r", e1), t(b2, v + "q", d2),
+            t(e2, v + "t", b2), t(e2, v + "s", d2), t(e1, v + "t", b4), t(e1, v + "s", d1),
+        ])
+        where = ("WHERE { ?a <{v}p> ?b OPTIONAL { ?b <{v}q> ?d . ?d <{v}r> ?e }"
+                 " OPTIONAL { ?e <{v}s> ?d . ?e <{v}t> ?b } }").replace("{v}", v)
+
+        def cells(select):
+            query = parse_query(select + " " + where)
+            return [tuple(row[x] and row[x].value for x in query.projection)
+                    for row in evaluate(query, g)]
+
+        assert cells("SELECT ?a ?b ?d ?e") == [
+            (a1, b1, d1, e1), (a2, b2, d2, e2), (a3, b3, None, None), (a4, b4, d1, e1),
+        ]
+        assert cells("SELECT ?e ?d") == [(e1, d1), (e2, d2), (None, None)]
+
     def test_optional_group_all_or_nothing(self):
         name, mbox, img = FOAF + "name", FOAF + "mbox", FOAF + "img"
         g = Graph(
@@ -344,6 +372,10 @@ class TestEvaluate:
         expected = brute_force_evaluate(query, graph)
         assert row_fingerprints(rows, query.projection) == expected
         assert len(rows) == len(expected)
+        # Each cell in term order, an unbound one after every term.
+        keys = [tuple((True, ()) if row[v] is None else (False, row[v]) for v in query.projection)
+                for row in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_results_deduplicated_and_sorted(self):
         p = "https://vocab.ex/p"

@@ -309,6 +309,27 @@ TERMS = st.one_of(IRIS, LITERALS, st.builds(Term.var, st.sampled_from(["a", "b",
 TRIPLES = st.builds(Triple, IRIS, IRIS, st.one_of(IRIS, LITERALS))
 
 
+# A few terms, so that random triples share them and patterns match some.
+_FEW_IRIS = [Term.iri("https://a.ex/"), Term.iri("https://a.ex/#b"), Term.iri(KNOWS)]
+_FEW_TERMS = _FEW_IRIS + [Term.literal("A"), Term.literal("A", "en")]
+SMALL_TRIPLES = st.builds(Triple, st.sampled_from(_FEW_IRIS), st.sampled_from(_FEW_IRIS),
+                          st.sampled_from(_FEW_TERMS))
+_CONSTANT = st.sampled_from(_FEW_TERMS)
+_POSITION = st.one_of(_CONSTANT, st.sampled_from(["x", "y", "p"]).map(Term.var))
+X, P = Term.var("x"), Term.var("p")
+# Each kind of pattern, drawn for a given graph.
+MATCH_PATTERNS = {
+    "any": lambda g: st.builds(TriplePattern, _POSITION, _POSITION, _POSITION),
+    "repeated variable": lambda g: st.sampled_from([
+        TriplePattern(X, P, X), TriplePattern(X, X, Term.var("o")),
+        TriplePattern(Term.var("s"), X, X), TriplePattern(X, X, X),
+        TriplePattern(X, Term.iri(KNOWS), X)]),
+    "variable predicate": lambda g: st.builds(TriplePattern, _POSITION, st.just(P), _POSITION),
+    "fully bound": lambda g: st.sampled_from(sorted(g)).map(lambda x: TriplePattern(*x)),
+    "no variable": lambda g: st.builds(TriplePattern, _CONSTANT, _CONSTANT, _CONSTANT),
+}
+
+
 def _old_key(term):
     return (term.value, term.language or "", term.kind)
 
@@ -400,6 +421,18 @@ class TestGraph:
         pattern = TriplePattern(Term.var("s"), Term.iri(KNOWS), Term.var("o"))
         matched = {triple for triple, _ in graph_match(g, pattern)}
         assert matched == {x for x in g if match_triple(x, pattern) is not None}
+
+    @pytest.mark.parametrize("kind", sorted(MATCH_PATTERNS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_graph_match_equals_match_triple_with_bindings(self, kind, data):
+        g = Graph(data.draw(st.lists(SMALL_TRIPLES, min_size=1, max_size=12)))
+        pattern = data.draw(MATCH_PATTERNS[kind](g))
+        expected = sorted((x, match_triple(x, pattern)) for x in g
+                          if match_triple(x, pattern) is not None)
+        assert graph_match(g, pattern) == expected
+        if kind == "fully bound":
+            assert expected == [(pattern, {})]
 
     def test_graph_match_sorted(self):
         g = Graph(
