@@ -4,7 +4,8 @@ Evaluates a SELECT/BGP/OPTIONAL query subset over hyperlinked documents,
 expanding a seed set through link following. Traversal can run unguided
 (seeds-only, follow-all, or query-match semantics) or guided by user-supplied
 linking-structure descriptions (which links matter for which patterns) and
-content policies (which triples from which sources count).
+content policies (which triples from which sources count), through one
+entry point, `traverse`.
 """
 from .rdf import (
     Graph,
@@ -52,6 +53,7 @@ from .traversal import (
     TraversalConfig,
     TraversalTrace,
     TriplePool,
+    traverse,
     traverse_guided,
     traverse_unguided,
 )

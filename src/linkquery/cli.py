@@ -41,20 +41,15 @@ from .traversal import (
     C_NONE,
     DEFAULT_MAX_DOCUMENTS,
     CappedTraversalError,
-    TraversalConfig,
-    traverse_guided,
-    traverse_unguided,
+    traverse,
 )
 from .turtle import TurtleParseError
-from .webfetch import OK, FixtureError, FixtureSource, LiveHttpSource
+from .webfetch import OK, FixtureError, FixtureSource, LiveHttpSource, _requested
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAPPED = 2
 EXIT_INPUT = 3
-
-UNGUIDED = "unguided"
-GUIDED = "guided"
 
 
 class _UsageError(Exception):
@@ -153,24 +148,17 @@ def _load_inputs(args):
     return query, (registry, policy)
 
 
-def _traverse(args, source, query, guidance, semantics):
-    """Traverse from the run's seeds, guided when guidance is given; return (pool, trace)."""
-    if guidance is not None:
-        return traverse_guided(args.seed, *guidance, query, source, max_documents=args.max_docs)
-    config = TraversalConfig(semantics, args.seed, args.max_docs)
-    return traverse_unguided(config, source, query)
-
-
 def _cmd_run(args, out) -> int:
     query, guidance = _load_inputs(args)
     semantics = args.semantics or C_MATCH
     source = _make_source(args)
     started = time.monotonic()
-    pool, trace = _traverse(args, source, query, guidance, semantics)
+    pool, trace = traverse(args.seed, source, query, semantics=args.semantics,
+                           guidance=guidance, max_documents=args.max_docs)
     rows = evaluate(query, pool.graph())
     elapsed = time.monotonic() - started
     fetched = sorted(trace.ledger.ok_documents)
-    mode_descriptor = GUIDED if guidance else "%s/%s" % (UNGUIDED, semantics)
+    mode_descriptor = "guided" if guidance else "unguided/%s" % semantics
     if args.format == "json":
         report = {
             "solutions": rows_to_json(rows, query.projection),
@@ -208,7 +196,8 @@ def _cmd_compare(args, out) -> int:
     def solve(run_guidance, run_semantics):
         """The run's rows, each a tuple of its terms (Term equality is row
         identity), and its trace."""
-        pool, trace = _traverse(args, source, query, run_guidance, run_semantics)
+        pool, trace = traverse(args.seed, source, query, semantics=run_semantics,
+                               guidance=run_guidance, max_documents=args.max_docs)
         return {tuple(row.values()) for row in evaluate(query, pool.graph())}, trace
 
     unguided_rows, unguided_trace = solve(None, semantics)
@@ -253,7 +242,10 @@ def _explain_doc(args, out, guidance, semantics, trace) -> int:
     current = trace.admission_of(doc_iri)
     if current is not None:
         outcome = {e.iri: e.outcome for e in trace.ledger.entries}[doc_iri]
-        if outcome != OK:
+        if not _requested(doc_iri):
+            out.write("not fetched: %s is not an http(s) IRI, so it is never requested\n"
+                      % doc_iri)
+        elif outcome != OK:
             out.write("not fetched: the request for %s failed (%s)\n" % (doc_iri, outcome))
         while current.reason != "seed":
             out.write(
@@ -346,7 +338,8 @@ def _cmd_explain(args, out) -> int:
     query, guidance = _load_inputs(args)
     semantics = args.semantics or C_MATCH
     source = _make_source(args)
-    pool, trace = _traverse(args, source, query, guidance, semantics)
+    pool, trace = traverse(args.seed, source, query, semantics=args.semantics,
+                           guidance=guidance, max_documents=args.max_docs)
     if args.doc is not None:
         return _explain_doc(args, out, guidance, semantics, trace)
     rows = evaluate(query, pool.graph())

@@ -64,7 +64,7 @@ DEFAULT_MAX_DOCUMENTS = 64
 
 
 @dataclass
-class TraversalConfig:
+class TraversalConfig:  # perfbench's call sites; deleted by item 1A2
     semantics: str = C_MATCH
     seeds: Sequence[str] = ()
     max_documents: int = DEFAULT_MAX_DOCUMENTS
@@ -411,34 +411,38 @@ def _fixed_point(seeds: Sequence[str], source, follow: LinkStrategy,
     return trace.pool, trace
 
 
-def traverse_unguided(config: TraversalConfig, source, query: Query, *,
-                      rng: Optional[random.Random] = None) -> Tuple[TriplePool, TraversalTrace]:
-    """Breadth-first reachability fixed point under classical semantics.
-
-    c-none never follows links; c-all follows every subject/object IRI of
-    every parsed triple; c-match follows IRIs from triples that match a query
-    pattern, plus links asserted about entities already known to occur in
-    such matching triples. Predicate-position IRIs are never followed.
+def traverse(seeds: Sequence[str], source, query: Query, *, semantics: Optional[str] = None,
+             guidance: Optional[Tuple[LinkingStructureRegistry, ContentPolicy]] = None,
+             max_documents: int = DEFAULT_MAX_DOCUMENTS,
+             rng: Optional[random.Random] = None) -> Tuple[TriplePool, TraversalTrace]:
+    """The fixed point from the seeds, as (pool, trace): unguided, with every
+    triple relevant, under `semantics` (c-match when None); or guided by a
+    (registry, policy) pair, and then given no semantics. Predicate-position
+    IRIs are never followed.
     """
-    strategies = {C_NONE: _no_links, C_ALL: _all_links,
-                  C_MATCH: _match_links(triple_patterns(query))}
-    if config.semantics not in strategies:
-        raise ValueError("unknown semantics %r" % config.semantics)
-    return _fixed_point(config.seeds, source, strategies[config.semantics],
-                        PERMISSIVE_POLICY, config.max_documents, rng)
-
-
-def traverse_guided(seeds: Sequence[str], registry: LinkingStructureRegistry,
-                    policy: ContentPolicy, query: Query, source, *,
-                    max_documents: int = DEFAULT_MAX_DOCUMENTS,
-                    rng: Optional[random.Random] = None) -> Tuple[TriplePool, TraversalTrace]:
-    """Guided reachability fixed point.
-
-    Each admitted document's triples are filtered by the content policy; only
-    relevant triples enter the pool. A hyperlinked candidate document is
-    admitted when the linking structure of the referring document allows it
-    for some query pattern. After the fixed point, exclusive policy rules are
-    enforced over the whole pool.
-    """
-    follow = functools.partial(_guided_links, registry, triple_patterns(query))
+    if guidance is None:
+        strategies = {C_NONE: _no_links, C_ALL: _all_links,
+                      C_MATCH: _match_links(triple_patterns(query))}
+        semantics = C_MATCH if semantics is None else semantics
+        if semantics not in strategies:
+            raise ValueError("unknown semantics %r" % semantics)
+        follow, policy = strategies[semantics], PERMISSIVE_POLICY
+    elif semantics is not None:
+        raise ValueError("a guided traversal takes no semantics, not %r" % semantics)
+    else:
+        registry, policy = guidance
+        follow = functools.partial(_guided_links, registry, triple_patterns(query))
     return _fixed_point(seeds, source, follow, policy, max_documents, rng)
+
+
+# perfbench's call sites; deleted by item 1A2.
+def traverse_unguided(config: TraversalConfig, source, query: Query, *, rng=None):
+    return traverse(config.seeds, source, query, semantics=config.semantics,
+                    max_documents=config.max_documents, rng=rng)
+
+
+# perfbench's call sites; deleted by item 1A2.
+def traverse_guided(seeds, registry, policy, query, source, *,
+                    max_documents=DEFAULT_MAX_DOCUMENTS, rng=None):
+    return traverse(seeds, source, query, guidance=(registry, policy),
+                    max_documents=max_documents, rng=rng)

@@ -36,11 +36,8 @@ from linkquery.query import evaluate, parse_query
 from linkquery.rdf import Graph, Term, TriplePattern, resolve_iri, to_ntriples
 from linkquery.traversal import (
     C_ALL,
-    C_MATCH,
     CappedTraversalError,
-    TraversalConfig,
-    traverse_guided,
-    traverse_unguided,
+    traverse,
 )
 from linkquery.turtle import parse_turtle
 from linkquery.webfetch import FixtureSource
@@ -98,15 +95,10 @@ def ordered_fingerprints(rows, projection):
     ]
 
 
-def run_unguided(source, query, semantics=C_MATCH):
-    config = TraversalConfig(semantics=semantics, seeds=[SEED], max_documents=64)
-    return traverse_unguided(config, source, query)
-
-
 def test_1_unguided_result_table(demo_query_obj):
     with criterion(1, "full result table under follow-matching traversal"):
         started = time.monotonic()
-        pool, _ = run_unguided(FixtureSource.from_manifest(demo_manifest()), demo_query_obj)
+        pool, _ = traverse([SEED], FixtureSource.from_manifest(demo_manifest()), demo_query_obj)
         rows = evaluate(demo_query_obj, pool.graph())
         elapsed = time.monotonic() - started
         assert ordered_fingerprints(rows, demo_query_obj.projection) == \
@@ -116,10 +108,8 @@ def test_1_unguided_result_table(demo_query_obj):
 
 def test_2_guided_result_restriction(demo_query_obj, demo_registry, uma_policy):
     with criterion(2, "guided run keeps only the trusted rows"):
-        pool, _ = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj,
-            FixtureSource.from_manifest(demo_manifest()),
-        )
+        pool, _ = traverse([SEED], FixtureSource.from_manifest(demo_manifest()), demo_query_obj,
+                           guidance=(demo_registry, uma_policy))
         rows = evaluate(demo_query_obj, pool.graph())
         assert ordered_fingerprints(rows, demo_query_obj.projection) == \
             EXPECTED_GUIDED_ROWS
@@ -127,14 +117,11 @@ def test_2_guided_result_restriction(demo_query_obj, demo_registry, uma_policy):
 
 def test_3_request_counts(demo_query_obj, demo_registry, uma_policy):
     with criterion(3, "7 documents unguided, 4 guided, encyclopedia skipped"):
-        _, unguided_trace = run_unguided(
-            FixtureSource.from_manifest(demo_manifest()), demo_query_obj
-        )
+        _, unguided_trace = traverse([SEED], FixtureSource.from_manifest(demo_manifest()),
+                                     demo_query_obj)
         assert unguided_trace.ledger.distinct_ok == 7
-        _, guided_trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj,
-            FixtureSource.from_manifest(demo_manifest()),
-        )
+        _, guided_trace = traverse([SEED], FixtureSource.from_manifest(demo_manifest()),
+                                   demo_query_obj, guidance=(demo_registry, uma_policy))
         assert guided_trace.ledger.distinct_ok == 4
         assert (
             "http://dbpedia.org/resource/Mickey_Mouse"
@@ -144,14 +131,11 @@ def test_3_request_counts(demo_query_obj, demo_registry, uma_policy):
 
 def test_4_ann_subtree_requests(demo_query_obj, demo_registry, uma_policy):
     with criterion(4, "requests into ann's subtree drop from 4 to 2"):
-        _, unguided_trace = run_unguided(
-            FixtureSource.from_manifest(demo_manifest()), demo_query_obj
-        )
+        _, unguided_trace = traverse([SEED], FixtureSource.from_manifest(demo_manifest()),
+                                     demo_query_obj)
         assert unguided_trace.fetched_per_subtree()["https://ann.ex/"] == 4
-        _, guided_trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj,
-            FixtureSource.from_manifest(demo_manifest()),
-        )
+        _, guided_trace = traverse([SEED], FixtureSource.from_manifest(demo_manifest()),
+                                   demo_query_obj, guidance=(demo_registry, uma_policy))
         assert guided_trace.fetched_per_subtree()["https://ann.ex/"] == 2
 
 
@@ -162,10 +146,9 @@ def test_5_oracle_equivalence_property():
             bodies = random_web(rng)
             seeds = [doc_iri(0)]
             query = random_bgp_query(rng, len(bodies), max_patterns=2)
-            pool, trace = traverse_guided(
-                seeds, PERMISSIVE_REGISTRY, PERMISSIVE_POLICY, query,
-                web_source(bodies), max_documents=1000,
-            )
+            pool, trace = traverse(seeds, web_source(bodies), query,
+                                   guidance=(PERMISSIVE_REGISTRY, PERMISSIVE_POLICY),
+                                   max_documents=1000)
             expected_docs = closure_c_all(bodies, seeds)
             expected_graph = union_graph(bodies, expected_docs)
             assert trace.ledger.ok_documents == expected_docs
@@ -182,11 +165,9 @@ def test_6_order_independence_property():
             query = random_bgp_query(rng, len(bodies))
             outcomes = set()
             for run in range(3):
-                pool, trace = traverse_guided(
-                    [doc_iri(0)], PERMISSIVE_REGISTRY, PERMISSIVE_POLICY, query,
-                    web_source(bodies), max_documents=1000,
-                    rng=random.Random(run),
-                )
+                pool, trace = traverse([doc_iri(0)], web_source(bodies), query,
+                                       guidance=(PERMISSIVE_REGISTRY, PERMISSIVE_POLICY),
+                                       max_documents=1000, rng=random.Random(run))
                 outcomes.add(
                     (
                         frozenset(trace.admitted_documents()),
@@ -219,16 +200,12 @@ def test_7_termination():
         try:
             query = parse_query("SELECT ?s WHERE { ?s ?p ?o }")
             bodies = _cyclic_web(10)
-            config = TraversalConfig(
-                semantics=C_ALL, seeds=[doc_iri(0)], max_documents=64
-            )
-            _, trace = traverse_unguided(config, web_source(bodies), query)
+            _, trace = traverse([doc_iri(0)], web_source(bodies), query, semantics=C_ALL,
+                                max_documents=64)
             assert trace.ledger.distinct_ok == 10
-            capped = TraversalConfig(
-                semantics=C_ALL, seeds=[doc_iri(0)], max_documents=5
-            )
             with pytest.raises(CappedTraversalError):
-                traverse_unguided(capped, web_source(bodies), query)
+                traverse([doc_iri(0)], web_source(bodies), query, semantics=C_ALL,
+                         max_documents=5)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -310,14 +287,10 @@ def test_9_allow_rule_monotonicity_property():
                 rng.randint(0, 6),
             )
             widened = ContentPolicy(base.rules + [extra], DENY)
-            before_pool, _ = traverse_guided(
-                [doc_iri(0)], PERMISSIVE_REGISTRY, base, query,
-                web_source(bodies), max_documents=1000,
-            )
-            after_pool, _ = traverse_guided(
-                [doc_iri(0)], PERMISSIVE_REGISTRY, widened, query,
-                web_source(bodies), max_documents=1000,
-            )
+            before_pool, _ = traverse([doc_iri(0)], web_source(bodies), query,
+                                      guidance=(PERMISSIVE_REGISTRY, base), max_documents=1000)
+            after_pool, _ = traverse([doc_iri(0)], web_source(bodies), query,
+                                     guidance=(PERMISSIVE_REGISTRY, widened), max_documents=1000)
             before = evaluate(query, before_pool.graph())
             after = evaluate(query, after_pool.graph())
             assert row_fingerprints(before, query.projection) <= \

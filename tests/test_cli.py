@@ -12,7 +12,7 @@ from linkquery.cli import main
 from linkquery.fixtures import demo_manifest, demo_policy, demo_query, demo_structures
 from linkquery.guidance import parse_policy, parse_structure_registry
 from linkquery.query import parse_query
-from linkquery.traversal import traverse_guided
+from linkquery.traversal import traverse
 from linkquery.webfetch import OK, FetchResult, FixtureSource
 
 SEED = "https://uma.ex/#me"
@@ -507,12 +507,12 @@ class TestExplain:
             "--structures", str(structures),
             "--policy", str(demo_policy()),
         ]
-        _, trace = traverse_guided(
+        _, trace = traverse(
             [SEED],
-            parse_structure_registry(structures.read_text()),
-            parse_policy(demo_policy().read_text()),
-            parse_query(query.read_text()),
             FixtureSource.from_manifest(demo_manifest()),
+            parse_query(query.read_text()),
+            guidance=(parse_structure_registry(structures.read_text()),
+                      parse_policy(demo_policy().read_text())),
         )
         [pruned] = [a for a in trace.admissions if a.doc_iri == "https://ann.ex/about/"]
         assert (pruned.reason, pruned.from_doc) == ("pruned", "https://ann.ex/")
@@ -551,10 +551,11 @@ class TestExplain:
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps({"default": "allow", "rules": [
             {"action": "deny", "pattern": {"p": "https://p.ex/rumour"}}]}))
-        _, trace = traverse_guided(
-            ["https://s.ex/"], parse_structure_registry(structures.read_text()),
-            parse_policy(policy.read_text()), parse_query(query.read_text()),
-            FixtureSource.from_manifest(manifest))
+        _, trace = traverse(
+            ["https://s.ex/"], FixtureSource.from_manifest(manifest),
+            parse_query(query.read_text()),
+            guidance=(parse_structure_registry(structures.read_text()),
+                      parse_policy(policy.read_text())))
         [pruned] = [a for a in trace.admissions if a.doc_iri == "https://t.ex/"]
         assert (pruned.reason, pruned.from_doc) == ("pruned", "https://a.ex/")
         assert {(f, t.n3(), d) for f, t, d in trace.pruned_links} == {
@@ -617,6 +618,21 @@ class TestExplain:
         assert code == 0
         assert out == ("not fetched: the request for https://bad.ex/ failed (parse-error)\n"
                        "https://bad.ex/: seed\n")
+
+    def test_an_iri_not_http_is_never_requested(self, capsys):
+        # A mailto: IRI is admitted under c-all, but the Dereferencer requests
+        # only http(s) IRIs: explain says so, not that a request failed.
+        code, out, _ = run_cli(capsys, ["explain", "--doc", "mailto:me@bob.ex"] + base_flags()
+                               + ["--semantics", "c-all"])
+        assert code == 0
+        assert out == (
+            "not fetched: mailto:me@bob.ex is not an http(s) IRI, so it is never requested\n"
+            "mailto:me@bob.ex: linked from https://bob.ex/ via <https://bob.ex/#me> "
+            "<{f}email> <mailto:me@bob.ex>. (pattern -)\n"
+            "https://bob.ex/: linked from https://uma.ex/ via <https://bob.ex/#me> "
+            "<{f}img> <https://uma.ex/bob.jpg>. (pattern -)\n"
+            "https://uma.ex/: seed\n"
+        ).format(f=FOAF)
 
     def test_row_support_cites_the_first_matching_rule_of_equal_priorities(self, capsys,
                                                                            tmp_path):

@@ -8,6 +8,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -56,9 +57,7 @@ from linkquery.traversal import (
     C_MATCH,
     C_NONE,
     CappedTraversalError,
-    TraversalConfig,
-    traverse_guided,
-    traverse_unguided,
+    traverse,
 )
 from linkquery.webfetch import (
     MAX_IN_FLIGHT,
@@ -76,24 +75,17 @@ PERMISSIVE_REGISTRY = LinkingStructureRegistry([], "permissive")
 ANY_QUERY = parse_query("SELECT ?s WHERE { ?s ?p ?o }")
 
 
-def unguided(source, query, semantics, seeds=(SEED,), max_documents=64, rng=None):
-    config = TraversalConfig(
-        semantics=semantics, seeds=list(seeds), max_documents=max_documents
-    )
-    return traverse_unguided(config, source, query, rng=rng)
-
-
 class TestUnguided:
     def test_c_none_fetches_seeds_only(self, demo_source, demo_query_obj):
-        _, trace = unguided(demo_source, demo_query_obj, C_NONE)
+        _, trace = traverse([SEED], demo_source, demo_query_obj, semantics=C_NONE)
         assert trace.ledger.ok_documents == {"https://uma.ex/"}
 
     def test_c_match_fetches_all_seven(self, demo_source, demo_query_obj):
-        _, trace = unguided(demo_source, demo_query_obj, C_MATCH)
+        _, trace = traverse([SEED], demo_source, demo_query_obj, semantics=C_MATCH)
         assert trace.ledger.distinct_ok == 7
 
     def test_c_all_fetches_all_seven(self, demo_source, demo_query_obj):
-        _, trace = unguided(demo_source, demo_query_obj, C_ALL)
+        _, trace = traverse([SEED], demo_source, demo_query_obj, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 7
 
     def test_cycle_terminates(self):
@@ -101,9 +93,7 @@ class TestUnguided:
             "https://a.ex/": "<https://a.ex/#x> <https://p.ex/q> <https://b.ex/#y>.",
             "https://b.ex/": "<https://b.ex/#y> <https://p.ex/q> <https://a.ex/#x>.",
         }
-        _, trace = unguided(
-            web_source(bodies), ANY_QUERY, C_ALL, seeds=("https://a.ex/",)
-        )
+        _, trace = traverse(("https://a.ex/",), web_source(bodies), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.ok_documents == set(bodies)
 
     @pytest.mark.parametrize("semantics,seeds,message", [
@@ -113,7 +103,18 @@ class TestUnguided:
     def test_no_seed_or_an_unknown_semantics_is_rejected(self, demo_source, demo_query_obj,
                                                          semantics, seeds, message):
         with pytest.raises(ValueError, match=message):
-            unguided(demo_source, demo_query_obj, semantics, seeds=seeds)
+            traverse(seeds, demo_source, demo_query_obj, semantics=semantics)
+
+    def test_semantics_with_guidance_is_rejected(self, demo_query_obj, demo_registry,
+                                                 uma_policy):
+        # A guided traversal has no classical semantics, not even the default
+        # one named: it is an error raised before any request is made.
+        requested = []
+        source = SimpleNamespace(fetch=requested.append)
+        with pytest.raises(ValueError, match="a guided traversal takes no semantics"):
+            traverse([SEED], source, demo_query_obj, semantics=C_MATCH,
+                     guidance=(demo_registry, uma_policy))
+        assert requested == []
 
     def test_max_documents_cap(self):
         bodies = {
@@ -121,10 +122,8 @@ class TestUnguided:
             for i in range(20)
         }
         with pytest.raises(CappedTraversalError) as exc:
-            unguided(
-                web_source(bodies), ANY_QUERY, C_ALL,
-                seeds=(doc_iri(0),), max_documents=5,
-            )
+            traverse((doc_iri(0),), web_source(bodies), ANY_QUERY, semantics=C_ALL,
+                     max_documents=5)
         assert exc.value.trace.admissions  # partial trace is attached
 
     @pytest.mark.parametrize("mode", [C_ALL, C_MATCH, "guided"])
@@ -134,23 +133,24 @@ class TestUnguided:
         # capped traversal raises with explains every fetch its ledger lists.
         with pytest.raises(CappedTraversalError) as exc:
             if mode == "guided":
-                traverse_guided([SEED], demo_registry, uma_policy, demo_query_obj,
-                                web_source_from_demo(), max_documents=3)
+                traverse([SEED], web_source_from_demo(), demo_query_obj,
+                         guidance=(demo_registry, uma_policy), max_documents=3)
             else:
-                unguided(web_source_from_demo(), demo_query_obj, mode, max_documents=3)
+                traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=mode,
+                         max_documents=3)
         trace = exc.value.trace
         assert trace.ledger.entries
         assert trace.documents.keys() == trace.ledger.requested_documents()
         assert trace.documents["https://uma.ex/"].triples
 
     def test_pool_provenance_covers_all_reached_triples(self, demo_source, demo_query_obj):
-        pool, trace = unguided(demo_source, demo_query_obj, C_ALL)
+        pool, trace = traverse([SEED], demo_source, demo_query_obj, semantics=C_ALL)
         for triple, sources in pool.provenance().items():
             for src in sources:
                 assert triple in trace.documents[src].triples
 
     def test_non_seed_admissions_reference_earlier_documents(self, demo_source, demo_query_obj):
-        _, trace = unguided(demo_source, demo_query_obj, C_MATCH)
+        _, trace = traverse([SEED], demo_source, demo_query_obj, semantics=C_MATCH)
         admitted = []
         for adm in trace.admissions:
             if adm.reason == "seed":
@@ -169,7 +169,7 @@ class TestUnguided:
             "https://c.ex/": '<https://c.ex/#c> <https://p.ex/p2> "leaf".',
         }
         query = parse_query("SELECT ?x WHERE { ?x <https://p.ex/p1> ?y }")
-        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=("https://a.ex/",))
+        _, trace = traverse(("https://a.ex/",), web_source(bodies), query, semantics=C_MATCH)
         admission = trace.admission_of("https://c.ex/")
         assert admission.from_doc == "https://a.ex/"
         assert admission.via_triple.subject.value == "https://d.ex/#d"
@@ -185,8 +185,8 @@ class TestUnguided:
             doc_iri(i): "<%s> <https://p.ex/q> <%s>." % (entity_iri(i), entity_iri(i + 1))
             for i in range(n)
         }
-        _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL,
-                            seeds=(doc_iri(0),), max_documents=n + 1)
+        _, trace = traverse((doc_iri(0),), web_source(bodies), ANY_QUERY, semantics=C_ALL,
+                            max_documents=n + 1)
         visited = 0
 
         class CountingList(list):
@@ -208,9 +208,7 @@ class TestUnguided:
             "https://a.ex/": "<> <https://p.ex/q> <https://b.ex/>.",
             "https://b.ex/": "<> a <https://v.ex/Doc>.",
         }
-        pool, trace = unguided(
-            web_source(bodies), ANY_QUERY, C_ALL, seeds=("https://a.ex/",)
-        )
+        pool, trace = traverse(("https://a.ex/",), web_source(bodies), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.ok_documents == set(bodies)
         assert {t.subject.value for t, _ in pool.entries} == set(bodies)
 
@@ -224,7 +222,7 @@ class TestUnguided:
             "SELECT ?n WHERE { <https://a.ex/#me> <https://p.ex/knows> ?f . "
             "?f <https://p.ex/name> ?n }"
         )
-        pool, trace = unguided(web_source(bodies), query, C_MATCH, seeds=("https://a.ex/",))
+        pool, trace = traverse(("https://a.ex/",), web_source(bodies), query, semantics=C_MATCH)
         assert trace.ledger.ok_documents == set(bodies)
         assert [row["n"].value for row in evaluate(query, pool.graph())] == ["B"]
 
@@ -233,9 +231,7 @@ class TestUnguided:
             "https://a.ex/": '<https://a.ex/#x> <https://b.ex/pred> "v".',
             "https://b.ex/": '<https://b.ex/#y> <https://p.ex/q> "w".',
         }
-        _, trace = unguided(
-            web_source(bodies), ANY_QUERY, C_ALL, seeds=("https://a.ex/",)
-        )
+        _, trace = traverse(("https://a.ex/",), web_source(bodies), ANY_QUERY, semantics=C_ALL)
         assert "https://b.ex/" not in trace.ledger.requested_documents()
 
     @pytest.mark.parametrize("where, first", [
@@ -251,7 +247,7 @@ class TestUnguided:
             "https://b.ex/": '<https://b.ex/#me> <https://p.ex/name> "B".',
         }
         query = parse_query("SELECT ?a WHERE { %s }" % where)
-        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=("https://a.ex/",))
+        _, trace = traverse(("https://a.ex/",), web_source(bodies), query, semantics=C_MATCH)
         assert trace.admission_of("https://b.ex/").via_pattern.n3() == first
 
 
@@ -259,9 +255,8 @@ class TestGuided:
     def test_demo_guided_fetches_exactly_four(
         self, demo_source, demo_query_obj, demo_registry, uma_policy
     ):
-        _, trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, demo_source
-        )
+        _, trace = traverse([SEED], demo_source, demo_query_obj,
+                            guidance=(demo_registry, uma_policy))
         assert trace.ledger.ok_documents == {
             "https://uma.ex/",
             "https://ann.ex/",
@@ -272,9 +267,8 @@ class TestGuided:
     def test_encyclopedia_document_never_requested(
         self, demo_source, demo_query_obj, demo_registry, uma_policy
     ):
-        _, trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, demo_source
-        )
+        _, trace = traverse([SEED], demo_source, demo_query_obj,
+                            guidance=(demo_registry, uma_policy))
         assert (
             "http://dbpedia.org/resource/Mickey_Mouse"
             not in trace.ledger.requested_documents()
@@ -282,34 +276,30 @@ class TestGuided:
 
     def test_deny_all_policy_stops_at_seeds(self, demo_source, demo_query_obj):
         policy = parse_policy('{"default": "deny", "rules": []}')
-        pool, trace = traverse_guided(
-            [SEED], PERMISSIVE_REGISTRY, policy, demo_query_obj, demo_source
-        )
+        pool, trace = traverse([SEED], demo_source, demo_query_obj,
+                               guidance=(PERMISSIVE_REGISTRY, policy))
         assert evaluate(demo_query_obj, pool.graph()) == []
         assert trace.ledger.ok_documents == {"https://uma.ex/"}
 
     def test_permissive_guidance_equals_c_all_pool(self, demo_query_obj):
         source_a = web_source_from_demo()
-        pool_guided, _ = traverse_guided(
-            [SEED], PERMISSIVE_REGISTRY, PERMISSIVE_POLICY, demo_query_obj, source_a
-        )
+        pool_guided, _ = traverse([SEED], source_a, demo_query_obj,
+                                  guidance=(PERMISSIVE_REGISTRY, PERMISSIVE_POLICY))
         source_b = web_source_from_demo()
-        pool_all, _ = unguided(source_b, demo_query_obj, C_ALL)
+        pool_all, _ = traverse([SEED], source_b, demo_query_obj, semantics=C_ALL)
         assert pool_guided.graph() == pool_all.graph()
 
     def test_guided_subset_of_c_all(self, demo_query_obj, demo_registry, uma_policy):
-        _, guided_trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
-        )
-        _, all_trace = unguided(web_source_from_demo(), demo_query_obj, C_ALL)
+        _, guided_trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                                   guidance=(demo_registry, uma_policy))
+        _, all_trace = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=C_ALL)
         assert guided_trace.ledger.ok_documents <= all_trace.ledger.ok_documents
 
     def test_pool_triples_are_relevant_and_from_admitted_docs(
         self, demo_source, demo_query_obj, demo_registry, uma_policy
     ):
-        pool, trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, demo_source
-        )
+        pool, trace = traverse([SEED], demo_source, demo_query_obj,
+                               guidance=(demo_registry, uma_policy))
         admitted = set(trace.admitted_documents())
         for triple, src in pool.entries:
             assert src in admitted
@@ -321,9 +311,8 @@ class TestGuided:
     ):
         from linkquery.guidance import get_linking_structure, lambda_allows
 
-        _, trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, demo_source
-        )
+        _, trace = traverse([SEED], demo_source, demo_query_obj,
+                            guidance=(demo_registry, uma_policy))
         patterns = triple_patterns(demo_query_obj)
         for adm in trace.admissions:
             if adm.reason != "link":
@@ -337,21 +326,20 @@ class TestGuided:
     def test_results_restricted_to_trusted_rows(
         self, demo_source, demo_query_obj, demo_registry, uma_policy
     ):
-        pool, _ = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, demo_source
-        )
+        pool, _ = traverse([SEED], demo_source, demo_query_obj,
+                           guidance=(demo_registry, uma_policy))
         solutions = evaluate(demo_query_obj, pool.graph())
         names = {row["name"].value for row in solutions}
         assert names == {"Ann", "Bob"}
 
     def test_ann_subtree_counts(self, demo_query_obj, demo_registry, uma_policy):
-        _, match_trace = unguided(web_source_from_demo(), demo_query_obj, C_MATCH)
+        _, match_trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                                  semantics=C_MATCH)
         assert match_trace.fetched_per_subtree()["https://ann.ex/"] == 4
-        _, guided_trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
-        )
+        _, guided_trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                                   guidance=(demo_registry, uma_policy))
         assert guided_trace.fetched_per_subtree()["https://ann.ex/"] == 2
-        _, none_trace = unguided(web_source_from_demo(), demo_query_obj, C_NONE)
+        _, none_trace = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=C_NONE)
         assert none_trace.fetched_per_subtree().get("https://ann.ex/", 0) == 0
 
     def test_a_document_displaced_whole_keeps_an_empty_graph(self, demo_query_obj):
@@ -368,8 +356,8 @@ class TestGuided:
         policy = parse_policy(json.dumps({"rules": [
             {"action": "allow", "pattern": {"p": foaf + "img"}, "source": "https://uma.ex/",
              "priority": 9, "exclusive": "subject-predicate"}]}))
-        pool, trace = traverse_guided(["https://uma.ex/"], LinkingStructureRegistry([]),
-                                      policy, demo_query_obj, web_source(bodies))
+        pool, trace = traverse(["https://uma.ex/"], web_source(bodies), demo_query_obj,
+                               guidance=(LinkingStructureRegistry([]), policy))
         assert trace.ledger.ok_documents == set(bodies)
         assert pool.sources["https://bob.ex/"] == Graph()
         assert len(pool.sources["https://uma.ex/"]) == 2
@@ -382,10 +370,9 @@ class TestRandomWebs:
             bodies = random_web(rng)
             seeds = [doc_iri(0)]
             query = random_bgp_query(rng, len(bodies))
-            pool, trace = traverse_guided(
-                seeds, PERMISSIVE_REGISTRY, PERMISSIVE_POLICY, query,
-                web_source(bodies), max_documents=1000,
-            )
+            pool, trace = traverse(seeds, web_source(bodies), query,
+                                   guidance=(PERMISSIVE_REGISTRY, PERMISSIVE_POLICY),
+                                   max_documents=1000)
             expected_docs = closure_c_all(bodies, seeds)
             assert trace.ledger.ok_documents == expected_docs
             assert pool.graph() == union_graph(bodies, expected_docs)
@@ -396,9 +383,8 @@ class TestRandomWebs:
             bodies = random_web(rng)
             seeds = [doc_iri(0)]
             query = random_bgp_query(rng, len(bodies))
-            pool, trace = unguided(
-                web_source(bodies), query, C_MATCH, seeds=seeds, max_documents=1000
-            )
+            pool, trace = traverse(seeds, web_source(bodies), query, semantics=C_MATCH,
+                                   max_documents=1000)
             expected_docs = closure_c_match(bodies, seeds, query)
             assert trace.ledger.ok_documents == expected_docs
             assert pool.graph() == union_graph(bodies, expected_docs)
@@ -419,9 +405,8 @@ class TestRandomWebs:
                 random_registry_json(rng, len(bodies), default=RESTRICTIVE))
             policy = parse_policy(random_policy_json(
                 rng, len(bodies), default="allow" if rng.random() < 0.5 else None))
-            pool, trace = traverse_guided(
-                seeds, registry, policy, query, web_source(bodies), max_documents=1000,
-            )
+            pool, trace = traverse(seeds, web_source(bodies), query, guidance=(registry, policy),
+                                   max_documents=1000)
             expected_docs, expected_pruned, expected_pool = closure_guided(
                 bodies, seeds, registry, policy, query)
             assert trace.ledger.ok_documents == expected_docs
@@ -461,10 +446,10 @@ class TestRandomWebs:
             for semantics in (C_ALL, C_MATCH, "guided"):
                 source = RecordingSource(web_source(bodies))
                 if semantics == "guided":
-                    _, trace = traverse_guided(seeds, registry, policy, query, source,
-                                               max_documents=1000)
+                    _, trace = traverse(seeds, source, query, guidance=(registry, policy),
+                                        max_documents=1000)
                 else:
-                    _, trace = unguided(source, query, semantics, seeds=seeds,
+                    _, trace = traverse(seeds, source, query, semantics=semantics,
                                         max_documents=1000)
                 outcomes = {e.iri: e.outcome for e in trace.ledger.entries}
                 assert all(iri.startswith("https://") for iri in source.calls)
@@ -499,16 +484,16 @@ class TestRandomWebs:
             seeds = [doc_iri(0)]
             query = random_bgp_query(rng, len(bodies))
             for semantics in (C_ALL, C_MATCH):
-                _, plain = unguided(web_source(bodies), query, semantics, seeds=seeds,
+                _, plain = traverse(seeds, web_source(bodies), query, semantics=semantics,
                                     max_documents=1000)
-                _, moved = unguided(MovedSource(bodies), query, semantics, seeds=seeds,
+                _, moved = traverse(seeds, MovedSource(bodies), query, semantics=semantics,
                                     max_documents=1000)
                 assert moved.admissions == plain.admissions
                 assert moved.fetched_per_subtree() == plain.fetched_per_subtree()
             registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
             policy = parse_policy(random_policy_json(rng, len(bodies)))
-            _, trace = traverse_guided(seeds, registry, policy, query, MovedSource(bodies),
-                                       max_documents=1000)
+            _, trace = traverse(seeds, MovedSource(bodies), query, guidance=(registry, policy),
+                                max_documents=1000)
             for admission in trace.admissions:
                 if admission.reason != "seed":
                     assert trace.admission_of(admission.from_doc) is not None
@@ -524,11 +509,9 @@ class TestRandomWebs:
             query = random_bgp_query(rng, len(bodies))
             results = set()
             for run in range(4):
-                pool, trace = traverse_guided(
-                    [doc_iri(0)], PERMISSIVE_REGISTRY, PERMISSIVE_POLICY, query,
-                    web_source(bodies), max_documents=1000,
-                    rng=random.Random(run),
-                )
+                pool, trace = traverse([doc_iri(0)], web_source(bodies), query,
+                                       guidance=(PERMISSIVE_REGISTRY, PERMISSIVE_POLICY),
+                                       max_documents=1000, rng=random.Random(run))
                 fingerprint = (
                     frozenset(trace.ledger.ok_documents),
                     trace.ledger.distinct_ok,
@@ -548,7 +531,7 @@ class TestProperties:
         bodies = data.draw(webs())
         query = data.draw(bgp_queries(len(bodies)))
         seeds = [doc_iri(0)]
-        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=seeds,
+        _, trace = traverse(seeds, web_source(bodies), query, semantics=C_MATCH,
                             max_documents=1000)
         assert trace.ledger.ok_documents == closure_c_match(bodies, seeds, query)
         for admission in trace.admissions:
@@ -568,8 +551,8 @@ class TestProperties:
         registry = data.draw(registries(len(bodies)))
         policy = data.draw(policies(len(bodies)))
         seeds = [doc_iri(0)]
-        pool, trace = traverse_guided(seeds, registry, policy, query, web_source(bodies),
-                                      max_documents=1000)
+        pool, trace = traverse(seeds, web_source(bodies), query, guidance=(registry, policy),
+                               max_documents=1000)
         expected_docs, expected_pruned, expected_pool = closure_guided(
             bodies, seeds, registry, policy, query)
         assert trace.ledger.ok_documents == expected_docs
@@ -590,8 +573,8 @@ class TestProperties:
         query = data.draw(bgp_queries(len(bodies)))
         registry = data.draw(registries(len(bodies)))
         policy = data.draw(policies(len(bodies)))
-        _, trace = traverse_guided([doc_iri(0)], registry, policy, query, web_source(bodies),
-                                   max_documents=1000)
+        _, trace = traverse([doc_iri(0)], web_source(bodies), query, guidance=(registry, policy),
+                            max_documents=1000)
         graphs = parse_web(bodies)
         admitted = set(trace.admitted_documents())
         expected = set()
@@ -620,11 +603,12 @@ class TestProperties:
         query = data.draw(bgp_queries(len(bodies)))
         mode = data.draw(st.sampled_from([C_NONE, C_ALL, C_MATCH, "guided"]))
         if mode == "guided":
-            pool, trace = traverse_guided(
-                [doc_iri(0)], data.draw(registries(len(bodies))), ContentPolicy([], "allow"),
-                query, web_source(bodies), max_documents=1000)
+            registry = data.draw(registries(len(bodies)))
+            pool, trace = traverse([doc_iri(0)], web_source(bodies), query,
+                                   guidance=(registry, ContentPolicy([], "allow")),
+                                   max_documents=1000)
         else:
-            pool, trace = unguided(web_source(bodies), query, mode, seeds=[doc_iri(0)],
+            pool, trace = traverse([doc_iri(0)], web_source(bodies), query, semantics=mode,
                                    max_documents=1000)
         with_triples = [d for d in trace.documents.values() if d.triples]
         assert pool.sources.keys() == {d.doc_iri for d in with_triples}
@@ -645,10 +629,10 @@ class TestProperties:
             policies(len(bodies)).filter(lambda p: any(r.exclusive_key for r in p.rules)))
         plain = ContentPolicy([dataclasses.replace(r, exclusive_key=None) for r in policy.rules],
                               policy.default_action)
-        pool, _ = traverse_guided([doc_iri(0)], registry, policy, query, web_source(bodies),
-                                  max_documents=1000)
-        plain_pool, _ = traverse_guided([doc_iri(0)], registry, plain, query,
-                                        web_source(bodies), max_documents=1000)
+        pool, _ = traverse([doc_iri(0)], web_source(bodies), query, guidance=(registry, policy),
+                           max_documents=1000)
+        plain_pool, _ = traverse([doc_iri(0)], web_source(bodies), query,
+                                 guidance=(registry, plain), max_documents=1000)
         assert pool.sources.keys() == plain_pool.sources.keys()
         for src, graph in pool.sources.items():
             assert set(graph.unordered()) <= set(plain_pool.sources[src].unordered())
@@ -680,11 +664,12 @@ class TestProperties:
             policy = data.draw(st.one_of(
                 st.sampled_from([ContentPolicy([], "allow"), ContentPolicy([], "deny")]),
                 policies(len(bodies)).filter(lambda p: any(r.exclusive_key for r in p.rules))))
-            pool, trace = traverse_guided(seeds, data.draw(registries(len(bodies))), policy,
-                                          query, MergingSource(), max_documents=1000)
+            pool, trace = traverse(seeds, MergingSource(), query,
+                                   guidance=(data.draw(registries(len(bodies))), policy),
+                                   max_documents=1000)
         else:
             policy = PERMISSIVE_POLICY
-            pool, trace = unguided(MergingSource(), query, mode, seeds=seeds,
+            pool, trace = traverse(seeds, MergingSource(), query, semantics=mode,
                                    max_documents=1000)
         expected = reference_overrides(
             {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples
@@ -761,10 +746,10 @@ class TestCompiledMatch:
 
 class TestSubtreeReport:
     def test_demo_subtrees(self, demo_query_obj, demo_registry, uma_policy):
-        _, match_trace = unguided(web_source_from_demo(), demo_query_obj, C_MATCH)
-        _, guided_trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
-        )
+        _, match_trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                                  semantics=C_MATCH)
+        _, guided_trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                                   guidance=(demo_registry, uma_policy))
         # https://uma.ex/bob.jpg is a root too, but its request is not found.
         assert match_trace.fetched_per_subtree() == {
             "https://ann.ex/": 4, "https://bob.ex/": 2, "https://uma.ex/bob.jpg": 0,
@@ -782,10 +767,10 @@ class TestSubtreeReport:
             query = random_bgp_query(rng, len(bodies))
             registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
             policy = parse_policy(random_policy_json(rng, len(bodies)))
-            runs = [unguided(web_source(bodies), query, semantics, seeds=seeds,
+            runs = [traverse(seeds, web_source(bodies), query, semantics=semantics,
                              max_documents=1000)[1] for semantics in (C_ALL, C_MATCH)]
-            runs.append(traverse_guided(seeds, registry, policy, query, web_source(bodies),
-                                        max_documents=1000)[1])
+            runs.append(traverse(seeds, web_source(bodies), query, guidance=(registry, policy),
+                                 max_documents=1000)[1])
             for trace in runs:
                 counts = trace.fetched_per_subtree()
                 seeds_ok = trace.ledger.ok_documents & {strip_fragment(s) for s in seeds}
@@ -809,9 +794,8 @@ class TestGuidedWork:
             return original(policy, triple, source_doc_iri)
 
         monkeypatch.setattr(traversal, "triple_relevant", counting)
-        _, trace = traverse_guided(
-            [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
-        )
+        _, trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                            guidance=(demo_registry, uma_policy))
         pairs = {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples}
         assert len(calls) == len(pairs) == len(set(calls))
 
@@ -839,11 +823,10 @@ class TestGuidedWork:
         for module in (traversal, guidance):
             monkeypatch.setattr(module, "sorted", recording_sorted, raising=False)
         if mode == "guided":
-            _, trace = traverse_guided(
-                [SEED], demo_registry, uma_policy, demo_query_obj, web_source_from_demo()
-            )
+            _, trace = traverse([SEED], web_source_from_demo(), demo_query_obj,
+                                guidance=(demo_registry, uma_policy))
         else:
-            _, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
+            _, trace = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=mode)
         monkeypatch.undo()
         tables = [d.__dict__["hyperlinks"] for d in trace.documents.values()
                   if "hyperlinks" in d.__dict__]
@@ -890,10 +873,8 @@ class TestGuidedWork:
         for registry in registries:
             source = web_source(bodies)
             reads = 0
-            pool, trace = traverse_guided(
-                ["https://hub.ex/"], registry, PERMISSIVE_POLICY, query, source,
-                max_documents=1000,
-            )
+            pool, trace = traverse(["https://hub.ex/"], source, query,
+                                   guidance=(registry, PERMISSIVE_POLICY), max_documents=1000)
             triples = sum(len(d.triples) for d in trace.documents.values())
             assert trace.ledger.distinct_ok == people + 1
             assert len(evaluate(query, pool.graph())) == people
@@ -911,7 +892,7 @@ class TestGuidedWork:
             return original(policy, triple, source_doc_iri)
 
         monkeypatch.setattr(traversal, "triple_relevant", counting)
-        pool, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
+        pool, trace = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=mode)
         assert calls == []
         entries = {(t, d.doc_iri) for d in trace.documents.values() for t in d.triples}
         assert pool.entries == entries
@@ -924,7 +905,7 @@ class TestGuidedWork:
     def test_pool_graph_hashes_no_triple(self, monkeypatch, mode, demo_query_obj):
         # The union graph is merged from the per-document sets with the
         # hashes they store.
-        pool, _ = unguided(web_source_from_demo(), demo_query_obj, mode)
+        pool, _ = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=mode)
         expected = Graph(t for t, _ in pool.entries)
         calls = 0
         original = rdf.Triple.__hash__
@@ -945,14 +926,14 @@ class TestGuidedWork:
         # A failed fetch, such as that of a mailto: IRI, gives a document
         # without triples: it links nowhere and adds nothing to the pool, so
         # neither the policy nor the link strategy reads it.
-        pool, trace = unguided(web_source_from_demo(), demo_query_obj, mode)
+        pool, trace = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=mode)
         empty = [d for d in trace.documents.values() if not d.triples]
         assert empty
         assert not any("hyperlinks" in d.__dict__ for d in empty)
         assert not {d.doc_iri for d in empty} & pool.sources.keys()
 
     def test_c_none_builds_no_hyperlink_table(self, demo_query_obj):
-        _, trace = unguided(web_source_from_demo(), demo_query_obj, C_NONE)
+        _, trace = traverse([SEED], web_source_from_demo(), demo_query_obj, semantics=C_NONE)
         assert trace.documents
         assert not any("hyperlinks" in d.__dict__ for d in trace.documents.values())
 
@@ -977,7 +958,7 @@ class TestGuidedWork:
             return original(triple, candidates)
 
         monkeypatch.setattr(traversal, "_matching_pattern", recording)
-        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=["https://a.ex/"])
+        _, trace = traverse(["https://a.ex/"], web_source(bodies), query, semantics=C_MATCH)
         assert trace.ledger.distinct_ok == 2
         assert len(offered) == sum(len(d.triples) for d in trace.documents.values()) == 5
         for triple, candidates in offered:
@@ -1013,7 +994,7 @@ class TestGuidedWork:
             return original(triple, candidates)
 
         monkeypatch.setattr(traversal, "_matching_pattern", counting)
-        _, trace = unguided(web_source(bodies), query, C_MATCH, seeds=["https://p0.ex/"])
+        _, trace = traverse(["https://p0.ex/"], web_source(bodies), query, semantics=C_MATCH)
         triples = [t for d in trace.documents.values() for t in d.triples]
         named = [t for t in triples if t.predicate in {tp.predicate for tp in patterns}]
         unbound = [tp for tp in patterns if tp.predicate.is_variable]
@@ -1025,7 +1006,7 @@ class TestGuidedWork:
         # they were built, not cut again per triple.
         bodies = {"https://a.ex/": "<#me> <https://p.ex/knows> <b#me>, <https://c.ex/d>, "
                                    '"x#y" .\n<b#me> <https://p.ex/knows> <#me> .'}
-        _, trace = unguided(web_source(bodies), ANY_QUERY, C_NONE, seeds=["https://a.ex/"])
+        _, trace = traverse(["https://a.ex/"], web_source(bodies), ANY_QUERY, semantics=C_NONE)
         doc = trace.documents["https://a.ex/"]
         assert [targets for _, targets in sorted(doc.hyperlinks)] == [
             ("https://a.ex/", "https://a.ex/b"), ("https://a.ex/", "https://c.ex/d"),
@@ -1057,7 +1038,7 @@ class TestGuidedWork:
             return original(cls, *args, **kwargs)
 
         monkeypatch.setattr(rdf.Term, "__new__", counting)
-        _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=["https://p0.ex/"])
+        _, trace = traverse(["https://p0.ex/"], web_source(bodies), ANY_QUERY, semantics=C_ALL)
         monkeypatch.undo()
         terms = {}
         literals = 0
@@ -1087,7 +1068,7 @@ class TestGuidedWork:
             "https://b.ex/": "<https://b.ex/#it> <https://p.ex/q> <https://c.ex/#it>.",
             "https://c.ex/": "<https://c.ex/#it> <https://p.ex/q> <https://a.ex/#me>.",
         }
-        _, trace = unguided(web_source(bodies), ANY_QUERY, C_ALL, seeds=[seed])
+        _, trace = traverse([seed], web_source(bodies), ANY_QUERY, semantics=C_ALL)
         outcomes = {e.iri: e.outcome for e in trace.ledger.entries}
         assert outcomes == {seed: OK, "https://x1.ex/": PARSE_ERROR,
                             "https://x2.ex/": PARSE_ERROR, "https://b.ex/": OK,
@@ -1122,8 +1103,8 @@ def run_demo(demo_query_obj, demo_registry, uma_policy):
     """Traverses the demo web from Uma's seed, under c-all, c-match or guided."""
     def run(semantics, source):
         if semantics == "guided":
-            return traverse_guided([SEED], demo_registry, uma_policy, demo_query_obj, source)
-        return unguided(source, demo_query_obj, semantics)
+            return traverse([SEED], source, demo_query_obj, guidance=(demo_registry, uma_policy))
+        return traverse([SEED], source, demo_query_obj, semantics=semantics)
 
     return run
 
@@ -1182,7 +1163,7 @@ class TestFetchPool:
                         return FetchResult(NOT_FOUND)
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(BarrierSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), BarrierSource(), ANY_QUERY, semantics=C_ALL)
         linked = [e.outcome for e in trace.ledger.entries if e.iri != HUB]
         assert linked == ["ok"] * 8
 
@@ -1192,7 +1173,7 @@ class TestFetchPool:
         # shut down when the traversal returns or raises.
         before = set(threading.enumerate())
         source = ThreadRecordingSource(chains_web(8, 3))
-        _, trace = unguided(source, ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), source, ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 25
         assert set(threading.enumerate()) <= before
         pool_threads = source.threads - {threading.current_thread()}
@@ -1200,13 +1181,13 @@ class TestFetchPool:
         assert not any(t.is_alive() for t in pool_threads)
 
         with pytest.raises(CappedTraversalError):
-            unguided(ThreadRecordingSource(chains_web(8, 3)), ANY_QUERY, C_ALL,
-                     seeds=(HUB,), max_documents=12)
+            traverse((HUB,), ThreadRecordingSource(chains_web(8, 3)), ANY_QUERY, semantics=C_ALL,
+                     max_documents=12)
         assert set(threading.enumerate()) <= before
 
         failing = ThreadRecordingSource(chains_web(8, 3), fail_on="https://c3.ex/1")
         with pytest.raises(RuntimeError):
-            unguided(failing, ANY_QUERY, C_ALL, seeds=(HUB,))
+            traverse((HUB,), failing, ANY_QUERY, semantics=C_ALL)
         assert set(threading.enumerate()) <= before
 
     def test_in_flight_requests_reach_and_never_pass_the_cap(self):
@@ -1239,7 +1220,7 @@ class TestFetchPool:
                     in_flight -= 1
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(GatedSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), GatedSource(), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 26
         assert peak == MAX_IN_FLIGHT
 
@@ -1260,7 +1241,7 @@ class TestFetchPool:
                     time.sleep(0.001)
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(WaitingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), WaitingSource(), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 25 == len(calls)
         serial = [HUB] + ["https://c%d.ex/0" % i for i in range(4)]  # up to first_wait
         assert [iri for iri, _ in calls[:len(serial)]] == serial
@@ -1305,7 +1286,7 @@ class TestFetchPool:
                 return inner.fetch(doc_iri)
 
         with pytest.raises(RuntimeError, match="pool request failed"):
-            unguided(PoolFailingSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+            traverse((HUB,), PoolFailingSource(), ANY_QUERY, semantics=C_ALL)
         assert waits and all(waits)
         assert set(wave[:MAX_IN_FLIGHT]) <= set(reached) <= set(wave[:MAX_IN_FLIGHT + 1])
         assert set(threading.enumerate()) <= before
@@ -1334,7 +1315,7 @@ class TestFetchPool:
                     return FetchResult(NOT_FOUND)
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(BarrierSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), BarrierSource(), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 2 * MAX_IN_FLIGHT + 1
         assert len(trips) == 2
 
@@ -1444,7 +1425,7 @@ class TestFetchPool:
                     time.sleep(off)
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(BusySource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), BusySource(), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 9
         assert any(threads != before for threads in seen) is helped
 
@@ -1478,7 +1459,7 @@ class TestFetchPool:
                     in_flight -= 1
                 return inner.fetch(doc_iri)
 
-        _, trace = unguided(GatedSource(), ANY_QUERY, C_ALL, seeds=(HUB,))
+        _, trace = traverse((HUB,), GatedSource(), ANY_QUERY, semantics=C_ALL)
         assert trace.ledger.distinct_ok == 9
         assert arrivals[0] is caller and first_alone
         assert peak == 7
@@ -1510,10 +1491,10 @@ class TestFetchPool:
             for semantics in (C_ALL, C_MATCH, "guided"):
                 source = RecordingSource(web_source(bodies))
                 if semantics == "guided":
-                    pool, trace = traverse_guided(seeds, registry, policy, query, source,
-                                                  max_documents=1000)
+                    pool, trace = traverse(seeds, source, query, guidance=(registry, policy),
+                                           max_documents=1000)
                 else:
-                    pool, trace = unguided(source, query, semantics, seeds=seeds,
+                    pool, trace = traverse(seeds, source, query, semantics=semantics,
                                            max_documents=1000)
                 assert sorted(iri for iri, _ in source.calls) == sorted(
                     e.iri for e in trace.ledger.entries)
@@ -1619,9 +1600,9 @@ def demo_traces(query, registry, policy):
     """The demo web's trace under every link mode, as written to the golden file."""
     traces = {}
     for semantics in (C_NONE, C_ALL, C_MATCH):
-        _, trace = unguided(web_source_from_demo(), query, semantics)
+        _, trace = traverse([SEED], web_source_from_demo(), query, semantics=semantics)
         traces[semantics] = trace.to_json_dict()
-    _, trace = traverse_guided([SEED], registry, policy, query, web_source_from_demo())
+    _, trace = traverse([SEED], web_source_from_demo(), query, guidance=(registry, policy))
     traces["guided"] = trace.to_json_dict()
     return json.dumps(traces, indent=1) + "\n"
 
@@ -1654,7 +1635,7 @@ class TestTraceSerialization:
         assert outputs[0].stdout == outputs[1].stdout
 
     def test_trace_json_is_stable(self, demo_source, demo_query_obj):
-        _, trace = unguided(demo_source, demo_query_obj, C_MATCH)
+        _, trace = traverse([SEED], demo_source, demo_query_obj, semantics=C_MATCH)
         first = json.dumps(trace.to_json_dict(), sort_keys=True)
         second = json.dumps(trace.to_json_dict(), sort_keys=True)
         assert first == second
@@ -1668,8 +1649,7 @@ import json, random, sys
 from helpers import (doc_iri, link_unrequested, random_bgp_query, random_policy_json,
                      random_registry_json, random_web, web_source)
 from linkquery.guidance import parse_policy, parse_structure_registry
-from linkquery.traversal import (C_ALL, C_MATCH, C_NONE, TraversalConfig, traverse_guided,
-                                 traverse_unguided)
+from linkquery.traversal import C_ALL, C_MATCH, C_NONE, traverse
 rng = random.Random(29)
 for _ in range(int(sys.argv[1])):
     bodies = link_unrequested(rng, random_web(rng))
@@ -1678,10 +1658,10 @@ for _ in range(int(sys.argv[1])):
     registry = parse_structure_registry(random_registry_json(rng, len(bodies)))
     policy = parse_policy(random_policy_json(rng, len(bodies)))
     for mode in (C_NONE, C_ALL, C_MATCH):
-        _, trace = traverse_unguided(TraversalConfig(mode, seeds, 1000), web_source(bodies), query)
+        _, trace = traverse(seeds, web_source(bodies), query, semantics=mode, max_documents=1000)
         print(json.dumps(trace.to_json_dict()))
-    _, trace = traverse_guided(seeds, registry, policy, query, web_source(bodies),
-                               max_documents=1000)
+    _, trace = traverse(seeds, web_source(bodies), query, guidance=(registry, policy),
+                        max_documents=1000)
     print(json.dumps(trace.to_json_dict()))
 """
 
